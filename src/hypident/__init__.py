@@ -34,7 +34,6 @@ from .errors import (
     DimensionMismatch,
     HypidentError,
     KBelowRange,
-    KOutOfAlphaRange,
     NotDistinctModZ,
     NotSimplePole,
     NumericResidualExceeded,
@@ -58,7 +57,6 @@ from .hyper import (
 from .identity import (
     BetaTable,
     VerificationReport,
-    alpha_coefficient,
     beta_coefficients,
     lhs_series,
     verify,
@@ -86,7 +84,6 @@ __all__ = [
     "HypidentError",
     "IdentityInstance",
     "KBelowRange",
-    "KOutOfAlphaRange",
     "LaurentSeries",
     "Lemma1Report",
     "NotDistinctModZ",
@@ -103,7 +100,6 @@ __all__ = [
     "TruncationTooSmall",
     "ValidationError",
     "VerificationReport",
-    "alpha_coefficient",
     "bernoulli_combination",
     "bernoulli_number",
     "bernoulli_polynomial",

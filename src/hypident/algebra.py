@@ -136,23 +136,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def divmod(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Long division: self = q*other + r with deg r < deg other."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 1)
-        lead = other.leading
-        d = len(other.coeffs) - 1
-        for i in range(len(rem) - 1, d - 1, -1):
-            factor = rem[i] / lead
-            if factor == 0:
-                continue
-            q[i - d] = factor
-            for j, c in enumerate(other.coeffs):
-                rem[i - d + j] -= factor * c
-        return Polynomial(tuple(q)), Polynomial(tuple(rem))
-
     def deflate(self, z0: Scalar) -> tuple[Polynomial, Fraction]:
         """Synthetic division by (z - z0): returns (quotient, remainder)."""
         z0 = as_fraction(z0)
@@ -165,19 +148,6 @@ class Polynomial:
             out[i - 1] = carry
         rem = self.coeffs[0] + carry * z0
         return Polynomial(tuple(out)), rem
-
-    def monic(self) -> Polynomial:
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
-
-    def gcd(self, other: Polynomial) -> Polynomial:
-        """Monic greatest common divisor (Euclid with monic remainders)."""
-        a, b = self, other
-        while not b.is_zero:
-            _, r = a.divmod(b)
-            a, b = b, r.monic() if not r.is_zero else r
-        return a.monic() if not a.is_zero else a
 
     def compose_affine(self, c0: Scalar, c1: Scalar) -> Polynomial:
         """self(c0 + c1*t) expanded as a polynomial in t."""
@@ -238,14 +208,6 @@ class LaurentSeries:
     def zero(cls, trunc: int) -> LaurentSeries:
         return cls(trunc + 1, (), trunc)
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, trunc: int) -> LaurentSeries:
-        return cls(0, p.coeffs[: trunc + 1] if trunc >= 0 else (), trunc)
-
-    @classmethod
-    def monomial(cls, c: Scalar, exponent: int, trunc: int) -> LaurentSeries:
-        return cls(exponent, (as_fraction(c),), trunc)
-
     # -- access -------------------------------------------------------
 
     @property
@@ -261,9 +223,6 @@ class LaurentSeries:
         if self.low <= e <= self.high:
             return self.coeffs[e - self.low]
         return Fraction(0)
-
-    def coefficients_between(self, lo: int, hi: int) -> list[Fraction]:
-        return [self.coefficient(e) for e in range(lo, hi + 1)]
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         for i, c in enumerate(self.coeffs):
@@ -354,9 +313,7 @@ def one_minus_z_power(exponent: int, trunc: int) -> LaurentSeries:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Ratio of two exact polynomials.  Stored as given (no forced gcd
-    reduction); ``normalize`` produces the coprime, monic-denominator form.
-    """
+    """Ratio of two exact polynomials, stored as given (no gcd reduction)."""
 
     num: Polynomial
     den: Polynomial
@@ -375,15 +332,6 @@ class RationalFunction:
 
     def __call__(self, x: Scalar) -> Fraction:
         return self.num(x) / self.den(x)
-
-    def normalize(self) -> RationalFunction:
-        g = self.num.gcd(self.den)
-        num, den = self.num, self.den
-        if not g.is_zero and g.degree > 0:
-            num, _ = num.divmod(g)
-            den, _ = den.divmod(g)
-        lead = den.leading
-        return RationalFunction(num.scale(1 / lead), den.scale(1 / lead))
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"

@@ -5,26 +5,23 @@ viewed as a function of the index k, is a polynomial of degree p: zero when
 p = -1, identically 1 when p = 0, and for p >= 1 equal to the coefficient
 polynomial q_p obtained by exponentiating the logarithmic expansion of the
 kernel, whose coefficients are explicit Bernoulli-polynomial combinations
-of the instance data.  ``check_residue_polynomial`` confirms the law by
-evaluating both routes at p + 3 integer points, exactly.
+of the instance data.  ``check_residue_polynomial`` compares both routes
+exactly at p + 3 integer points.  That is evidence for the law, not a
+proof: agreement at p + 3 points forces equality only for a function
+already known to be a polynomial of degree at most p, and nothing proves
+that of the sampled residues beforehand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Iterator
+from math import comb
 
 from .algebra import Polynomial
 from .errors import CheckFailed
-from .hyper import IdentityInstance, Theorem, validate
+from .hyper import DerivedQuantities, IdentityInstance, Theorem
 from .residues import residue_at_infinity, residue_kernel
-
-# Above this order the displayed composition sum for the exponential is
-# replaced by the equivalent O(s^2) recurrence; enumerating 2^(s-1) ordered
-# compositions is hopeless for the large p that unbounded fuzzing can hit.
-_COMPOSITION_LIMIT = 9
 
 
 def bernoulli_number(j: int) -> Fraction:
@@ -51,8 +48,8 @@ def bernoulli_polynomial(n: int) -> Polynomial:
     return Polynomial(tuple(comb(n, l) * numbers[n - l] for l in range(n + 1)))
 
 
-def _require_balanced(inst: IdentityInstance):
-    derived = validate(inst)
+def _require_balanced(inst: IdentityInstance) -> DerivedQuantities:
+    derived = inst.derived
     if derived.theorem is not Theorem.ONE:
         raise ValueError("defined only for balanced instances (s = r)")
     return derived
@@ -81,16 +78,6 @@ def bernoulli_combination(inst: IdentityInstance, j: int) -> Polynomial:
     return total
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered compositions of ``total`` into ``parts`` positive integers."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def exp_series_coefficient(inst: IdentityInstance, s_index: int) -> Polynomial:
     """Coefficient polynomial q_s of the exponentiated kernel expansion.
 
@@ -99,30 +86,17 @@ def exp_series_coefficient(inst: IdentityInstance, s_index: int) -> Polynomial:
 
         q_s = sum_{l=1}^{s} (1/l!) sum_{s_1+...+s_l=s} G_{s_1} ... G_{s_l},
 
-    a polynomial in k of degree s, with q_0 = 1.  Small orders enumerate
-    the compositions literally; large orders use the derivative recurrence
-    s q_s = sum_t t G_t q_{s-t}, which computes the same polynomials.
+    a polynomial in k of degree s, with q_0 = 1.  The composition sum is
+    computed through the equivalent derivative recurrence
+    s q_s = sum_u u G_u q_{s-u}, in O(s^2) polynomial products.
     """
     _require_balanced(inst)
     if s_index < 0:
         raise ValueError("order must be non-negative")
-    if s_index == 0:
-        return Polynomial.one()
     gs: dict[int, Polynomial] = {}
     for j in range(1, s_index + 1):
         sign = 1 if (j + 1) % 2 == 0 else -1
         gs[j] = bernoulli_combination(inst, j) * Fraction(sign, j * (j + 1))
-    if s_index <= _COMPOSITION_LIMIT:
-        total = Polynomial.zero()
-        for l in range(1, s_index + 1):
-            block = Polynomial.zero()
-            for parts in _compositions(s_index, l):
-                prod = Polynomial.one()
-                for part in parts:
-                    prod = prod * gs[part]
-                block = block + prod
-            total = total + block * Fraction(1, factorial(l))
-        return total
     qs = [Polynomial.one()]
     for t in range(1, s_index + 1):
         acc = Polynomial.zero()
@@ -159,8 +133,10 @@ def check_residue_polynomial(inst: IdentityInstance) -> Lemma1Report:
     """Confirm the degree-p polynomial law for residues at infinity.
 
     p = -1: the residue vanishes at every sampled k.  p = 0: it equals 1.
-    p >= 1: it matches q_p at k = -m_min .. -m_min + p + 2; p + 3 points
-    over-determine a degree-p polynomial, so agreement there is equality.
+    p >= 1: it matches q_p at k = -m_min .. -m_min + p + 2.  The p + 3
+    points would over-determine a degree-p polynomial, but the residues are
+    not known beforehand to be one, so agreement is exact equality at the
+    sampled k and evidence, not proof, for the others.
     Raises CheckFailed at the first discrepant k.
     """
     derived = _require_balanced(inst)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,26 +41,6 @@ _CHECK_FAILURES = (SupportViolation, CheckFailed, NumericResidualExceeded)
 
 class UsageError(ValueError):
     """A structurally valid command line missing a required value."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    input_path: str | None = None
-    buffer: int = DEFAULT_BUFFER
-    k: int | None = None
-    pretty: bool = False
-    # fuzz
-    count: int = 100
-    r_range: tuple[int, int] = (2, 4)
-    shift_range: int = 3
-    seed: int = 0
-    # bessel
-    nu: Fraction | None = None
-    m_shift: int | None = None
-    order: int = DEFAULT_ORDER
-    tolerance: float = DEFAULT_TOLERANCE
-    samples: tuple[float, ...] = field(default=DEFAULT_SAMPLES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,62 +104,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    samples = DEFAULT_SAMPLES
-    if getattr(args, "samples", None):
-        samples = tuple(float(x) for x in args.samples.split(","))
-    nu = None
-    if getattr(args, "nu", None) is not None:
-        nu = Fraction(args.nu)
-    return CliConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        buffer=getattr(args, "buffer", DEFAULT_BUFFER),
-        k=getattr(args, "k", None),
-        pretty=getattr(args, "pretty", False),
-        count=getattr(args, "count", 100),
-        r_range=tuple(getattr(args, "r_range", (2, 4))),
-        shift_range=getattr(args, "shift_range", 3),
-        seed=getattr(args, "seed", 0),
-        nu=nu,
-        m_shift=getattr(args, "m_shift", None),
-        order=getattr(args, "order", DEFAULT_ORDER),
-        tolerance=getattr(args, "tolerance", DEFAULT_TOLERANCE),
-        samples=samples,
-    )
-
-
-def _load_instance(path: str | None) -> IdentityInstance:
-    if path is None:
-        raise UsageError("an instance file is required")
+def _load_instance(path: str) -> IdentityInstance:
     data = json.loads(Path(path).read_text())
     return IdentityInstance.from_dict(data)
 
 
-def _dispatch(config: CliConfig) -> tuple[dict, int]:
-    if config.command == "verify":
-        report = verify(_load_instance(config.input_path), config.buffer)
+def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.command == "verify":
+        report = verify(_load_instance(args.input), args.buffer)
         return report.to_dict(), 0 if report.passed else 1
 
-    if config.command == "coeffs":
-        table = beta_coefficients(_load_instance(config.input_path), config.buffer)
+    if args.command == "coeffs":
+        table = beta_coefficients(_load_instance(args.input), args.buffer)
         return table.to_dict(), 0
 
-    if config.command == "lemma":
-        report = check_residue_polynomial(_load_instance(config.input_path))
+    if args.command == "lemma":
+        report = check_residue_polynomial(_load_instance(args.input))
         return report.to_dict(), 0
 
-    if config.command == "residue-check":
-        if config.k is None:
+    if args.command == "residue-check":
+        if args.k is None:
             raise UsageError("residue-check requires --k")
-        inst = _load_instance(config.input_path)
-        kernel = residue_kernel(inst, config.k)
+        inst = _load_instance(args.input)
+        kernel = residue_kernel(inst, args.k)
         finite = sum_finite_residues(kernel)
         at_infinity = residue_at_infinity(kernel)
-        closed = residue_sum_closed_form(inst, config.k)
+        closed = residue_sum_closed_form(inst, args.k)
         agree = finite == at_infinity == closed
         payload = {
-            "k": config.k,
+            "k": args.k,
             "finite_residue_sum": str(finite),
             "residue_at_infinity": str(at_infinity),
             "closed_form_sum": str(closed),
@@ -188,29 +140,32 @@ def _dispatch(config: CliConfig) -> tuple[dict, int]:
         }
         return payload, 0 if agree else 1
 
-    if config.command == "fuzz":
+    if args.command == "fuzz":
         report = fuzz(
-            count=config.count,
-            r_range=config.r_range,
-            shift_range=config.shift_range,
-            seed=config.seed,
-            buffer=config.buffer,
+            count=args.count,
+            r_range=tuple(args.r_range),
+            shift_range=args.shift_range,
+            seed=args.seed,
+            buffer=args.buffer,
         )
         return report.to_dict(), 0 if report.failed == 0 else 1
 
-    if config.command == "bessel":
-        if config.nu is None or config.m_shift is None:
+    if args.command == "bessel":
+        if args.nu is None or args.m_shift is None:
             raise UsageError("bessel requires --nu and --m")
+        samples = DEFAULT_SAMPLES
+        if args.samples:
+            samples = tuple(float(x) for x in args.samples.split(","))
         report = bessel_demo(
-            config.nu,
-            config.m_shift,
-            order=config.order,
-            samples=config.samples,
-            tolerance=config.tolerance,
+            Fraction(args.nu),
+            args.m_shift,
+            order=args.order,
+            samples=samples,
+            tolerance=args.tolerance,
         )
         return report.to_dict(), 0 if report.passed else 1
 
-    raise UsageError(f"unknown command {config.command!r}")
+    raise UsageError(f"unknown command {args.command!r}")
 
 
 def _emit(payload: dict, pretty: bool) -> None:
@@ -221,23 +176,22 @@ def _emit(payload: dict, pretty: bool) -> None:
     print(text)
 
 
-def run(config: CliConfig) -> int:
-    """Execute one command; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit status."""
     try:
-        payload, status = _dispatch(config)
+        payload, status = _dispatch(args)
     except _CHECK_FAILURES as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, config.pretty)
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
         return 1
-    except (HypidentError, UsageError, OSError, ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, config.pretty)
+    except (HypidentError, UsageError, OSError, ValueError, ZeroDivisionError) as exc:
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
         return 2
-    _emit(payload, config.pretty)
+    _emit(payload, args.pretty)
     return status
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -49,10 +49,6 @@ class KBelowRange(HypidentError):
     """Kernel index below the range where the numerator stays polynomial."""
 
 
-class KOutOfAlphaRange(HypidentError):
-    """Coefficient index outside the low-order closed-form range."""
-
-
 class NotSimplePole(HypidentError):
     """Residue requested at a point that is not a simple denominator root."""
 

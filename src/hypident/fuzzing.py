@@ -28,7 +28,8 @@ def random_instance(
 ) -> IdentityInstance:
     """Draw a valid instance, rejecting (and fully redrawing) any draw that
     fails validation — parameter collisions modulo integers or prefactor
-    poles.  ``family`` selects s: "one" forces s = r, "two" forces s < r,
+    poles — and raising ValueError if none of MAX_REJECTIONS draws is valid.
+    ``family`` selects s: "one" forces s = r, "two" forces s < r,
     "any" draws s uniformly from {0, ..., r}."""
     if family not in ("any", "one", "two"):
         raise ValueError(f"unknown family {family!r}")
@@ -50,7 +51,9 @@ def random_instance(
         except ValidationError:
             continue
         return inst
-    raise RuntimeError("rejection sampling did not find a valid instance")
+    raise ValueError(
+        f"rejection sampling found no valid instance in {MAX_REJECTIONS} draws"
+    )
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -95,6 +96,15 @@ class Theorem(enum.Enum):
         return self.value
 
 
+def _shifts(name: str, values: Sequence) -> tuple[int, ...]:
+    """The shift vector as a tuple, rejecting anything but plain ints."""
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"shift vector {name} must hold integers, got {x!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class IdentityInstance:
     """Parameter vectors a (length r), b (length s) and integer shift
@@ -108,8 +118,54 @@ class IdentityInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", tuple(as_fraction(x) for x in self.a))
         object.__setattr__(self, "b", tuple(as_fraction(x) for x in self.b))
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
-        object.__setattr__(self, "n", tuple(int(x) for x in self.n))
+        object.__setattr__(self, "m", _shifts("m", self.m))
+        object.__setattr__(self, "n", _shifts("n", self.n))
+
+    @cached_property
+    def derived(self) -> DerivedQuantities:
+        """Check all structural invariants and compute the derived quantities.
+
+        Runs once, on first use; a failed check raises on every use and is
+        never cached.  Raises DimensionMismatch, NotDistinctModZ, or
+        PrefactorPole.  A prefactor Pochhammer that evaluates to zero is fine
+        (the term drops out); only an undefined negative-shift value aborts.
+        """
+        r, s = self.r, self.s
+        if r < 2:
+            raise DimensionMismatch(f"need at least two upper parameters, got r={r}")
+        if len(self.n) != r:
+            raise DimensionMismatch(f"len(n)={len(self.n)} != r={r}")
+        if len(self.m) != s:
+            raise DimensionMismatch(f"len(m)={len(self.m)} != s={s}")
+        if s > r:
+            raise DimensionMismatch(f"s={s} exceeds r={r}")
+        for i in range(r):
+            for j in range(i + 1, r):
+                if (self.a[i] - self.a[j]).denominator == 1:
+                    raise NotDistinctModZ(
+                        f"a[{i}]={self.a[i]} and a[{j}]={self.a[j]} differ by an integer"
+                    )
+        for i in range(r):
+            for l in range(s):
+                try:
+                    pochhammer(1 - self.b[l] + self.a[i], self.m[l] - self.n[i])
+                except PochhammerPole as exc:
+                    raise PrefactorPole(
+                        f"prefactor (1-b[{l}]+a[{i}])_(m[{l}]-n[{i}]) is undefined: {exc}"
+                    ) from exc
+        M = sum(self.m)
+        N = sum(self.n)
+        m_min = min(self.m) if self.m else 0
+        n_max = max(self.n)
+        if s == r:
+            theorem = Theorem.ONE
+            p = max(-1, M - N - r + 1)
+        else:
+            theorem = Theorem.TWO
+            p = (M - N - r + 1) // (r - s)
+        return DerivedQuantities(
+            r=r, s=s, M=M, N=N, m_min=m_min, n_max=n_max, p=p, theorem=theorem
+        )
 
     @property
     def r(self) -> int:
@@ -125,8 +181,8 @@ class IdentityInstance:
         try:
             a = tuple(Fraction(str(x)) for x in data["a"])
             b = tuple(Fraction(str(x)) for x in data.get("b", ()))
-            m = tuple(int(x) for x in data.get("m", ()))
-            n = tuple(int(x) for x in data["n"])
+            m = tuple(data.get("m", ()))
+            n = tuple(data["n"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"malformed instance object: {exc}") from exc
         return cls(a=a, b=b, m=m, n=n)
@@ -171,51 +227,7 @@ class DerivedQuantities:
         }
 
 
-def omit(vec: Sequence, i: int) -> tuple:
-    """The vector with its i-th component removed."""
-    return tuple(vec[l] for l in range(len(vec)) if l != i)
-
-
 def validate(inst: IdentityInstance) -> DerivedQuantities:
-    """Check all structural invariants and compute the derived quantities.
-
-    Raises DimensionMismatch, NotDistinctModZ, or PrefactorPole.  A prefactor
-    Pochhammer that evaluates to zero is fine (the term drops out); only an
-    undefined negative-shift value aborts.
-    """
-    r, s = inst.r, inst.s
-    if r < 2:
-        raise DimensionMismatch(f"need at least two upper parameters, got r={r}")
-    if len(inst.n) != r:
-        raise DimensionMismatch(f"len(n)={len(inst.n)} != r={r}")
-    if len(inst.m) != s:
-        raise DimensionMismatch(f"len(m)={len(inst.m)} != s={s}")
-    if s > r:
-        raise DimensionMismatch(f"s={s} exceeds r={r}")
-    for i in range(r):
-        for j in range(i + 1, r):
-            if (inst.a[i] - inst.a[j]).denominator == 1:
-                raise NotDistinctModZ(
-                    f"a[{i}]={inst.a[i]} and a[{j}]={inst.a[j]} differ by an integer"
-                )
-    for i in range(r):
-        for l in range(s):
-            try:
-                pochhammer(1 - inst.b[l] + inst.a[i], inst.m[l] - inst.n[i])
-            except PochhammerPole as exc:
-                raise PrefactorPole(
-                    f"prefactor (1-b[{l}]+a[{i}])_(m[{l}]-n[{i}]) is undefined: {exc}"
-                ) from exc
-    M = sum(inst.m)
-    N = sum(inst.n)
-    m_min = min(inst.m) if inst.m else 0
-    n_max = max(inst.n)
-    if s == r:
-        theorem = Theorem.ONE
-        p = max(-1, M - N - r + 1)
-    else:
-        theorem = Theorem.TWO
-        p = (M - N - r + 1) // (r - s)
-    return DerivedQuantities(
-        r=r, s=s, M=M, N=N, m_min=m_min, n_max=n_max, p=p, theorem=theorem
-    )
+    """The instance's derived quantities, checked and computed once per
+    instance; see ``IdentityInstance.derived`` for the errors raised."""
+    return inst.derived

@@ -23,14 +23,13 @@ from fractions import Fraction
 
 from .algebra import LaurentSeries, one_minus_z_power
 from .asymptotics import check_residue_polynomial
-from .errors import CheckFailed, KOutOfAlphaRange, SupportViolation, TruncationTooSmall
+from .errors import CheckFailed, SupportViolation, TruncationTooSmall
 from .hyper import (
     DerivedQuantities,
     IdentityInstance,
     Theorem,
     hyper_series,
     pochhammer_vec,
-    validate,
 )
 from .residues import (
     residue_at_infinity,
@@ -51,7 +50,7 @@ def lhs_series(inst: IdentityInstance, trunc: int) -> LaurentSeries:
     n_i-dependent one breaks the support bound whenever r - s is odd and
     the n_i parities are mixed, so the per-term form is the one certified.
     """
-    derived = validate(inst)
+    derived = inst.derived
     if trunc < -derived.n_max:
         raise TruncationTooSmall(
             f"truncation {trunc} cannot reach the lowest exponent {-derived.n_max}"
@@ -86,18 +85,6 @@ def lhs_series(inst: IdentityInstance, trunc: int) -> LaurentSeries:
     return total
 
 
-def alpha_coefficient(inst: IdentityInstance, k: int) -> Fraction:
-    """Series coefficient of z^k in the low-order range, from the residue
-    closed forms.  Only defined for -n_max <= k <= -m_min - 1 (for balanced
-    instances this is where the coefficient is not covered by the kernel)."""
-    derived = validate(inst)
-    if not (-derived.n_max <= k <= -derived.m_min - 1):
-        raise KOutOfAlphaRange(
-            f"k={k} outside [{-derived.n_max}, {-derived.m_min - 1}]"
-        )
-    return residue_sum_closed_form(inst, k)
-
-
 @dataclass(frozen=True)
 class BetaTable:
     """Certified right-hand-side coefficients with their support interval.
@@ -127,37 +114,31 @@ class BetaTable:
         }
 
 
-def _certified_window(derived: DerivedQuantities, buffer: int) -> tuple[int, int]:
-    """(support_high, truncation K) for the instance's support claim."""
+def _certify(
+    inst: IdentityInstance, buffer: int
+) -> tuple[LaurentSeries, BetaTable, int, list[str]]:
+    """The certification step shared by ``beta_coefficients`` and ``verify``.
+
+    Picks the support window and truncation K, assembles S(z) through z^K,
+    reduces it (S(z) for confluent instances, (1-z)^(p+1) S(z) for balanced
+    ones), reads off the coefficient table and collects every nonzero
+    coefficient in the forced-vanishing ranges.  Returns (S, table, K,
+    violations).
+    """
+    derived = inst.derived
     if buffer < 1:
         raise ValueError("buffer must be positive")
+    support_low = -derived.n_max
     if derived.theorem is Theorem.ONE:
         support_high = derived.p - derived.m_min
     else:
         support_high = max(-derived.m_min - 1, derived.p)
-    return support_high, max(support_high, -derived.n_max) + buffer
-
-
-def _reduced_series(
-    inst: IdentityInstance, derived: DerivedQuantities, trunc: int
-) -> LaurentSeries:
-    """S(z) for confluent instances, (1-z)^(p+1) S(z) for balanced ones."""
+    trunc = max(support_high, support_low) + buffer
     series = lhs_series(inst, trunc)
+    reduced = series
     if derived.theorem is Theorem.ONE:
         # the factor needs its own truncation high enough not to cap the product
-        series = one_minus_z_power(derived.p + 1, trunc + derived.n_max) * series
-    return series
-
-
-def _extract_table(
-    derived: DerivedQuantities,
-    reduced: LaurentSeries,
-    support_high: int,
-    trunc: int,
-) -> tuple[BetaTable, list[str]]:
-    """Read the coefficient table off the reduced series and collect any
-    violations of the forced-vanishing ranges."""
-    support_low = -derived.n_max
+        reduced = one_minus_z_power(derived.p + 1, trunc + derived.n_max) * series
     violations = []
     for e in range(reduced.low, support_low):
         value = reduced.coefficient(e)
@@ -167,17 +148,13 @@ def _extract_table(
         value = reduced.coefficient(e)
         if value != 0:
             violations.append(f"coefficient {value} at z^{e} above support")
-    values = {
-        j: reduced.coefficient(j)
-        for j in range(support_low, support_high + 1)
-    }
     table = BetaTable(
         support_low=support_low,
         support_high=support_high,
-        values=values,
+        values={j: reduced.coefficient(j) for j in range(support_low, support_high + 1)},
         theorem=derived.theorem,
     )
-    return table, violations
+    return series, table, trunc, violations
 
 
 def beta_coefficients(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> BetaTable:
@@ -187,10 +164,7 @@ def beta_coefficients(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> B
     vanish is nonzero; with exact arithmetic that signals a bug or an
     invalid instance, never a tolerance problem.
     """
-    derived = validate(inst)
-    support_high, trunc = _certified_window(derived, buffer)
-    reduced = _reduced_series(inst, derived, trunc)
-    table, violations = _extract_table(derived, reduced, support_high, trunc)
+    _, table, _, violations = _certify(inst, buffer)
     if violations:
         raise SupportViolation(violations[0])
     return table
@@ -235,14 +209,8 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
     Check failures are recorded in the report rather than raised; only
     validation of the instance itself can raise.
     """
-    derived = validate(inst)
-    support_high, trunc = _certified_window(derived, buffer)
-    series = lhs_series(inst, trunc)
-    if derived.theorem is Theorem.ONE:
-        reduced = one_minus_z_power(derived.p + 1, trunc + derived.n_max) * series
-    else:
-        reduced = series
-    table, violations = _extract_table(derived, reduced, support_high, trunc)
+    derived = inst.derived
+    series, table, trunc, violations = _certify(inst, buffer)
 
     cross_checks: dict[str, bool | None] = {
         "residue": None,

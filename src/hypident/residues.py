@@ -29,7 +29,7 @@ from .algebra import (
     expansion_at_infinity,
 )
 from .errors import KBelowRange, NotSimplePole
-from .hyper import IdentityInstance, Theorem, pochhammer_vec, validate
+from .hyper import IdentityInstance, Theorem, pochhammer_vec
 
 
 class Pole(NamedTuple):
@@ -53,7 +53,7 @@ def residue_kernel(inst: IdentityInstance, k: int) -> ResidueKernel:
     Requires k >= -m_min so every numerator rising factorial stays a
     polynomial; smaller k raises KBelowRange.
     """
-    derived = validate(inst)
+    derived = inst.derived
     if k < -derived.m_min:
         raise KBelowRange(f"k={k} below -m_min={-derived.m_min}")
     num = Polynomial.one()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
 
 def poch(x, k: int) -> Fraction:
@@ -99,3 +100,13 @@ def partial_fraction_zero_sum(a) -> Fraction:
                 prod *= a_i - a_j
         total += 1 / prod
     return total
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Ordered compositions of ``total`` into ``parts`` positive integers."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest

@@ -55,43 +55,14 @@ class TestPolynomial:
             assert p(root) == 0
         assert p(0) == (0 - 1) * (0 - Q(1, 2)) * (0 + 3)
 
-    def test_divmod_roundtrip(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            p = rand_poly(rng)
-            d = rand_poly(rng)
-            if d.is_zero:
-                continue
-            q, r = p.divmod(d)
-            assert q * d + r == p
-            assert r.is_zero or r.degree < d.degree
-
     def test_deflate_matches_divmod(self):
         rng = random.Random(12)
         for _ in range(40):
             p = rand_poly(rng)
             z0 = rand_fraction(rng)
-            linear = Polynomial.of(-z0, 1)
-            q, r = p.divmod(linear)
-            q2, rem = p.deflate(z0)
-            assert q2 == q
-            assert rem == (r.coefficient(0) if not r.is_zero else 0)
+            q, rem = p.deflate(z0)
+            assert q * Polynomial.of(-z0, 1) + Polynomial.constant(rem) == p
             assert rem == p(z0)
-
-    def test_gcd_common_factor(self):
-        rng = random.Random(13)
-        for _ in range(25):
-            w = rand_poly(rng, 3)
-            p = rand_poly(rng, 3)
-            q = rand_poly(rng, 3)
-            if w.is_zero or p.is_zero or q.is_zero:
-                continue
-            g = (p * w).gcd(q * w)
-            _, rem = g.divmod(w.monic())
-            assert rem.is_zero  # w divides the gcd
-            for f in (p * w, q * w):
-                _, rem = f.divmod(g)
-                assert rem.is_zero
 
     def test_compose_affine(self):
         rng = random.Random(14)
@@ -134,7 +105,7 @@ class TestLaurentSeries:
         one_minus = LaurentSeries(0, (Q(1), Q(-1)), 5)
         prod = one_plus * one_minus
         assert prod.trunc == 5
-        assert prod.coefficients_between(0, 5) == [1, 0, -1, 0, 0, 0]
+        assert [prod.coefficient(e) for e in range(6)] == [1, 0, -1, 0, 0, 0]
 
     def test_exponent_cancellation_truncation_rule(self):
         zinv = LaurentSeries(-1, (Q(1),), 5)
@@ -191,8 +162,9 @@ class TestLaurentSeries:
 
 class TestOneMinusZPower:
     def test_small_exponents(self):
-        assert one_minus_z_power(0, 4).coefficients_between(0, 4) == [1, 0, 0, 0, 0]
-        assert one_minus_z_power(2, 4).coefficients_between(0, 4) == [1, -2, 1, 0, 0]
+        for exponent, expected in ((0, [1, 0, 0, 0, 0]), (2, [1, -2, 1, 0, 0])):
+            s = one_minus_z_power(exponent, 4)
+            assert [s.coefficient(e) for e in range(5)] == expected
 
     def test_binomial_table(self):
         from math import comb
@@ -242,15 +214,6 @@ class TestRationalFunction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(Polynomial.one(), Polynomial.zero())
-
-    def test_normalize(self):
-        w = Polynomial.from_roots([Q(1, 3)])
-        f = RationalFunction(w * Polynomial.of(2, 2), w * Polynomial.of(0, 4))
-        g = f.normalize()
-        assert g.den.leading == 1
-        assert g.num.gcd(g.den).degree == 0
-        for x in (Q(7), Q(5, 2), Q(-3, 4)):
-            assert f(x) == g(x)
 
     def test_residue_sum_equals_inverse_z_coefficient(self):
         # for deg num < deg den with simple poles: sum of residues == C_{-1}

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 
-import hypident.asymptotics as asym
 from hypident.algebra import Polynomial
 from hypident.asymptotics import (
     bernoulli_combination,
@@ -14,6 +14,8 @@ from hypident.asymptotics import (
 )
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance
+
+from oracles import compositions
 
 CANONICAL = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 
@@ -104,20 +106,25 @@ class TestExpSeriesCoefficient:
             for s in (1, 2):
                 assert exp_series_coefficient(inst, s).degree == s
 
-    def test_composition_and_recurrence_routes_agree(self, monkeypatch):
+    def test_composition_and_recurrence_routes_agree(self):
+        # q_s = sum_l (1/l!) sum_{s_1+...+s_l=s} G_{s_1}...G_{s_l}, summed
+        # literally from the library's G_j, against the library's recurrence
         rng = random.Random(43)
-        instances = [
-            random_instance(rng, r_range=(2, 3), shift_range=2, family="one")
-            for _ in range(3)
-        ]
-        by_composition = [
-            [exp_series_coefficient(inst, s) for s in range(7)] for inst in instances
-        ]
-        monkeypatch.setattr(asym, "_COMPOSITION_LIMIT", 0)
-        by_recurrence = [
-            [exp_series_coefficient(inst, s) for s in range(7)] for inst in instances
-        ]
-        assert by_composition == by_recurrence
+        for _ in range(3):
+            inst = random_instance(rng, r_range=(2, 3), shift_range=2, family="one")
+            gs = {
+                j: bernoulli_combination(inst, j) * Q((-1) ** (j + 1), j * (j + 1))
+                for j in range(1, 7)
+            }
+            for s in range(7):
+                expected = Polynomial.one() if s == 0 else Polynomial.zero()
+                for l in range(1, s + 1):
+                    for parts in compositions(s, l):
+                        prod = Polynomial.one()
+                        for part in parts:
+                            prod = prod * gs[part]
+                        expected = expected + prod * Q(1, factorial(l))
+                assert exp_series_coefficient(inst, s) == expected, (inst, s)
 
 
 class TestResiduePolynomialLaw:

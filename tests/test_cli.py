@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hypident.cli import main
 
 ZERO_SHIFT = {"a": ["0", "1/2"], "b": ["1/3", "1/4"], "m": [0, 0], "n": [0, 0]}
@@ -158,3 +160,73 @@ class TestBesselCommand:
         status, out = run_cli(capsys, ["bessel", "--nu", "2", "--m", "1"])
         assert status == 2
         assert json.loads(out)["error"]["type"] == "NotDistinctModZ"
+
+
+class TestStrictInput:
+    @pytest.mark.parametrize("shift", [1.7, True])
+    def test_non_int_shift_exits_2(self, tmp_path, capsys, shift):
+        path = write(tmp_path, "inst.json", {**ZERO_SHIFT, "m": [shift, 1]})
+        status, out = run_cli(capsys, ["verify", path])
+        assert status == 2
+        assert json.loads(out)["error"]["type"] == "ValueError"
+
+    def test_rejection_exhaustion_exits_2(self, capsys):
+        # r = 1 never validates, so every draw is rejected
+        status, out = run_cli(capsys, ["fuzz", "--r-range", "1", "1", "--count", "1"])
+        assert status == 2
+        assert json.loads(out)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--nu", "abc", "--m", "1"],
+            ["--nu", "1/0", "--m", "1"],
+            ["--nu", "1/3", "--m", "1", "--samples", "0.5,x"],
+        ],
+    )
+    def test_bad_bessel_values_exit_2(self, capsys, args):
+        status, out = run_cli(capsys, ["bessel", *args])
+        assert status == 2
+        assert "error" in json.loads(out)
+
+
+# (instance or None, command line without the input path, exit status, stdout)
+GOLDEN = [
+    (ZERO_SHIFT, ['verify'], 0,
+     b'{"beta":{},"checked_up_to":25,"cross_checks":{"alpha":true,"lemma1":true,"residue":true},"derived":{"M":0,"N":0,"m_min":0,"n_max":0,"p":-1,"r":2,"s":2,"theorem":"One"},"instance":{"a":["0","1/2"],"b":["1/3","1/4"],"m":[0,0],"n":[0,0]},"vanishing_ok":true}\n'),
+    (ZERO_SHIFT, ['coeffs'], 0,
+     b'{"beta":{},"support_high":-1,"support_low":0,"theorem":"One"}\n'),
+    (ZERO_SHIFT, ['lemma'], 0,
+     b'{"ok":true,"p":-1,"points":[0,1,2],"polynomial":null,"residue_values":["0","0","0"]}\n'),
+    (ZERO_SHIFT, ['residue-check', '--k', '3'], 0,
+     b'{"agree":true,"closed_form_sum":"0","finite_residue_sum":"0","k":3,"residue_at_infinity":"0"}\n'),
+    (COLLIDING, ['verify'], 2,
+     b'{"error":{"message":"a[0]=0 and a[1]=1 differ by an integer","type":"NotDistinctModZ"}}\n'),
+    (COLLIDING, ['coeffs'], 2,
+     b'{"error":{"message":"a[0]=0 and a[1]=1 differ by an integer","type":"NotDistinctModZ"}}\n'),
+    (COLLIDING, ['lemma'], 2,
+     b'{"error":{"message":"a[0]=0 and a[1]=1 differ by an integer","type":"NotDistinctModZ"}}\n'),
+    (COLLIDING, ['residue-check', '--k', '3'], 2,
+     b'{"error":{"message":"a[0]=0 and a[1]=1 differ by an integer","type":"NotDistinctModZ"}}\n'),
+    (CONFLUENT, ['verify'], 0,
+     b'{"beta":{"0":"121/12","1":"-23/3","2":"1"},"checked_up_to":27,"cross_checks":{"alpha":null,"lemma1":null,"residue":null},"derived":{"M":3,"N":0,"m_min":3,"n_max":0,"p":2,"r":2,"s":1,"theorem":"Two"},"instance":{"a":["0","1/2"],"b":["1/3"],"m":[3],"n":[0,0]},"vanishing_ok":true}\n'),
+    (CONFLUENT, ['coeffs'], 0,
+     b'{"beta":{"0":"121/12","1":"-23/3","2":"1"},"support_high":2,"support_low":0,"theorem":"Two"}\n'),
+    (CONFLUENT, ['lemma'], 2,
+     b'{"error":{"message":"defined only for balanced instances (s = r)","type":"ValueError"}}\n'),
+    (CONFLUENT, ['residue-check', '--k', '3'], 0,
+     b'{"agree":true,"closed_form_sum":"0","finite_residue_sum":"0","k":3,"residue_at_infinity":"0"}\n'),
+    (None, ['fuzz', '--count', '5', '--seed', '7'], 0,
+     b'{"count":5,"failed":0,"failures":[],"passed":5,"seed":7}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "instance, args, status, stdout",
+    GOLDEN,
+    ids=[f"{i}-{' '.join(case[1])}" for i, case in enumerate(GOLDEN)],
+)
+def test_golden_stdout_bytes(tmp_path, capsys, instance, args, status, stdout):
+    if instance is not None:
+        args = [args[0], write(tmp_path, "inst.json", instance), *args[1:]]
+    assert run_cli(capsys, args) == (status, stdout.decode())

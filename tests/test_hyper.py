@@ -92,11 +92,11 @@ class TestHyperSeries:
 
     def test_terminating_square(self):
         s = hyper_series([-2, 1], [1], 5)
-        assert s.coefficients_between(0, 5) == [1, -2, 1, 0, 0, 0]
+        assert [s.coefficient(e) for e in range(6)] == [1, -2, 1, 0, 0, 0]
 
     def test_no_parameters_gives_exp(self):
         s = hyper_series([], [], 3)
-        assert s.coefficients_between(0, 3) == [1, 1, Q(1, 2), Q(1, 6)]
+        assert [s.coefficient(e) for e in range(4)] == [1, 1, Q(1, 2), Q(1, 6)]
 
     def test_terminating_tail_vanishes(self):
         rng = random.Random(24)
@@ -186,6 +186,17 @@ class TestValidate:
         assert derived.m_min == 0
         assert derived.theorem is Theorem.TWO
 
+    def test_validated_once(self):
+        inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3),), m=(3,), n=(0, 0))
+        assert validate(inst) is validate(inst) is inst.derived
+
+    def test_failure_not_cached(self):
+        inst = IdentityInstance(a=(0, 1), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
+        for _ in range(2):
+            with pytest.raises(NotDistinctModZ):
+                validate(inst)
+        assert "derived" not in vars(inst)
+
 
 class TestInstanceSerialization:
     def test_roundtrip(self):
@@ -204,3 +215,14 @@ class TestInstanceSerialization:
             IdentityInstance.from_dict({"a": ["0", "x"], "n": [0, 0]})
         with pytest.raises(ValueError):
             IdentityInstance.from_dict({"n": [0, 0]})
+
+    @pytest.mark.parametrize("shift", [1.7, 1.0, True, "1", Q(1)])
+    def test_shifts_must_be_ints(self, shift):
+        with pytest.raises(ValueError):
+            IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3),), m=(shift,), n=(0, 0))
+        with pytest.raises(ValueError):
+            IdentityInstance(a=(0, Q(1, 2)), b=(), m=(), n=(shift, 0))
+        with pytest.raises(ValueError):
+            IdentityInstance.from_dict(
+                {"a": ["0", "1/2"], "b": ["1/3"], "m": [shift], "n": [0, 0]}
+            )

@@ -4,15 +4,11 @@ from fractions import Fraction as Q
 import pytest
 
 from hypident.algebra import one_minus_z_power
-from hypident.errors import KOutOfAlphaRange, TruncationTooSmall
+from hypident.errors import TruncationTooSmall
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
-from hypident.identity import (
-    alpha_coefficient,
-    beta_coefficients,
-    lhs_series,
-    verify,
-)
+from hypident.identity import beta_coefficients, lhs_series, verify
+from hypident.residues import residue_sum_closed_form
 
 from oracles import lhs_coefficients, partial_fraction_zero_sum
 
@@ -70,26 +66,13 @@ class TestAlphaCoefficient:
         inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(1, 0))
         series = lhs_series(inst, 10)
         expected = lhs_coefficients(inst.a, inst.b, inst.m, inst.n, 10)
-        assert alpha_coefficient(inst, -1) == series.coefficient(-1) == expected[-1]
+        assert residue_sum_closed_form(inst, -1) == series.coefficient(-1) == expected[-1]
 
     def test_deeper_shift(self):
         inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(2, 0))
         series = lhs_series(inst, 10)
-        assert alpha_coefficient(inst, -2) == series.coefficient(-2)
-        assert alpha_coefficient(inst, -1) == series.coefficient(-1)
-
-    def test_empty_range_always_errors(self):
-        # n_max <= m_min leaves no exponent below the kernel-covered region
-        for k in (-1, 0, 1):
-            with pytest.raises(KOutOfAlphaRange):
-                alpha_coefficient(ZERO_SHIFT, k)
-
-    def test_out_of_range(self):
-        inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(1, 0))
-        with pytest.raises(KOutOfAlphaRange):
-            alpha_coefficient(inst, 0)
-        with pytest.raises(KOutOfAlphaRange):
-            alpha_coefficient(inst, -2)
+        assert residue_sum_closed_form(inst, -2) == series.coefficient(-2)
+        assert residue_sum_closed_form(inst, -1) == series.coefficient(-1)
 
 
 class TestBetaCoefficients:
