@@ -1,10 +1,13 @@
 """Exact algebraic tower: dense polynomials, truncated Laurent series, and
 rational functions over arbitrary-precision rationals.
 
-Every coefficient is a `fractions.Fraction`; no floating point enters this
-module.  The truncation order of a Laurent series is a hard certificate
-boundary: coefficients at exponents <= trunc are exactly known, anything
-above is unknown and reading it raises instead of silently returning 0.
+Series coefficients are `fractions.Fraction`; polynomial coefficients stay
+`int` while every input is an integer and become `Fraction` otherwise, so
+integer polynomials run on plain ints.  Every division is exact
+(``exact_div``); no floating point enters this module.  The truncation
+order of a Laurent series is a hard certificate boundary: coefficients at
+exponents <= trunc are exactly known, anything above is unknown and
+reading it raises instead of silently returning 0.
 All values are immutable after construction, so they can be shared freely
 between threads and concurrently running verification jobs.
 """
@@ -28,18 +31,28 @@ def as_fraction(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def exact_div(x: Scalar, y: Scalar) -> Scalar:
+    """x / y in the rationals: an int when both are ints and y divides x,
+    a Fraction otherwise, never a float."""
+    if isinstance(x, int) and isinstance(y, int):
+        q, rem = divmod(x, y)
+        return q if not rem else Fraction(x, y)
+    return x / y
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Dense univariate polynomial; coefficient index = exponent.
 
-    Trailing zero coefficients are stripped on construction, so ``coeffs``
-    is canonical and the zero polynomial is the empty tuple.
+    Coefficients are kept as given (int or Fraction).  Trailing zero
+    coefficients are stripped on construction, so ``coeffs`` is canonical
+    and the zero polynomial is the empty tuple.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(as_fraction(c) for c in self.coeffs)
+        cs = tuple(self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -56,24 +69,28 @@ class Polynomial:
 
     @classmethod
     def one(cls) -> Polynomial:
-        return cls((Fraction(1),))
+        return cls((1,))
 
     @classmethod
     def constant(cls, c: Scalar) -> Polynomial:
-        return cls((as_fraction(c),))
+        return cls((c,))
 
     @classmethod
     def identity(cls) -> Polynomial:
         """The polynomial z."""
-        return cls((Fraction(0), Fraction(1)))
+        return cls((0, 1))
 
     @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> Polynomial:
         """Monic product of (z - root) over the given roots."""
-        out = cls.one()
+        out = [1]
         for root in roots:
-            out = out * cls((-as_fraction(root), Fraction(1)))
-        return out
+            # multiply by (z - root) in place, highest coefficient first
+            out.append(1)
+            for e in range(len(out) - 2, 0, -1):
+                out[e] = out[e - 1] - root * out[e]
+            out[0] = -root * out[0]
+        return cls(tuple(out))
 
     # -- structure ----------------------------------------------------
 
@@ -86,13 +103,13 @@ class Polynomial:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> Scalar:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coefficient(self, e: int) -> Fraction:
-        return self.coeffs[e] if 0 <= e < len(self.coeffs) else Fraction(0)
+    def coefficient(self, e: int) -> Scalar:
+        return self.coeffs[e] if 0 <= e < len(self.coeffs) else 0
 
     # -- arithmetic ---------------------------------------------------
 
@@ -114,7 +131,7 @@ class Polynomial:
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, ci in enumerate(self.coeffs):
             if ci == 0:
                 continue
@@ -126,23 +143,20 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c: Scalar) -> Polynomial:
-        c = as_fraction(c)
         return Polynomial(tuple(c * x for x in self.coeffs))
 
-    def __call__(self, x: Scalar) -> Fraction:
-        x = as_fraction(x)
-        acc = Fraction(0)
+    def __call__(self, x: Scalar) -> Scalar:
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    def deflate(self, z0: Scalar) -> tuple[Polynomial, Fraction]:
+    def deflate(self, z0: Scalar) -> tuple[Polynomial, Scalar]:
         """Synthetic division by (z - z0): returns (quotient, remainder)."""
-        z0 = as_fraction(z0)
         if not self.coeffs:
-            return Polynomial.zero(), Fraction(0)
-        out = [Fraction(0)] * (len(self.coeffs) - 1)
-        carry = Fraction(0)
+            return Polynomial.zero(), 0
+        out = [0] * (len(self.coeffs) - 1)
+        carry = 0
         for i in range(len(self.coeffs) - 1, 0, -1):
             carry = self.coeffs[i] + carry * z0
             out[i - 1] = carry
@@ -151,7 +165,7 @@ class Polynomial:
 
     def compose_affine(self, c0: Scalar, c1: Scalar) -> Polynomial:
         """self(c0 + c1*t) expanded as a polynomial in t."""
-        affine = Polynomial((as_fraction(c0), as_fraction(c1)))
+        affine = Polynomial((c0, c1))
         acc = Polynomial.zero()
         for c in reversed(self.coeffs):
             acc = acc * affine + Polynomial.constant(c)
@@ -330,8 +344,8 @@ class RationalFunction:
             return NEG_INF
         return self.num.degree - self.den.degree
 
-    def __call__(self, x: Scalar) -> Fraction:
-        return self.num(x) / self.den(x)
+    def __call__(self, x: Scalar) -> Scalar:
+        return exact_div(self.num(x), self.den(x))
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
@@ -339,24 +353,26 @@ class RationalFunction:
 
 def expansion_at_infinity(
     f: RationalFunction, depth: int
-) -> tuple[int | float, list[Fraction]]:
+) -> tuple[int | float, list[Scalar]]:
     """Leading exponent and first ``depth`` coefficients of f at infinity.
 
     f(z) = C_top z^top + C_{top-1} z^{top-1} + ... with top = deg num - deg den,
     computed by exact power-series division of the reversed-coefficient
     polynomials (substituting w = 1/z).  The coefficient of z^{-1} sits at
-    list index top + 1 whenever depth > top + 1.
+    list index top + 1 whenever depth > top + 1.  Each step divides by the
+    leading coefficient of the denominator, so a monic integer denominator
+    over an integer numerator keeps every coefficient an int.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     if f.num.is_zero:
-        return NEG_INF, [Fraction(0)] * depth
+        return NEG_INF, [0] * depth
     revn = f.num.coeffs[::-1]
     revd = f.den.coeffs[::-1]
-    out: list[Fraction] = []
+    out: list[Scalar] = []
     for t in range(depth):
-        acc = revn[t] if t < len(revn) else Fraction(0)
+        acc = revn[t] if t < len(revn) else 0
         for u in range(max(0, t - len(revd) + 1), t):
             acc -= out[u] * revd[t - u]
-        out.append(acc / revd[0])
+        out.append(exact_div(acc, revd[0]))
     return f.num.degree - f.den.degree, out

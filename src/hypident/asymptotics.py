@@ -24,27 +24,27 @@ from .hyper import DerivedQuantities, IdentityInstance, Theorem
 from .residues import residue_at_infinity, residue_kernel
 
 
-def bernoulli_number(j: int) -> Fraction:
-    """Bernoulli number B_j in the B_1 = -1/2 convention, by the recurrence
-    sum_{i=0}^{j} C(j+1, i) B_i = 0 with B_0 = 1."""
-    if j < 0:
+def _bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0 .. B_n in the B_1 = -1/2 convention, by one pass of the
+    recurrence sum_{i=0}^{t} C(t+1, i) B_i = 0 with B_0 = 1."""
+    if n < 0:
         raise ValueError("index must be non-negative")
-    values: list[Fraction] = []
-    for t in range(j + 1):
-        if t == 0:
-            values.append(Fraction(1))
-            continue
+    values = [Fraction(1)]
+    for t in range(1, n + 1):
         acc = sum(comb(t + 1, i) * values[i] for i in range(t))
         values.append(Fraction(-acc, t + 1))
-    return values[j]
+    return values
+
+
+def bernoulli_number(j: int) -> Fraction:
+    """Bernoulli number B_j in the B_1 = -1/2 convention."""
+    return _bernoulli_numbers(j)[j]
 
 
 def bernoulli_polynomial(n: int) -> Polynomial:
     """The monic degree-n Bernoulli polynomial
     B_n(x) = sum_l C(n, l) B_{n-l} x^l."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    numbers = [bernoulli_number(t) for t in range(n + 1)]
+    numbers = _bernoulli_numbers(n)
     return Polynomial(tuple(comb(n, l) * numbers[n - l] for l in range(n + 1)))
 
 

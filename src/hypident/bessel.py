@@ -101,12 +101,22 @@ def bessel_demo(
     vanish stays above ``tolerance`` relative to the largest sampled
     magnitude; exact-layer validation errors propagate (nu must be a
     non-integer rational, so that (0, nu) is distinct modulo integers).
+    Raises ValueError for a negative ``order`` (every truncated J would be
+    0), a ``tolerance`` that is not finite and positive, and samples that
+    are not finite, positive and distinct; any of these would let the
+    numeric layer pass vacuously.
     """
     nu = as_fraction(nu)
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     if len(samples) < 2:
         raise ValueError("need at least two sample points")
-    if len(set(samples)) != len(samples) or any(x <= 0 for x in samples):
-        raise ValueError("samples must be distinct and positive")
+    if not all(math.isfinite(x) and x > 0 for x in samples):
+        raise ValueError("samples must be finite and positive")
+    if len(set(samples)) != len(samples):
+        raise ValueError("samples must be distinct")
 
     inst = IdentityInstance(a=(Fraction(0), nu), b=(), m=(), n=(m_shift, 0))
     exact = verify(inst, buffer)

@@ -82,7 +82,10 @@ def fuzz(
     buffer: int = DEFAULT_BUFFER,
     family: str = "any",
 ) -> FuzzReport:
-    """Verify ``count`` random instances; deterministic for a fixed seed."""
+    """Verify ``count`` random instances; deterministic for a fixed seed.
+    Raises ValueError for a negative count."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     rng = random.Random(seed)
     passed = 0
     failures = []

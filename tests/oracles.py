@@ -110,3 +110,45 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(1, total - parts + 2):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def kernel_roots(a, b, m, n, k: int) -> tuple[list, list]:
+    """(numerator roots, denominator roots) in z of the kernel
+
+        prod_l (z - b_l - k + 1)_{m_l + k} / prod_l (z - a_l - k)_{n_l + k + 1},
+
+    read off factor by factor.  A rising factorial (x)_q of negative shift
+    is 1 / ((x + q) ... (x - 1)), so its roots change sides; this also
+    covers the k < -m_min of the low-order range, where the numerator
+    factors turn into denominators.
+    """
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    num: list = []
+    den: list = []
+    # (z - c)_q has the roots z = c - t for t = 0..q-1, and for q < 0
+    # the reciprocal roots z = c - t for t = q..-1
+    factors = [(b_l + k - 1, m_l + k, num, den) for b_l, m_l in zip(b, m)]
+    factors += [(a_l + k, n_l + k + 1, den, num) for a_l, n_l in zip(a, n)]
+    for c, q, upper, lower in factors:
+        if q >= 0:
+            upper.extend(c - t for t in range(q))
+        else:
+            lower.extend(c - t for t in range(q, 0))
+    return num, den
+
+
+def kernel_pole_residue(a, b, m, n, k: int, z0) -> Fraction:
+    """Residue of the kernel at the simple pole z0, by the product formula
+    prod (z0 - numerator root) / prod (z0 - other denominator roots)."""
+    num, den = kernel_roots(a, b, m, n, k)
+    z0 = Fraction(z0)
+    if den.count(z0) != 1:
+        raise ValueError(f"{z0} is not a simple denominator root")
+    out = Fraction(1)
+    for root in num:
+        out *= z0 - root
+    for root in den:
+        if root != z0:
+            out /= z0 - root
+    return out

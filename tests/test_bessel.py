@@ -72,6 +72,16 @@ class TestBesselDemo:
             bessel_demo(Q(1, 3), 1, samples=(2.0,))
         with pytest.raises(ValueError):
             bessel_demo(Q(1, 3), 1, samples=(-1.0, 2.0, 3.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                bessel_demo(Q(1, 3), 3, samples=(bad, 1.0, 2.0))
+
+    def test_vacuous_settings_rejected(self):
+        with pytest.raises(ValueError):
+            bessel_demo(Q(1, 3), 3, order=-1)
+        for tolerance in (math.inf, math.nan, 0.0, -1e-10):
+            with pytest.raises(ValueError):
+                bessel_demo(Q(1, 3), 3, tolerance=tolerance)
 
     def test_report_serialization(self):
         data = bessel_demo(Q(1, 3), 2).to_dict()

@@ -176,18 +176,29 @@ class TestStrictInput:
         assert status == 2
         assert json.loads(out)["error"]["type"] == "ValueError"
 
+    def test_negative_fuzz_count_exits_2(self, capsys):
+        status, out = run_cli(capsys, ["fuzz", "--count", "-1"])
+        assert status == 2
+        assert json.loads(out)["error"]["type"] == "ValueError"
+
     @pytest.mark.parametrize(
         "args",
         [
             ["--nu", "abc", "--m", "1"],
             ["--nu", "1/0", "--m", "1"],
             ["--nu", "1/3", "--m", "1", "--samples", "0.5,x"],
+            # each of these used to pass vacuously with max_residual 0.0
+            ["--nu", "1/3", "--m", "3", "--order", "-1"],
+            ["--nu", "1/3", "--m", "3", "--samples", "nan,1,2"],
+            ["--nu", "1/3", "--m", "3", "--samples", "inf,1,2"],
+            ["--nu", "1/3", "--m", "3", "--tolerance", "inf"],
+            ["--nu", "1/3", "--m", "3", "--tolerance", "0"],
         ],
     )
     def test_bad_bessel_values_exit_2(self, capsys, args):
         status, out = run_cli(capsys, ["bessel", *args])
         assert status == 2
-        assert "error" in json.loads(out)
+        assert "error" in json.loads(out, parse_constant=pytest.fail)
 
 
 # (instance or None, command line without the input path, exit status, stdout)

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hypident.algebra import Polynomial, RationalFunction
+from hypident.algebra import Polynomial, RationalFunction, expansion_at_infinity
 from hypident.errors import KBelowRange, NotSimplePole
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, validate
@@ -15,6 +15,7 @@ from hypident.residues import (
     residue_sum_closed_form,
     sum_finite_residues,
 )
+from oracles import kernel_pole_residue, kernel_roots
 
 CANONICAL = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 SHIFTED = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 1), n=(0, 0))
@@ -166,3 +167,110 @@ class TestResidueTheorem:
         assert validate(inst).p == 0
         for k in range(0, 9):
             assert residue_at_infinity(residue_kernel(inst, k)) == 1
+
+
+# denominators 7, 9, 11 and 13: the kernel runs in w = 9009 z
+LARGE_LCM = IdentityInstance(a=(Q(1, 7), Q(-2, 9)), b=(Q(3, 11), Q(5, 13)), m=(1, 2), n=(0, 1))
+# deg num - deg den = 0, so the residue returns to z through 1/D
+OFFSET_ZERO = IdentityInstance(a=(Q(1, 5), Q(2, 3)), b=(Q(1, 7), Q(3, 4)), m=(2, 1), n=(0, 1))
+# n_0 + k + 1 < 0 for k < 2: a_0's denominator factor flips into the numerator
+NEGATIVE_SHIFT = IdentityInstance(
+    a=(Q(1, 5), Q(2, 3)), b=(Q(1, 7), Q(3, 4)), m=(0, 1), n=(-3, 1)
+)
+# r - s = 1: the degree offset 1 - k passes -1 at k = 2 and drops below after
+CONFLUENT = IdentityInstance(a=(Q(0), Q(1, 3)), b=(Q(1, 2),), m=(3,), n=(0, 0))
+THREE_TERM = IdentityInstance(
+    a=(Q(1, 5), Q(1, 2), Q(2, 7)), b=(Q(1, 3), Q(1, 4), Q(8, 3)), m=(2, -1, 0), n=(1, 0, -2)
+)
+
+
+def is_exact(value) -> bool:
+    return type(value) in (int, Q)
+
+
+class TestExactness:
+    def test_int_inputs_never_give_floats(self):
+        half = RationalFunction(Polynomial.of(1), Polynomial.of(2))
+        assert half(1) == Q(1, 2) and is_exact(half(1))
+        f = RationalFunction(Polynomial.of(3, 1), Polynomial.from_roots([1, 2, 5]))
+        values = [f(0), f(4), f(7), residue_at_simple_pole(f, 1), residue_at_simple_pole(f, 2)]
+        for g in (f, RationalFunction(Polynomial.of(1, 0, 0, 1), Polynomial.of(2, 3))):
+            values.extend(expansion_at_infinity(g, 5)[1])
+        for inst in (CANONICAL, SHIFTED, OFFSET_ZERO, LARGE_LCM):
+            m_min = validate(inst).m_min
+            for k in range(-m_min, -m_min + 4):
+                kernel = residue_kernel(inst, k)
+                values += [
+                    sum_finite_residues(kernel),
+                    residue_at_infinity(kernel),
+                    residue_sum_closed_form(inst, k),
+                ]
+        assert all(is_exact(v) for v in values), [v for v in values if not is_exact(v)]
+
+    def test_not_simple_pole_on_int_polynomials(self):
+        f = RationalFunction(Polynomial.of(1), Polynomial.from_roots([1, 1, 3]))
+        with pytest.raises(NotSimplePole):
+            residue_at_simple_pole(f, 2)  # not a root
+        with pytest.raises(NotSimplePole):
+            residue_at_simple_pole(f, 1)  # double root
+        assert residue_at_simple_pole(f, 3) == Q(1, 4)
+
+
+def oracle_residue(inst, k, z0):
+    return kernel_pole_residue(inst.a, inst.b, inst.m, inst.n, k, z0)
+
+
+class TestScaledKernelAgainstOracle:
+    """Routes 2, 3 and 4 against the product formula of tests/oracles.py."""
+
+    CASES = (LARGE_LCM, OFFSET_ZERO, NEGATIVE_SHIFT, CONFLUENT, THREE_TERM, SHIFTED)
+
+    def test_kernel_unscales_to_the_product_in_z(self):
+        assert residue_kernel(LARGE_LCM, 0).scale == 9009
+        for inst in self.CASES:
+            m_min = validate(inst).m_min
+            for k in range(-m_min, -m_min + 5):
+                num, den = kernel_roots(inst.a, inst.b, inst.m, inst.n, k)
+                kernel = residue_kernel(inst, k)
+                assert kernel.fraction.num == Polynomial.from_roots(num)
+                assert kernel.fraction.den == Polynomial.from_roots(den)
+
+    def test_every_route_matches_the_product_formula(self):
+        offsets = set()
+        for inst in self.CASES:
+            m_min = validate(inst).m_min
+            for k in range(-m_min, -m_min + 7):
+                kernel = residue_kernel(inst, k)
+                offsets.add(kernel.fraction.degree_offset)
+                expected = Q(0)
+                for pole in kernel.poles:
+                    res = oracle_residue(inst, k, pole.location)
+                    assert residue_closed_form(inst, pole.i, k, pole.j) == res
+                    assert residue_at_simple_pole(kernel.fraction, pole.location) == res
+                    expected += res
+                assert sum_finite_residues(kernel) == expected
+                assert residue_at_infinity(kernel) == expected
+                assert residue_sum_closed_form(inst, k) == expected
+        assert {-2, -1, 0} <= offsets
+
+    def test_closed_form_in_the_low_order_range(self):
+        # k in [-n_max, -m_min): some numerator Pochhammer shifts go negative
+        cases = [
+            IdentityInstance(a=(Q(1, 7), Q(-2, 9)), b=(Q(3, 11), Q(5, 13)), m=(-2, 1), n=(3, 1)),
+            IdentityInstance(a=(Q(1, 5), Q(2, 3)), b=(Q(1, 7), Q(3, 4)), m=(-1, 2), n=(2, -1)),
+            THREE_TERM,
+        ]
+        checked = 0
+        for inst in cases:
+            derived = validate(inst)
+            for k in range(-derived.n_max, -derived.m_min):
+                assert any(m_l + k < 0 for m_l in inst.m)
+                expected = Q(0)
+                for i, (a_i, n_i) in enumerate(zip(inst.a, inst.n)):
+                    for j in range(k + n_i + 1):
+                        res = oracle_residue(inst, k, a_i + k - j)
+                        assert residue_closed_form(inst, i, k, j) == res
+                        expected += res
+                        checked += 1
+                assert residue_sum_closed_form(inst, k) == expected
+        assert checked >= 10
