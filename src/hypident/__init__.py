@@ -21,7 +21,6 @@ from .algebra import (
 )
 from .asymptotics import (
     Lemma1Report,
-    bernoulli_combination,
     bernoulli_number,
     bernoulli_polynomial,
     check_residue_polynomial,
@@ -100,7 +99,6 @@ __all__ = [
     "TruncationTooSmall",
     "ValidationError",
     "VerificationReport",
-    "bernoulli_combination",
     "bernoulli_number",
     "bernoulli_polynomial",
     "bessel_demo",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import TruncationError
 
@@ -92,6 +92,21 @@ class Polynomial:
             out[0] = -root * out[0]
         return cls(tuple(out))
 
+    @classmethod
+    def interpolate(cls, start: int, values: Sequence[Scalar]) -> Polynomial:
+        """The polynomial of degree < len(values) through the points
+        (start + i, values[i]), by Newton's forward differences:
+        f(start + t) = sum_j Delta^j f(start) C(t, j), expanded by Horner."""
+        diffs = []
+        row = list(values)
+        while row:
+            diffs.append(row[0])
+            row = [y - x for x, y in zip(row, row[1:])]
+        out = cls.zero()
+        for j in range(len(diffs) - 1, -1, -1):
+            out = out * cls.of(-start - j, 1) * Fraction(1, j + 1) + cls.constant(diffs[j])
+        return out
+
     # -- structure ----------------------------------------------------
 
     @property
@@ -162,14 +177,6 @@ class Polynomial:
             out[i - 1] = carry
         rem = self.coeffs[0] + carry * z0
         return Polynomial(tuple(out)), rem
-
-    def compose_affine(self, c0: Scalar, c1: Scalar) -> Polynomial:
-        """self(c0 + c1*t) expanded as a polynomial in t."""
-        affine = Polynomial((c0, c1))
-        acc = Polynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * affine + Polynomial.constant(c)
-        return acc
 
     def __str__(self) -> str:
         if not self.coeffs:

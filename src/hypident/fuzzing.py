@@ -83,7 +83,9 @@ def fuzz(
     family: str = "any",
 ) -> FuzzReport:
     """Verify ``count`` random instances; deterministic for a fixed seed.
-    Raises ValueError for a negative count."""
+    A draw whose verification raises is a failure recording the exception's
+    type and message, and the batch goes on.  Raises ValueError for a
+    negative count."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     rng = random.Random(seed)
@@ -91,7 +93,17 @@ def fuzz(
     failures = []
     for index in range(count):
         inst = random_instance(rng, r_range=r_range, shift_range=shift_range, family=family)
-        report = verify(inst, buffer)
+        try:
+            report = verify(inst, buffer)
+        except Exception as exc:  # a fuzzer reports every crash and keeps going
+            failures.append(
+                {
+                    "index": index,
+                    "instance": inst.to_dict(),
+                    "error": {"type": type(exc).__name__, "message": str(exc)},
+                }
+            )
+            continue
         if report.passed:
             passed += 1
         else:

@@ -9,7 +9,7 @@ library's incremental recurrence) and products by plain dict convolution.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterator
 
 
@@ -152,3 +152,55 @@ def kernel_pole_residue(a, b, m, n, k: int, z0) -> Fraction:
         if root != z0:
             out /= z0 - root
     return out
+
+
+def bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_0 .. B_n with B_1 = -1/2, by the Akiyama-Tanigawa algorithm (which
+    yields B_1 = +1/2; its sign is flipped at the end)."""
+    out = []
+    row: list[Fraction] = []
+    for t in range(n + 1):
+        row.append(Fraction(1, t + 1))
+        for j in range(t, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    if n >= 1:
+        out[1] = -out[1]
+    return out
+
+
+def bernoulli_value(n: int, x, numbers: list[Fraction]) -> Fraction:
+    """B_n(x) = sum_l C(n, l) B_{n-l} x^l, term by term."""
+    x = Fraction(x)
+    return sum(
+        (comb(n, l) * numbers[n - l] * x**l for l in range(n + 1)), Fraction(0)
+    )
+
+
+def law_g(a, b, m, n, j: int, k: int, numbers: list[Fraction]) -> Fraction:
+    """G_j(k) = (-1)^(j+1) Q_j(k) / (j (j+1)), the order-j coefficient of
+    the kernel's log expansion at infinity, with Q_j(k) the sum over i of
+
+        B_{j+1}(-a_i - k) - B_{j+1}(1 - b_i - k)
+        + B_{j+1}(1 - b_i + m_i) - B_{j+1}(1 - a_i + n_i).
+
+    ``numbers`` must hold B_0 .. B_{j+1}."""
+    q = Fraction(0)
+    for a_i, b_i, m_i, n_i in zip(a, b, m, n):
+        a_i, b_i = Fraction(a_i), Fraction(b_i)
+        q += bernoulli_value(j + 1, -a_i - k, numbers)
+        q -= bernoulli_value(j + 1, 1 - b_i - k, numbers)
+        q += bernoulli_value(j + 1, 1 - b_i + m_i, numbers)
+        q -= bernoulli_value(j + 1, 1 - a_i + n_i, numbers)
+    return Fraction((-1) ** (j + 1), j * (j + 1)) * q
+
+
+def law_q(a, b, m, n, p: int, k: int) -> Fraction:
+    """q_p(k), the degree-p law for the residue at infinity of a balanced
+    kernel, by the scalar exp recurrence s q_s = sum_u u G_u q_{s-u}."""
+    numbers = bernoulli_numbers(p + 1)
+    g = [None] + [law_g(a, b, m, n, j, k, numbers) for j in range(1, p + 1)]
+    q = [Fraction(1)]
+    for s in range(1, p + 1):
+        q.append(sum((u * g[u] * q[s - u] for u in range(1, s + 1)), Fraction(0)) / s)
+    return q[p]

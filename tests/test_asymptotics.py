@@ -4,20 +4,32 @@ from math import factorial
 
 import pytest
 
+from hypident import asymptotics
 from hypident.algebra import Polynomial
 from hypident.asymptotics import (
-    bernoulli_combination,
     bernoulli_number,
     bernoulli_polynomial,
     check_residue_polynomial,
     exp_series_coefficient,
 )
+from hypident.errors import CheckFailed
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance
+from hypident.identity import verify
 
-from oracles import compositions
+from oracles import bernoulli_numbers, compositions, law_g, law_q
 
 CANONICAL = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
+# p = 15 with r = 3, D = 420 and a negative shift
+P15 = IdentityInstance(
+    a=(0, Q(1, 3), Q(-2, 5)), b=(Q(1, 4), Q(5, 7), Q(-1, 6)), m=(5, 6, 6), n=(0, 1, -1)
+)
+# p = 31, the top rung of the shift ladder
+P31 = IdentityInstance(a=(Q(-7, 5), Q(2, 9)), b=(Q(3, 4), Q(-5, 11)), m=(16, 16), n=(0, 0))
+
+
+def oracle_q(inst, p, k):
+    return law_q(inst.a, inst.b, inst.m, inst.n, p, k)
 
 
 class TestBernoulliNumbers:
@@ -32,6 +44,9 @@ class TestBernoulliNumbers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_number(-1)
+
+    def test_against_the_oracle(self):
+        assert [bernoulli_number(j) for j in range(33)] == bernoulli_numbers(32)
 
 
 class TestBernoulliPolynomials:
@@ -50,9 +65,8 @@ class TestBernoulliPolynomials:
         # B_n(x+1) - B_n(x) == n x^(n-1)
         for n in range(1, 9):
             p = bernoulli_polynomial(n)
-            diff = p.compose_affine(1, 1) - p
-            expected = Polynomial(tuple([Q(0)] * (n - 1) + [Q(n)]))
-            assert diff == expected
+            for x in (Q(-7, 3), -1, 0, Q(1, 2), 2, Q(9, 4)):
+                assert p(x + 1) - p(x) == n * Q(x) ** (n - 1)
 
     def test_constant_terms_are_bernoulli_numbers(self):
         for n in range(9):
@@ -60,8 +74,12 @@ class TestBernoulliPolynomials:
 
 
 class TestBernoulliCombination:
+    # Q_j, the Bernoulli combination at order j of the log expansion, is
+    # not built on its own: these tests read it through q_1 = G_1 = Q_1 / 2,
+    # and its degree through q_j, whose leading term is G_1^j / j!
+
     def test_canonical_linear_polynomial(self):
-        q1 = bernoulli_combination(CANONICAL, 1)
+        q1 = exp_series_coefficient(CANONICAL, 1) * 2
         assert q1 == Polynomial.of(1, Q(23, 6))
 
     def test_pointwise_against_direct_evaluation(self):
@@ -74,21 +92,21 @@ class TestBernoulliCombination:
             ):
                 direct += be2(-a_i - k) - be2(1 - b_i - k)
                 direct += be2(1 - b_i + m_i) - be2(1 - a_i + n_i)
-            assert bernoulli_combination(CANONICAL, 1)(k) == direct
+            assert exp_series_coefficient(CANONICAL, 1)(k) * 2 == direct
 
     def test_degree_is_exactly_j(self):
         rng = random.Random(41)
         for _ in range(8):
             inst = random_instance(rng, r_range=(2, 3), shift_range=2, family="one")
             for j in (1, 2, 3):
-                assert bernoulli_combination(inst, j).degree == j
+                assert exp_series_coefficient(inst, j).degree == j
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            bernoulli_combination(CANONICAL, 0)
+            exp_series_coefficient(CANONICAL, -1)
         confluent = IdentityInstance(a=(0, Q(1, 3)), b=(), m=(), n=(0, 0))
         with pytest.raises(ValueError):
-            bernoulli_combination(confluent, 1)
+            exp_series_coefficient(confluent, 1)
 
 
 class TestExpSeriesCoefficient:
@@ -96,8 +114,11 @@ class TestExpSeriesCoefficient:
         assert exp_series_coefficient(CANONICAL, 0) == Polynomial.one()
 
     def test_order_one_is_half_the_combination(self):
-        expected = bernoulli_combination(CANONICAL, 1) * Q(1, 2)
-        assert exp_series_coefficient(CANONICAL, 1) == expected
+        numbers = bernoulli_numbers(2)
+        q1 = exp_series_coefficient(CANONICAL, 1)
+        for k in range(-3, 4):
+            g1 = law_g(CANONICAL.a, CANONICAL.b, CANONICAL.m, CANONICAL.n, 1, k, numbers)
+            assert q1(k) == g1
 
     def test_degree_matches_order(self):
         rng = random.Random(42)
@@ -107,24 +128,34 @@ class TestExpSeriesCoefficient:
                 assert exp_series_coefficient(inst, s).degree == s
 
     def test_composition_and_recurrence_routes_agree(self):
-        # q_s = sum_l (1/l!) sum_{s_1+...+s_l=s} G_{s_1}...G_{s_l}, summed
-        # literally from the library's G_j, against the library's recurrence
+        # q_s(k) = sum_l (1/l!) sum_{s_1+...+s_l=s} G_{s_1}(k)...G_{s_l}(k),
+        # summed literally from the oracle's G_j, against the library's q_s
         rng = random.Random(43)
+        numbers = bernoulli_numbers(7)
         for _ in range(3):
             inst = random_instance(rng, r_range=(2, 3), shift_range=2, family="one")
-            gs = {
-                j: bernoulli_combination(inst, j) * Q((-1) ** (j + 1), j * (j + 1))
-                for j in range(1, 7)
-            }
-            for s in range(7):
-                expected = Polynomial.one() if s == 0 else Polynomial.zero()
-                for l in range(1, s + 1):
-                    for parts in compositions(s, l):
-                        prod = Polynomial.one()
-                        for part in parts:
-                            prod = prod * gs[part]
-                        expected = expected + prod * Q(1, factorial(l))
-                assert exp_series_coefficient(inst, s) == expected, (inst, s)
+            polys = [exp_series_coefficient(inst, s) for s in range(7)]
+            for k in (-2, 0, 3):
+                gs = {j: law_g(inst.a, inst.b, inst.m, inst.n, j, k, numbers) for j in range(1, 7)}
+                for s in range(7):
+                    expected = Q(1) if s == 0 else Q(0)
+                    for l in range(1, s + 1):
+                        for parts in compositions(s, l):
+                            prod = Q(1)
+                            for part in parts:
+                                prod *= gs[part]
+                            expected += prod / factorial(l)
+                    assert polys[s](k) == expected, (inst, s, k)
+
+    def test_against_the_oracle(self):
+        q15 = exp_series_coefficient(P15, 15)
+        assert q15.degree == 15
+        for k in range(-8, 9):
+            assert q15(k) == oracle_q(P15, 15, k)
+        q31 = exp_series_coefficient(P31, 31)
+        assert q31.degree == 31
+        for k in (-16, 0, 7, 40):
+            assert q31(k) == oracle_q(P31, 31, k)
 
 
 class TestResiduePolynomialLaw:
@@ -160,3 +191,32 @@ class TestResiduePolynomialLaw:
         confluent = IdentityInstance(a=(0, Q(1, 3)), b=(), m=(), n=(0, 0))
         with pytest.raises(ValueError):
             check_residue_polynomial(confluent)
+
+    def test_against_the_oracle(self):
+        report = check_residue_polynomial(P15)
+        assert report.p == 15
+        assert report.points == tuple(range(-5, 13))
+        for k, value in zip(report.points, report.residue_values):
+            assert value == oracle_q(P15, 15, k)
+        for k in (-30, -6, 13, 50):
+            assert report.polynomial(k) == oracle_q(P15, 15, k)
+        report = check_residue_polynomial(P31)
+        assert report.p == 31
+        for k in (-16, -3, 17):
+            index = report.points.index(k)
+            assert report.residue_values[index] == oracle_q(P31, 31, k)
+            assert report.polynomial(k) == oracle_q(P31, 31, k)
+
+    def test_failure_names_the_k(self, monkeypatch):
+        # a residue at infinity off by one at k = 1 only: the law check fails
+        # there, and verify records the failure instead of raising
+        inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(3, 3), n=(0, 0))
+        real = asymptotics.residue_at_infinity
+        monkeypatch.setattr(
+            asymptotics, "residue_at_infinity", lambda kernel: real(kernel) + (kernel.k == 1)
+        )
+        report = verify(inst)
+        assert report.cross_checks == {"residue": True, "lemma1": False, "alpha": True}
+        assert not report.passed
+        with pytest.raises(CheckFailed, match=r"for k=1 is .*\(p=5\)"):
+            check_residue_polynomial(inst)

@@ -2,11 +2,14 @@ import json
 
 import pytest
 
+from hypident import fuzzing
 from hypident.cli import main
 
 ZERO_SHIFT = {"a": ["0", "1/2"], "b": ["1/3", "1/4"], "m": [0, 0], "n": [0, 0]}
 COLLIDING = {"a": ["0", "1"], "b": ["1/3", "1/4"], "m": [0, 0], "n": [0, 0]}
 CONFLUENT = {"a": ["0", "1/2"], "b": ["1/3"], "m": [3], "n": [0, 0]}
+# p = 5, so lemma prints a polynomial
+DEGREE_FIVE = {"a": ["0", "1/2"], "b": ["1/3", "1/4"], "m": [3, 3], "n": [0, 0]}
 
 
 def write(tmp_path, name, payload):
@@ -127,6 +130,30 @@ class TestFuzzCommand:
         _, out2 = run_cli(capsys, ["fuzz", "--count", "3", "--seed", "2"])
         assert json.loads(out1)["passed"] == json.loads(out2)["passed"] == 3
 
+    def test_raising_draw_is_recorded_and_the_batch_goes_on(self, capsys, monkeypatch):
+        real = fuzzing.verify
+        calls = []
+
+        def flaky(inst, buffer):
+            calls.append(inst)
+            if len(calls) == 2:
+                raise ZeroDivisionError("boom")
+            return real(inst, buffer)
+
+        monkeypatch.setattr(fuzzing, "verify", flaky)
+        status, out = run_cli(capsys, ["fuzz", "--count", "3", "--seed", "1"])
+        assert status == 1
+        payload = json.loads(out)
+        assert len(calls) == 3
+        assert (payload["passed"], payload["failed"]) == (2, 1)
+        assert payload["failures"] == [
+            {
+                "index": 1,
+                "instance": calls[1].to_dict(),
+                "error": {"type": "ZeroDivisionError", "message": "boom"},
+            }
+        ]
+
 
 class TestBesselCommand:
     def test_demo_passes(self, capsys):
@@ -229,6 +256,10 @@ GOLDEN = [
      b'{"agree":true,"closed_form_sum":"0","finite_residue_sum":"0","k":3,"residue_at_infinity":"0"}\n'),
     (None, ['fuzz', '--count', '5', '--seed', '7'], 0,
      b'{"count":5,"failed":0,"failures":[],"passed":5,"seed":7}\n'),
+    (DEGREE_FIVE, ['lemma'], 0,
+     b'{"ok":true,"p":5,"points":[-3,-2,-1,0,1,2,3,4],"polynomial":["287875/2304","358186577/995328","2368446325/5971968","1254179255/5971968","320378555/5971968","31698163/5971968"],"residue_values":["0","0","0","287875/2304","23854145/20736","1278834515/248832","666845165/41472","1120282835/27648"]}\n'),
+    (DEGREE_FIVE, ['verify'], 0,
+     b'{"beta":{"0":"287875/2304","1":"8308895/20736","2":"27693575/248832"},"checked_up_to":27,"cross_checks":{"alpha":true,"lemma1":true,"residue":true},"derived":{"M":6,"N":0,"m_min":3,"n_max":0,"p":5,"r":2,"s":2,"theorem":"One"},"instance":{"a":["0","1/2"],"b":["1/3","1/4"],"m":[3,3],"n":[0,0]},"vanishing_ok":true}\n'),
 ]
 
 
