@@ -1,22 +1,33 @@
 """Exact algebraic tower: dense polynomials, truncated Laurent series, and
 rational functions over arbitrary-precision rationals.
 
-Series coefficients are `fractions.Fraction`; polynomial coefficients stay
-`int` while every input is an integer and become `Fraction` otherwise, so
-integer polynomials run on plain ints.  Every division is exact
-(``exact_div``); no floating point enters this module.  The truncation
-order of a Laurent series is a hard certificate boundary: coefficients at
-exponents <= trunc are exactly known, anything above is unknown and
-reading it raises instead of silently returning 0.
+A Laurent series keeps integer numerators over one common positive
+denominator, so a product is an integer convolution and a sum works over
+the lcm of two denominators; its coefficients are read back as exact
+`fractions.Fraction`s.  Polynomial coefficients stay `int` while every
+input is an integer and become `Fraction` otherwise, so integer
+polynomials run on plain ints.  Every division is exact (``exact_div``);
+no floating point enters this module.  The truncation order of a Laurent
+series is a hard certificate boundary: coefficients at exponents <= trunc
+are exactly known, anything above is unknown and reading it raises
+instead of silently returning 0.
 All values are immutable after construction, so they can be shared freely
 between threads and concurrently running verification jobs.
+
+Tuples on the verification path are built from lists, never from
+generators (also ``f(*args)``): CPython builds a tuple from a generator by
+resizing, outside its free list of small tuples, yet returns it to that
+list when it dies, so every call would leave a few more free tuples
+behind, up to 2000 of each size below 20 (about 4.5 MB of resident
+memory over a long run).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import TruncationError
@@ -196,31 +207,49 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class LaurentSeries:
-    """Truncated formal Laurent series with exact coefficients.
+    """Truncated formal Laurent series with exact rational coefficients,
+    kept as integer numerators over one common denominator.
 
-    ``coeffs[i]`` is the coefficient of z**(low + i).  Coefficients at
-    exponents in (low + len(coeffs) - 1, trunc] are exactly zero; exponents
+    The coefficient of z**(low + i) is ``nums[i] / den``.  Coefficients at
+    exponents in (low + len(nums) - 1, trunc] are exactly zero; exponents
     above ``trunc`` are unknown and querying them raises TruncationError.
-    Construction canonicalises by stripping zero coefficients at both ends.
+    ``nums`` may also be given as Fractions (or a mix with ints); their
+    denominators are cleared into ``den`` once, on construction.
+    Construction canonicalises: ``den`` is made positive, zero numerators
+    are stripped at both ends and the content gcd(den, *nums) is divided
+    out, so two equal series compare equal however they were built.
     """
 
     low: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
     trunc: int
+    den: int = 1
 
     def __post_init__(self) -> None:
-        cs = tuple(as_fraction(c) for c in self.coeffs)
-        low = self.low
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        while cs and cs[0] == 0:
-            cs = cs[1:]
-            low += 1
-        if not cs:
-            low = self.trunc + 1
-        if low + len(cs) - 1 > self.trunc:
+        nums, den = self.nums, self.den
+        if den == 0:
+            raise ZeroDivisionError("series with zero denominator")
+        if not all(type(c) is int for c in nums):
+            fracs = [as_fraction(c) for c in nums]
+            scale = lcm(*(c.denominator for c in fracs))
+            nums = [c.numerator * (scale // c.denominator) for c in fracs]
+            den *= scale
+        if den < 0:
+            nums, den = [-c for c in nums], -den
+        lo, hi = 0, len(nums)
+        while hi > lo and nums[hi - 1] == 0:
+            hi -= 1
+        while lo < hi and nums[lo] == 0:
+            lo += 1
+        nums = nums[lo:hi]
+        low = self.low + lo if nums else self.trunc + 1
+        if low + len(nums) - 1 > self.trunc:
             raise ValueError("series stores coefficients above its truncation")
-        object.__setattr__(self, "coeffs", cs)
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "low", low)
 
     # -- constructors -------------------------------------------------
@@ -234,7 +263,12 @@ class LaurentSeries:
     @property
     def high(self) -> int:
         """Largest exponent with a stored coefficient (low - 1 if none)."""
-        return self.low + len(self.coeffs) - 1
+        return self.low + len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The stored coefficients, low to high, as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def coefficient(self, e: int) -> Fraction:
         if e > self.trunc:
@@ -242,16 +276,16 @@ class LaurentSeries:
                 f"coefficient at z^{e} requested, certified only up to z^{self.trunc}"
             )
         if self.low <= e <= self.high:
-            return self.coeffs[e - self.low]
+            return Fraction(self.nums[e - self.low], self.den)
         return Fraction(0)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
-        for i, c in enumerate(self.coeffs):
-            yield self.low + i, c
+        for i, c in enumerate(self.nums):
+            yield self.low + i, Fraction(c, self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     # -- arithmetic ---------------------------------------------------
 
@@ -260,15 +294,17 @@ class LaurentSeries:
         low = min(self.low, other.low)
         if low > trunc:
             return LaurentSeries.zero(trunc)
-        out = [Fraction(0)] * (trunc - low + 1)
+        den = lcm(self.den, other.den)
+        out = [0] * (trunc - low + 1)
         for part in (self, other):
-            for e, c in part.items():
-                if e <= trunc:
-                    out[e - low] += c
-        return LaurentSeries(low, tuple(out), trunc)
+            factor = den // part.den
+            offset = part.low - low
+            for i, c in enumerate(part.nums[: max(0, trunc - part.low + 1)]):
+                out[offset + i] += factor * c
+        return LaurentSeries(low, tuple(out), trunc, den)
 
     def __neg__(self) -> LaurentSeries:
-        return LaurentSeries(self.low, tuple(-c for c in self.coeffs), self.trunc)
+        return LaurentSeries(self.low, [-c for c in self.nums], self.trunc, self.den)
 
     def __sub__(self, other: LaurentSeries) -> LaurentSeries:
         return self + (-other)
@@ -280,35 +316,37 @@ class LaurentSeries:
         low = self.low + other.low
         if low > trunc or self.is_zero or other.is_zero:
             return LaurentSeries.zero(trunc)
-        out = [Fraction(0)] * (trunc - low + 1)
-        for ea, ca in self.items():
-            if ca == 0:
-                continue
-            for eb, cb in other.items():
-                e = ea + eb
-                if e > trunc:
-                    break
-                out[e - low] += ca * cb
-        return LaurentSeries(low, tuple(out), trunc)
+        width = trunc - low + 1
+        a, b = self.nums[:width], other.nums[:width]
+        rev = b[::-1]
+        out = []
+        for e in range(width):
+            # a[i] * b[e - i] over the indices both operands store
+            i0, i1 = max(0, e - len(b) + 1), min(e, len(a) - 1)
+            start = len(b) - 1 - e
+            out.append(sum(map(mul, a[i0 : i1 + 1], rev[start + i0 : start + i1 + 1])))
+        return LaurentSeries(low, tuple(out), trunc, self.den * other.den)
 
     def scale(self, c: Scalar) -> LaurentSeries:
         c = as_fraction(c)
-        return LaurentSeries(self.low, tuple(c * x for x in self.coeffs), self.trunc)
+        nums = [c.numerator * x for x in self.nums]
+        return LaurentSeries(self.low, nums, self.trunc, self.den * c.denominator)
 
     def shift(self, t: int) -> LaurentSeries:
         """Multiply by z**t."""
-        return LaurentSeries(self.low + t, self.coeffs, self.trunc + t)
+        return LaurentSeries(self.low + t, self.nums, self.trunc + t, self.den)
 
     def substitute_neg_z(self) -> LaurentSeries:
         """The series of f(-z): coefficient at z^e picks up (-1)^e."""
         return LaurentSeries(
             self.low,
-            tuple(c if (self.low + i) % 2 == 0 else -c for i, c in enumerate(self.coeffs)),
+            [c if (self.low + i) % 2 == 0 else -c for i, c in enumerate(self.nums)],
             self.trunc,
+            self.den,
         )
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return f"0 + O(z^{self.trunc + 1})"
         parts = []
         for e, c in self.items():
@@ -328,8 +366,8 @@ def one_minus_z_power(exponent: int, trunc: int) -> LaurentSeries:
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
     top = min(exponent, trunc)
-    coeffs = tuple(Fraction((-1) ** i * comb(exponent, i)) for i in range(top + 1))
-    return LaurentSeries(0, coeffs, trunc)
+    nums = [(-1) ** i * comb(exponent, i) for i in range(top + 1)]
+    return LaurentSeries(0, nums, trunc)
 
 
 @dataclass(frozen=True)

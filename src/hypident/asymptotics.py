@@ -115,7 +115,8 @@ def _law_values(inst: IdentityInstance, order: int, start: int, count: int) -> l
     e = [0] + [(u + 1) * ell[u + 1] for u in range(1, order + 1)]
     delta, weights = [1], [[]]
     for t in range(1, order + 1):
-        delta.append(t * lcm(*(e[u] * delta[t - u] for u in range(1, t + 1))))
+        # a list, not a generator: see the ``hypident.algebra`` docstring
+        delta.append(t * lcm(*[e[u] * delta[t - u] for u in range(1, t + 1)]))
         weights.append(
             [0] + [(-1) ** (u + 1) * delta[t] // (t * e[u] * delta[t - u]) for u in range(1, t + 1)]
         )
@@ -207,7 +208,7 @@ def check_residue_polynomial(inst: IdentityInstance) -> Lemma1Report:
     p = derived.p
     count = p + 3 if p >= 1 else 3
     points = tuple(range(-derived.m_min, -derived.m_min + count))
-    values = tuple(residue_at_infinity(residue_kernel(inst, k)) for k in points)
+    values = tuple([residue_at_infinity(residue_kernel(inst, k)) for k in points])
     if p == -1:
         expected = [Fraction(0)] * count
     else:

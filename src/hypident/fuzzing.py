@@ -20,6 +20,15 @@ def random_rational(rng: random.Random, shift_range: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, max(1, min(12, bound))))
 
 
+def _check_draw_arguments(r_range: tuple[int, int], shift_range: int, family: str) -> None:
+    if family not in ("any", "one", "two"):
+        raise ValueError(f"unknown family {family!r}")
+    if shift_range < 0:
+        raise ValueError(f"shift range must be non-negative, got {shift_range}")
+    if r_range[0] > r_range[1]:
+        raise ValueError(f"r range {r_range[0]}..{r_range[1]} is empty")
+
+
 def random_instance(
     rng: random.Random,
     r_range: tuple[int, int] = (2, 4),
@@ -30,9 +39,9 @@ def random_instance(
     fails validation — parameter collisions modulo integers or prefactor
     poles — and raising ValueError if none of MAX_REJECTIONS draws is valid.
     ``family`` selects s: "one" forces s = r, "two" forces s < r,
-    "any" draws s uniformly from {0, ..., r}."""
-    if family not in ("any", "one", "two"):
-        raise ValueError(f"unknown family {family!r}")
+    "any" draws s uniformly from {0, ..., r}.  Raises ValueError for an
+    unknown family, a negative shift range or an empty r range."""
+    _check_draw_arguments(r_range, shift_range, family)
     for _ in range(MAX_REJECTIONS):
         r = rng.randint(*r_range)
         if family == "one":
@@ -84,10 +93,14 @@ def fuzz(
 ) -> FuzzReport:
     """Verify ``count`` random instances; deterministic for a fixed seed.
     A draw whose verification raises is a failure recording the exception's
-    type and message, and the batch goes on.  Raises ValueError for a
-    negative count."""
+    type and message, and the batch goes on.  The arguments are checked
+    before the first draw: a negative count, a non-positive buffer, a
+    negative shift range or an empty r range raises ValueError."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
+    if buffer < 1:
+        raise ValueError(f"buffer must be positive, got {buffer}")
+    _check_draw_arguments(r_range, shift_range, family)
     rng = random.Random(seed)
     passed = 0
     failures = []

@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .algebra import LaurentSeries, Scalar, as_fraction
@@ -65,7 +66,16 @@ def hyper_series(
     upper: Sequence[Scalar], lower: Sequence[Scalar], trunc: int
 ) -> LaurentSeries:
     """Formal hypergeometric series with coefficients
-    prod(upper)_k / (prod(lower)_k * k!) at z^k, truncated at ``trunc``."""
+    prod(upper)_k / (prod(lower)_k * k!) at z^k, truncated at ``trunc``.
+
+    With D the lcm of the parameters' denominators, the term ratio
+    c_{t+1} / c_t = prod(u + t) / (prod(w + t) (t + 1)) is P(t) / Q(t) for
+    the integers P(t) = prod(D u + D t) D^max(0, #lower - #upper) and
+    Q(t) = prod(D w + D t) (t + 1) D^max(0, #upper - #lower).  So c_k is the
+    integer prod_{t<k} P(t) prod_{k<=t<trunc} Q(t) over the common
+    denominator prod_{t<trunc} Q(t): one suffix pass over Q and one running
+    prefix over P, with no Fraction per term.
+    """
     ups = [as_fraction(u) for u in upper]
     los = [as_fraction(w) for w in lower]
     for w in los:
@@ -73,17 +83,29 @@ def hyper_series(
             raise BadLowerParameter(f"lower parameter {w} is a non-positive integer")
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
-    coeffs = [Fraction(1)]
-    c = Fraction(1)
-    for k in range(trunc):
-        for u in ups:
-            c *= u + k
-        den = Fraction(k + 1)
+    scale = lcm(*[x.denominator for x in ups + los])
+    ups = [x.numerator * (scale // x.denominator) for x in ups]
+    los = [x.numerator * (scale // x.denominator) for x in los]
+    lift_p = scale ** max(0, len(los) - len(ups))
+    lift_q = scale ** max(0, len(ups) - len(los))
+    nums = [0] * (trunc + 1)
+    suffix = 1
+    for k in range(trunc, 0, -1):
+        nums[k] = suffix
+        t = scale * (k - 1)
+        q = k * lift_q
         for w in los:
-            den *= w + k
-        c /= den
-        coeffs.append(c)
-    return LaurentSeries(0, tuple(coeffs), trunc)
+            q *= w + t
+        suffix *= q
+    nums[0] = suffix
+    prefix = 1
+    for k in range(1, trunc + 1):
+        t = scale * (k - 1)
+        prefix *= lift_p
+        for u in ups:
+            prefix *= u + t
+        nums[k] *= prefix
+    return LaurentSeries(0, tuple(nums), trunc, suffix)
 
 
 class Theorem(enum.Enum):

@@ -139,15 +139,13 @@ def _certify(
     if derived.theorem is Theorem.ONE:
         # the factor needs its own truncation high enough not to cap the product
         reduced = one_minus_z_power(derived.p + 1, trunc + derived.n_max) * series
+    # vanishing is read off the integer numerators; only a nonzero one
+    # outside the support becomes a Fraction, for its message
     violations = []
-    for e in range(reduced.low, support_low):
-        value = reduced.coefficient(e)
-        if value != 0:
-            violations.append(f"coefficient {value} at z^{e} below support")
-    for e in range(max(support_high + 1, reduced.low), trunc + 1):
-        value = reduced.coefficient(e)
-        if value != 0:
-            violations.append(f"coefficient {value} at z^{e} above support")
+    for e, num in enumerate(reduced.nums, reduced.low):
+        if num and not support_low <= e <= support_high:
+            side = "below" if e < support_low else "above"
+            violations.append(f"coefficient {reduced.coefficient(e)} at z^{e} {side} support")
     table = BetaTable(
         support_low=support_low,
         support_high=support_high,

@@ -57,7 +57,7 @@ _Scaled = tuple[int, list[int], list[int]]
 def _scaled(inst: IdentityInstance) -> _Scaled:
     """D, the lcm of the parameter denominators, with the integers D * a_i
     and D * b_l; D * root is then an integer for every kernel root."""
-    scale = lcm(*(x.denominator for x in inst.a + inst.b))
+    scale = lcm(*[x.denominator for x in inst.a + inst.b])
     return (
         scale,
         [x.numerator * (scale // x.denominator) for x in inst.a],

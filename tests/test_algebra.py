@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -93,6 +94,56 @@ class TestLaurentSeries:
         assert s.coeffs == (Q(1),)
         z = LaurentSeries(0, (Q(0),), 7)
         assert z.is_zero and z.low == 8
+        assert z.den == 1
+        # Fractions, ints over a denominator and a negative denominator with
+        # common content all give the one stored form
+        forms = [
+            LaurentSeries(0, (Q(1, 3), Q(-2, 3), Q(0)), 5),
+            LaurentSeries(0, (1, -2), 5, 3),
+            LaurentSeries(0, (-4, 8, 0), 5, -12),
+            LaurentSeries(0, (Q(-2, 3), Q(4, 3)), 5, -2),
+            LaurentSeries(-1, (0, Q(2), -4), 5, 6),
+        ]
+        for s in forms:
+            assert (s.nums, s.den) == ((1, -2), 3)
+            assert all(type(c) is int for c in s.nums)
+            assert s == forms[0]
+        assert LaurentSeries(0, (2, 4), 5, -1) != LaurentSeries(0, (2, 4), 5, 1)
+        with pytest.raises(ZeroDivisionError):
+            LaurentSeries(0, (1,), 5, 0)
+
+    def test_equal_series_compare_equal_whatever_built_them(self):
+        rng = random.Random(20)
+        for _ in range(60):
+            a, b, c = rand_series(rng), rand_series(rng), rand_series(rng)
+            for s in (a + b, a * b, a.scale(rand_fraction(rng)), -c, c.substitute_neg_z()):
+                assert s.den > 0
+                assert gcd(s.den, *s.nums) == 1
+                assert all(type(x) is int for x in s.nums)
+            assert a + b == b + a
+            assert a * b == b * a
+            assert (a * b) * c == a * (b * c)
+            t = min(a.trunc, b.trunc)
+            assert (a + b) - b == a + LaurentSeries.zero(t)
+            assert a.scale(Q(-7, 4)).scale(Q(-4, 7)) == a
+            assert c.substitute_neg_z().substitute_neg_z() == c
+            # rebuilt from its Fraction coefficients it is the same value
+            assert LaurentSeries(a.low, a.coeffs, a.trunc) == a
+
+    def test_sum_across_denominators(self):
+        half = LaurentSeries(-1, (Q(1, 2), Q(1, 4)), 3)
+        third = LaurentSeries(0, (Q(1, 3), Q(-1, 6), Q(5, 9)), 2)
+        total = half + third
+        assert total.trunc == 2
+        assert [total.coefficient(e) for e in range(-1, 3)] == [
+            Q(1, 2), Q(1, 4) + Q(1, 3), Q(-1, 6), Q(5, 9)
+        ]
+        assert total.den == 36
+        # the common denominator cancels away when the sum is an integer series
+        assert (half + half.scale(-1)).is_zero
+        assert LaurentSeries(0, (Q(1, 6),), 3) + LaurentSeries(0, (Q(5, 6),), 3) == (
+            LaurentSeries(0, (1,), 3)
+        )
 
     def test_reading_above_truncation_raises(self):
         s = LaurentSeries(0, (Q(1),), 3)
@@ -157,6 +208,11 @@ class TestLaurentSeries:
         assert s.shift(2).trunc == 6
         assert s.scale(Q(1, 2)).coefficient(-1) == 1
         assert (-s).coefficient(0) == -3
+        t = LaurentSeries(0, (Q(3, 5), Q(-1, 2), Q(2)), 4)
+        scaled = t.scale(Q(-10, 9))
+        assert scaled.coeffs == (Q(-2, 3), Q(5, 9), Q(-20, 9))
+        assert scaled.den == 9
+        assert t.scale(0).is_zero
 
     def test_substitute_neg_z(self):
         s = LaurentSeries(-1, (Q(1), Q(1), Q(1), Q(1)), 4)

@@ -10,6 +10,9 @@ COLLIDING = {"a": ["0", "1"], "b": ["1/3", "1/4"], "m": [0, 0], "n": [0, 0]}
 CONFLUENT = {"a": ["0", "1/2"], "b": ["1/3"], "m": [3], "n": [0, 0]}
 # p = 5, so lemma prints a polynomial
 DEGREE_FIVE = {"a": ["0", "1/2"], "b": ["1/3", "1/4"], "m": [3, 3], "n": [0, 0]}
+# r - s = 1 is odd and the n_i have mixed parities, so the per-term sign
+# (-1)^((r-s) n_i) matters
+ODD_MIXED = {"a": ["1/2", "1/3", "-1/4"], "b": ["1/5", "2/7"], "m": [3, 2], "n": [1, 0, -1]}
 
 
 def write(tmp_path, name, payload):
@@ -125,6 +128,12 @@ class TestFuzzCommand:
         assert payload["passed"] == 10
         assert payload["failed"] == 0
 
+    def test_narrowest_valid_arguments(self, capsys):
+        args = ["--count", "2", "--r-range", "3", "3", "--shift-range", "1", "--buffer", "1"]
+        status, out = run_cli(capsys, ["fuzz", *args])
+        assert status == 0
+        assert json.loads(out)["passed"] == 2
+
     def test_seed_changes_output(self, capsys):
         _, out1 = run_cli(capsys, ["fuzz", "--count", "3", "--seed", "1"])
         _, out2 = run_cli(capsys, ["fuzz", "--count", "3", "--seed", "2"])
@@ -209,6 +218,27 @@ class TestStrictInput:
         assert json.loads(out)["error"]["type"] == "ValueError"
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            # a zero buffer used to fail every draw and exit 1
+            (["--buffer", "0"], "buffer must be positive, got 0"),
+            # these two used to exit 2 with randrange's own message
+            (["--shift-range", "-1"], "shift range must be non-negative, got -1"),
+            (["--r-range", "5", "3"], "r range 5..3 is empty"),
+            (["--r-range", "4", "3"], "r range 4..3 is empty"),
+        ],
+    )
+    def test_bad_fuzz_arguments_exit_2_before_drawing(self, capsys, monkeypatch, args, message):
+        def no_draws(*_args, **_kwargs):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(fuzzing, "random_instance", no_draws)
+        status, out = run_cli(capsys, ["fuzz", "--count", "3", *args])
+        assert status == 2
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"error": {"type": "ValueError", "message": message}}
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["--nu", "abc", "--m", "1"],
@@ -260,6 +290,10 @@ GOLDEN = [
      b'{"ok":true,"p":5,"points":[-3,-2,-1,0,1,2,3,4],"polynomial":["287875/2304","358186577/995328","2368446325/5971968","1254179255/5971968","320378555/5971968","31698163/5971968"],"residue_values":["0","0","0","287875/2304","23854145/20736","1278834515/248832","666845165/41472","1120282835/27648"]}\n'),
     (DEGREE_FIVE, ['verify'], 0,
      b'{"beta":{"0":"287875/2304","1":"8308895/20736","2":"27693575/248832"},"checked_up_to":27,"cross_checks":{"alpha":true,"lemma1":true,"residue":true},"derived":{"M":6,"N":0,"m_min":3,"n_max":0,"p":5,"r":2,"s":2,"theorem":"One"},"instance":{"a":["0","1/2"],"b":["1/3","1/4"],"m":[3,3],"n":[0,0]},"vanishing_ok":true}\n'),
+    (ODD_MIXED, ['coeffs'], 0,
+     b'{"beta":{"-1":"5083/5600","0":"28083983/661500","1":"-1143539/19600","2":"215/14","3":"-1"},"support_high":3,"support_low":-1,"theorem":"Two"}\n'),
+    (ODD_MIXED, ['verify'], 0,
+     b'{"beta":{"-1":"5083/5600","0":"28083983/661500","1":"-1143539/19600","2":"215/14","3":"-1"},"checked_up_to":28,"cross_checks":{"alpha":null,"lemma1":null,"residue":null},"derived":{"M":5,"N":0,"m_min":2,"n_max":1,"p":3,"r":3,"s":2,"theorem":"Two"},"instance":{"a":["1/2","1/3","-1/4"],"b":["1/5","2/7"],"m":[3,2],"n":[1,0,-1]},"vanishing_ok":true}\n'),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script runs to completion against the package in src/, and the
+demos that print only exact values print the same bytes as tests/golden/."""
 
 import os
 import subprocess
@@ -9,6 +10,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
+# bessel_products.py also prints floating-point residuals, so it is left out
+EXACT_DEMOS = ["confluent_family", "reduction_walkthrough", "residue_routes"]
+
+
+def run_demo(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, timeout=120
+    )
 
 
 def test_demos_found():
@@ -17,8 +28,12 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_exits_0(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
+    result = run_demo(demo)
+    assert result.returncode == 0, result.stderr.decode()
+
+
+@pytest.mark.parametrize("name", EXACT_DEMOS)
+def test_exact_demo_stdout_bytes(name):
+    result = run_demo(ROOT / "demos" / f"{name}.py")
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == (GOLDEN / f"{name}.out").read_bytes()

@@ -20,6 +20,8 @@ from hypident.hyper import (
     validate,
 )
 
+from oracles import series_coefficient
+
 
 def non_integer_rational(rng):
     return Q(rng.randint(-20, 20) * 2 + 1, rng.choice([2, 3, 4, 5, 7]))
@@ -107,6 +109,28 @@ class TestHyperSeries:
             s = hyper_series([-d, extra], [extra + Q(1, 11)], 10)
             assert all(s.coefficient(k) == 0 for k in range(d + 1, 11))
             assert s.coefficient(d) != 0
+
+    def test_against_the_oracle(self):
+        # upper and lower counts differ in both directions (the D power moves
+        # between P and Q), and a third of the upper lists terminate
+        rng = random.Random(25)
+        for _ in range(60):
+            upper = [
+                Q(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6, 9, 10]))
+                for _ in range(rng.randint(0, 4))
+            ]
+            if rng.random() < 1 / 3:
+                upper.append(-rng.randint(0, 8))
+            lower = [
+                w for w in (non_integer_rational(rng) for _ in range(rng.randint(0, 4)))
+                if w.denominator != 1
+            ]
+            trunc = rng.randint(0, 14)
+            s = hyper_series(upper, lower, trunc)
+            assert s.trunc == trunc and s.den > 0
+            for k in range(trunc + 1):
+                expected = series_coefficient(upper, lower, k)
+                assert s.coefficient(k) == expected, (upper, lower, k)
 
     def test_bad_lower_parameter(self):
         with pytest.raises(BadLowerParameter):

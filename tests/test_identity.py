@@ -3,8 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hypident.algebra import one_minus_z_power
-from hypident.errors import TruncationTooSmall
+from hypident import identity
+from hypident.algebra import LaurentSeries, one_minus_z_power
+from hypident.errors import SupportViolation, TruncationTooSmall
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.identity import beta_coefficients, lhs_series, verify
@@ -38,14 +39,19 @@ class TestLhsSeries:
 
     def test_matches_oracle_coefficients(self):
         rng = random.Random(52)
-        for _ in range(8):
-            inst = random_instance(rng, r_range=(2, 3), shift_range=2)
-            hi = 10
+        sign_path = 0
+        for _ in range(12):
+            inst = random_instance(rng, r_range=(2, 4), shift_range=2)
+            hi = 30
             series = lhs_series(inst, hi)
             expected = lhs_coefficients(inst.a, inst.b, inst.m, inst.n, hi)
             n_max = validate(inst).n_max
             for e in range(-n_max, hi + 1):
                 assert series.coefficient(e) == expected.get(e, Q(0)), (inst, e)
+            if (inst.r - inst.s) % 2 and len({n % 2 for n in inst.n}) == 2:
+                sign_path += 1
+        # odd r - s with mixed n parities: the per-term sign (-1)^((r-s) n_i)
+        assert sign_path >= 2
 
     def test_truncation_too_small(self):
         inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(-2, -2))
@@ -115,6 +121,20 @@ class TestBetaCoefficients:
     def test_bad_buffer(self):
         with pytest.raises(ValueError):
             beta_coefficients(ZERO_SHIFT, 0)
+
+    @pytest.mark.parametrize("inst", [CONFLUENT, UNIT_SHIFT], ids=["confluent", "balanced"])
+    def test_violation_found_at_every_forbidden_exponent(self, monkeypatch, inst):
+        # S(z) perturbed at z^e, for e below the support, just above it and
+        # at the truncation itself, fails with the first violation at z^e
+        real = identity.lhs_series
+        table = beta_coefficients(inst)
+        trunc = verify(inst).checked_up_to
+        for e in (table.support_low - 1, table.support_high + 1, trunc):
+            bump = LaurentSeries(e, (Q(1, 7),), trunc)
+            monkeypatch.setattr(identity, "lhs_series", lambda i, t: real(i, t) + bump)
+            with pytest.raises(SupportViolation, match=rf"^coefficient 1/7 at z\^{e} "):
+                beta_coefficients(inst)
+            assert verify(inst).vanishing_ok is False
 
 
 class TestVerify:
