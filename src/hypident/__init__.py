@@ -21,8 +21,6 @@ from .algebra import (
 )
 from .asymptotics import (
     Lemma1Report,
-    bernoulli_number,
-    bernoulli_polynomial,
     check_residue_polynomial,
     exp_series_coefficient,
 )
@@ -50,7 +48,6 @@ from .hyper import (
     Theorem,
     hyper_series,
     pochhammer,
-    pochhammer_vec,
     validate,
 )
 from .identity import (
@@ -99,8 +96,6 @@ __all__ = [
     "TruncationTooSmall",
     "ValidationError",
     "VerificationReport",
-    "bernoulli_number",
-    "bernoulli_polynomial",
     "bessel_demo",
     "bessel_j",
     "beta_coefficients",
@@ -112,7 +107,6 @@ __all__ = [
     "lhs_series",
     "one_minus_z_power",
     "pochhammer",
-    "pochhammer_vec",
     "random_instance",
     "residue_at_infinity",
     "residue_at_simple_pole",

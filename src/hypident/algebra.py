@@ -42,6 +42,14 @@ def as_fraction(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators of ``values``, with the integers
+    D * x for each x in ``values``."""
+    fracs = [as_fraction(x) for x in values]
+    scale = lcm(*[x.denominator for x in fracs])
+    return scale, [x.numerator * (scale // x.denominator) for x in fracs]
+
+
 def exact_div(x: Scalar, y: Scalar) -> Scalar:
     """x / y in the rationals: an int when both are ints and y divides x,
     a Fraction otherwise, never a float."""
@@ -87,11 +95,6 @@ class Polynomial:
         return cls((c,))
 
     @classmethod
-    def identity(cls) -> Polynomial:
-        """The polynomial z."""
-        return cls((0, 1))
-
-    @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> Polynomial:
         """Monic product of (z - root) over the given roots."""
         out = [1]
@@ -127,12 +130,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading(self) -> Scalar:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def coefficient(self, e: int) -> Scalar:
         return self.coeffs[e] if 0 <= e < len(self.coeffs) else 0
@@ -230,9 +227,7 @@ class LaurentSeries:
         if den == 0:
             raise ZeroDivisionError("series with zero denominator")
         if not all(type(c) is int for c in nums):
-            fracs = [as_fraction(c) for c in nums]
-            scale = lcm(*(c.denominator for c in fracs))
-            nums = [c.numerator * (scale // c.denominator) for c in fracs]
+            scale, nums = clear_denominators(nums)
             den *= scale
         if den < 0:
             nums, den = [-c for c in nums], -den

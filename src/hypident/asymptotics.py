@@ -1,4 +1,4 @@
-"""Bernoulli machinery and the polynomial law for residues at infinity.
+"""The polynomial law for residues at infinity, through Bernoulli numbers.
 
 For balanced instances (s = r) the residue of the kernel at infinity,
 viewed as a function of the index k, is a polynomial of degree p: zero when
@@ -46,31 +46,17 @@ from math import comb, lcm
 from .algebra import Polynomial, Scalar
 from .errors import CheckFailed
 from .hyper import DerivedQuantities, IdentityInstance, Theorem
-from .residues import _scaled, residue_at_infinity, residue_kernel
+from .residues import residue_at_infinity, residue_kernel
 
 
 def _bernoulli_numbers(n: int) -> list[Fraction]:
     """B_0 .. B_n in the B_1 = -1/2 convention, by one pass of the
     recurrence sum_{i=0}^{t} C(t+1, i) B_i = 0 with B_0 = 1."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
     values = [Fraction(1)]
     for t in range(1, n + 1):
         acc = sum(comb(t + 1, i) * values[i] for i in range(t))
         values.append(Fraction(-acc, t + 1))
     return values
-
-
-def bernoulli_number(j: int) -> Fraction:
-    """Bernoulli number B_j in the B_1 = -1/2 convention."""
-    return _bernoulli_numbers(j)[j]
-
-
-def bernoulli_polynomial(n: int) -> Polynomial:
-    """The monic degree-n Bernoulli polynomial
-    B_n(x) = sum_l C(n, l) B_{n-l} x^l."""
-    numbers = _bernoulli_numbers(n)
-    return Polynomial(tuple(comb(n, l) * numbers[n - l] for l in range(n + 1)))
 
 
 def _require_balanced(inst: IdentityInstance) -> DerivedQuantities:
@@ -83,7 +69,8 @@ def _require_balanced(inst: IdentityInstance) -> DerivedQuantities:
 def _law_values(inst: IdentityInstance, order: int, start: int, count: int) -> list[Fraction]:
     """q_order(k) at k = start .. start + count - 1, for order >= 0, in
     integers scaled as the module docstring describes."""
-    d, a, b = _scaled(inst)
+    derived = inst.derived
+    d, a, b = derived.scale, derived.a_int, derived.b_int
     numbers = _bernoulli_numbers(order + 1)
     ell = [1]  # ell[n] = L_n, the lcm of the denominators of B_0 .. B_n
     for x in numbers[1:]:

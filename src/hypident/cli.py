@@ -1,7 +1,7 @@
 """JSON-in/JSON-out command line front end.
 
 Instance files are JSON objects {"a": [...], "b": [...], "m": [...],
-"n": [...]} with rationals written as strings "p/q" or "p"; r and s are
+"n": [...]} with rationals written as ints or strings "p/q", "p"; r and s are
 inferred from the vector lengths.  Every command prints a single JSON
 payload on stdout.  Exit codes: 0 all checks pass, 1 a check failed,
 2 input or validation error (with an {"error": ...} payload).  Output is

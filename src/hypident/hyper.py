@@ -1,9 +1,10 @@
 """Instance bookkeeping for the reduction identities.
 
-Holds the Pochhammer symbol with integer shifts of either sign, its
-vectorised product form, formal hypergeometric series generation, and the
-validation step that turns a raw parameter/shift tuple into the derived
-quantities (M, N, m_min, n_max, p) driving everything downstream.
+Holds the rising factorial with integer shifts of either sign (``rising``
+in integers, ``pochhammer`` its Fraction form), formal hypergeometric
+series generation, and the validation step that turns a raw parameter/shift
+tuple into the derived quantities (M, N, m_min, n_max, p, D) driving
+everything downstream.
 
 Parameters are exact rationals throughout.  The upper parameters ``a`` must
 be pairwise distinct modulo integers; this single hypothesis guarantees all
@@ -14,13 +15,14 @@ non-positive integers.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import prod
 from typing import Mapping, Sequence
 
-from .algebra import LaurentSeries, Scalar, as_fraction
+from .algebra import LaurentSeries, Scalar, as_fraction, clear_denominators
 from .errors import (
     BadLowerParameter,
     DimensionMismatch,
@@ -28,6 +30,17 @@ from .errors import (
     PochhammerPole,
     PrefactorPole,
 )
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # "p/q" or "p", the sign on p only
+
+
+def rising(x: int, q: int, scale: int) -> tuple[int, int]:
+    """(x/scale)_q for any integer q, as integers (top, bottom) with
+    (x/scale)_q = top / (bottom * scale**q).  For q < 0, top is 1 and
+    bottom is 0 exactly at the poles, x/scale in 1 .. -q."""
+    if q >= 0:
+        return prod(x + t * scale for t in range(q)), 1
+    return 1, prod(x + t * scale for t in range(q, 0))
 
 
 def pochhammer(x: Scalar, k: int) -> Fraction:
@@ -38,28 +51,11 @@ def pochhammer(x: Scalar, k: int) -> Fraction:
     factor vanishes.
     """
     x = as_fraction(x)
-    if k >= 0:
-        acc = Fraction(1)
-        for t in range(k):
-            acc *= x + t
-        return acc
-    acc = Fraction(1)
-    for t in range(k, 0):
-        factor = x + t
-        if factor == 0:
-            raise PochhammerPole(f"({x})_{k} has zero factor {x} + {t}")
-        acc *= factor
-    return 1 / acc
-
-
-def pochhammer_vec(xs: Sequence[Scalar], ks: Sequence[int]) -> Fraction:
-    """Componentwise product of Pochhammer symbols; empty vectors give 1."""
-    if len(xs) != len(ks):
-        raise ValueError("pochhammer_vec arguments must have equal length")
-    acc = Fraction(1)
-    for x, k in zip(xs, ks):
-        acc *= pochhammer(x, k)
-    return acc
+    d = x.denominator
+    top, bottom = rising(x.numerator, k, d)
+    if bottom == 0:
+        raise PochhammerPole(f"({x})_{k} has zero factor {x} + {-x}")
+    return Fraction(top * d ** max(0, -k), bottom * d ** max(0, k))
 
 
 def hyper_series(
@@ -76,16 +72,13 @@ def hyper_series(
     denominator prod_{t<trunc} Q(t): one suffix pass over Q and one running
     prefix over P, with no Fraction per term.
     """
-    ups = [as_fraction(u) for u in upper]
-    los = [as_fraction(w) for w in lower]
-    for w in los:
+    for w in map(as_fraction, lower):
         if w.denominator == 1 and w <= 0:
             raise BadLowerParameter(f"lower parameter {w} is a non-positive integer")
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
-    scale = lcm(*[x.denominator for x in ups + los])
-    ups = [x.numerator * (scale // x.denominator) for x in ups]
-    los = [x.numerator * (scale // x.denominator) for x in los]
+    scale, ints = clear_denominators([*upper, *lower])
+    ups, los = ints[: len(upper)], ints[len(upper) :]
     lift_p = scale ** max(0, len(los) - len(ups))
     lift_q = scale ** max(0, len(ups) - len(los))
     nums = [0] * (trunc + 1)
@@ -185,8 +178,10 @@ class IdentityInstance:
         else:
             theorem = Theorem.TWO
             p = (M - N - r + 1) // (r - s)
+        scale, ints = clear_denominators(self.a + self.b)
         return DerivedQuantities(
-            r=r, s=s, M=M, N=N, m_min=m_min, n_max=n_max, p=p, theorem=theorem
+            r=r, s=s, M=M, N=N, m_min=m_min, n_max=n_max, p=p, theorem=theorem,
+            scale=scale, a_int=tuple(ints[:r]), b_int=tuple(ints[r:]),
         )
 
     @property
@@ -199,15 +194,17 @@ class IdentityInstance:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> IdentityInstance:
-        """Parse the JSON object form: rationals as strings "p/q" or "p"."""
+        """Parse the JSON object form: rationals as JSON ints or strings "p/q", "p"."""
         try:
-            a = tuple(Fraction(str(x)) for x in data["a"])
-            b = tuple(Fraction(str(x)) for x in data.get("b", ()))
-            m = tuple(data.get("m", ()))
-            n = tuple(data["n"])
+            a, b, m, n = data["a"], data.get("b", []), data.get("m", []), data["n"]
+            if not all(isinstance(v, list) for v in (a, b, m, n)):
+                raise ValueError("a, b, m and n must be arrays")
+            for x in a + b:
+                if not (type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x)):
+                    raise ValueError(f"rational must be an int or a string p/q, got {x!r}")
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"malformed instance object: {exc}") from exc
-        return cls(a=a, b=b, m=m, n=n)
+        return cls(a=tuple(map(Fraction, a)), b=tuple(map(Fraction, b)), m=tuple(m), n=tuple(n))
 
     def to_dict(self) -> dict:
         return {
@@ -220,7 +217,9 @@ class IdentityInstance:
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Shift totals and the support parameter p of a validated instance.
+    """Shift totals and the support parameter p of a validated instance, and
+    its parameters as the integers D a_i, D b_l over D (``scale``), the lcm
+    of their denominators; ``to_dict`` leaves those three out.
 
     For the confluent family with s = 0 the empty shift vector m gets the
     conventions M = 0 and m_min = 0, which keep the kernel threshold
@@ -235,6 +234,9 @@ class DerivedQuantities:
     n_max: int
     p: int
     theorem: Theorem
+    scale: int
+    a_int: tuple[int, ...]
+    b_int: tuple[int, ...]
 
     def to_dict(self) -> dict:
         return {

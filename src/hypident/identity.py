@@ -29,7 +29,7 @@ from .hyper import (
     IdentityInstance,
     Theorem,
     hyper_series,
-    pochhammer_vec,
+    pochhammer,
 )
 from .residues import (
     residue_at_infinity,
@@ -74,11 +74,11 @@ def lhs_series(inst: IdentityInstance, trunc: int) -> LaurentSeries:
         )
         if diff % 2:
             second = second.substitute_neg_z()
-        prefactor = pochhammer_vec(
-            [1 - b_l + a_i for b_l in inst.b], [m_l - n_i for m_l in inst.m]
-        ) / pochhammer_vec(
-            [a_i - inst.a[l] for l in others], [inst.n[l] - n_i + 1 for l in others]
-        )
+        prefactor = Fraction(1)
+        for b_l, m_l in zip(inst.b, inst.m):
+            prefactor *= pochhammer(1 - b_l + a_i, m_l - n_i)
+        for l in others:
+            prefactor /= pochhammer(a_i - inst.a[l], inst.n[l] - n_i + 1)
         if (diff * n_i) % 2:
             prefactor = -prefactor
         total = total + (first * second).shift(-n_i).scale(prefactor)

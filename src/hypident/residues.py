@@ -23,7 +23,8 @@ by a monic denominator then stay in the integers, and only the final
 division of a residue leaves them.  Since dz = dw / D, both the residue at
 a pole and the coefficient of 1/z at infinity return to z through the one
 factor D^(deg den - deg num - 1).  The closed form scales each Pochhammer
-factor the same way: (X/D)_q is an integer product over D^q.
+factor the same way: (X/D)_q is an integer product over D^q (``rising``).
+D, D a_i and D b_l are computed once per instance, in ``inst.derived``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm, prod
+from math import factorial
 from typing import NamedTuple
 
 from .algebra import (
@@ -42,27 +43,13 @@ from .algebra import (
     expansion_at_infinity,
 )
 from .errors import KBelowRange, NotSimplePole
-from .hyper import IdentityInstance, Theorem
+from .hyper import IdentityInstance, Theorem, rising
 
 
 class Pole(NamedTuple):
     location: Fraction
     i: int  # which upper parameter the pole string belongs to
     j: int  # offset within the string: location = a_i + k - j
-
-
-_Scaled = tuple[int, list[int], list[int]]
-
-
-def _scaled(inst: IdentityInstance) -> _Scaled:
-    """D, the lcm of the parameter denominators, with the integers D * a_i
-    and D * b_l; D * root is then an integer for every kernel root."""
-    scale = lcm(*[x.denominator for x in inst.a + inst.b])
-    return (
-        scale,
-        [x.numerator * (scale // x.denominator) for x in inst.a],
-        [x.numerator * (scale // x.denominator) for x in inst.b],
-    )
 
 
 def _unscale_polynomial(poly: Polynomial, scale: int) -> Polynomial:
@@ -109,7 +96,7 @@ def residue_kernel(inst: IdentityInstance, k: int) -> ResidueKernel:
     derived = inst.derived
     if k < -derived.m_min:
         raise KBelowRange(f"k={k} below -m_min={-derived.m_min}")
-    scale, a, b = _scaled(inst)
+    scale, a, b = derived.scale, derived.a_int, derived.b_int
     num_roots: list[int] = []
     den_roots: list[int] = []
     for b_l, m_l in zip(b, inst.m):
@@ -155,41 +142,6 @@ def residue_at_simple_pole(f: RationalFunction, z0: Scalar) -> Scalar:
     return exact_div(f.num(z0), d0)
 
 
-def _rising(x: int, q: int, scale: int) -> tuple[int, int]:
-    """(x/scale)_q as integers (top, bottom) with
-    (x/scale)_q = top / (bottom * scale**q).
-
-    For the closed form's arguments a vanishing negative-shift factor needs
-    b_l - a_i = c with c in [m_l - n_i + 1, 0], which validation already
-    rejects as a prefactor pole; a zero bottom would raise
-    ZeroDivisionError, never give a value."""
-    if q >= 0:
-        return prod(x + t * scale for t in range(q)), 1
-    return 1, prod(x + t * scale for t in range(q, 0))
-
-
-def _closed_form(inst: IdentityInstance, scaled: _Scaled, i: int, k: int, j: int) -> Scalar:
-    n_i = inst.n[i]
-    if j < 0 or j > k + n_i:
-        return 0
-    scale, a, b = scaled
-    # the Pochhammer arguments times scale: D (1 - b_l + a_i - j), D (a_i - a_l - j)
-    base = a[i] - j * scale
-    top = (-1) ** j
-    bottom = factorial(j) * factorial(k + n_i - j)
-    exponent = 0  # the power of scale the integer quotient still carries
-    for b_l, m_l in zip(b, inst.m):
-        up, down = _rising(base + scale - b_l, m_l + k, scale)
-        top, bottom, exponent = top * up, bottom * down, exponent - (m_l + k)
-    for l, (a_l, n_l) in enumerate(zip(a, inst.n)):
-        if l != i:
-            up, down = _rising(base - a_l, n_l + k + 1, scale)
-            top, bottom, exponent = top * down, bottom * up, exponent + n_l + k + 1
-    if exponent >= 0:
-        return Fraction(top * scale**exponent, bottom)
-    return Fraction(top, bottom * scale**-exponent)
-
-
 def residue_closed_form(inst: IdentityInstance, i: int, k: int, j: int) -> Scalar:
     """Closed form of the kernel residue at z = a_i + k - j:
 
@@ -199,17 +151,37 @@ def residue_closed_form(inst: IdentityInstance, i: int, k: int, j: int) -> Scala
 
     Zero by convention outside 0 <= j <= k + n_i, which extends the formula
     to every integer pair (k, j) the assembly code touches.
+    A zero factor needs b_l - a_i in [m_l - n_i + 1, 0], which validation
+    rejects as a prefactor pole; it would raise, never give a value.
     """
-    return _closed_form(inst, _scaled(inst), i, k, j)
+    n_i = inst.n[i]
+    if j < 0 or j > k + n_i:
+        return 0
+    derived = inst.derived
+    scale, a, b = derived.scale, derived.a_int, derived.b_int
+    # the Pochhammer arguments times scale: D (1 - b_l + a_i - j), D (a_i - a_l - j)
+    base = a[i] - j * scale
+    top = (-1) ** j
+    bottom = factorial(j) * factorial(k + n_i - j)
+    exponent = 0  # the power of scale the integer quotient still carries
+    for b_l, m_l in zip(b, inst.m):
+        up, down = rising(base + scale - b_l, m_l + k, scale)
+        top, bottom, exponent = top * up, bottom * down, exponent - (m_l + k)
+    for l, (a_l, n_l) in enumerate(zip(a, inst.n)):
+        if l != i:
+            up, down = rising(base - a_l, n_l + k + 1, scale)
+            top, bottom, exponent = top * down, bottom * up, exponent + n_l + k + 1
+    if exponent >= 0:
+        return Fraction(top * scale**exponent, bottom)
+    return Fraction(top, bottom * scale**-exponent)
 
 
 def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:
     """Double sum of closed-form residues over all pole strings at index k."""
-    scaled = _scaled(inst)
     total = 0
     for i, n_i in enumerate(inst.n):
         for j in range(k + n_i + 1):
-            total += _closed_form(inst, scaled, i, k, j)
+            total += residue_closed_form(inst, i, k, j)
     return total
 
 

@@ -51,7 +51,7 @@ class TestPolynomial:
     def test_from_roots_and_eval(self):
         p = Polynomial.from_roots([1, Q(1, 2), -3])
         assert p.degree == 3
-        assert p.leading == 1
+        assert p.coeffs[-1] == 1
         for root in (1, Q(1, 2), -3):
             assert p(root) == 0
         assert p(0) == (0 - 1) * (0 - Q(1, 2)) * (0 + 3)

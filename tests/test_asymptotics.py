@@ -6,12 +6,7 @@ import pytest
 
 from hypident import asymptotics
 from hypident.algebra import Polynomial
-from hypident.asymptotics import (
-    bernoulli_number,
-    bernoulli_polynomial,
-    check_residue_polynomial,
-    exp_series_coefficient,
-)
+from hypident.asymptotics import check_residue_polynomial, exp_series_coefficient
 from hypident.errors import CheckFailed
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance
@@ -30,47 +25,6 @@ P31 = IdentityInstance(a=(Q(-7, 5), Q(2, 9)), b=(Q(3, 4), Q(-5, 11)), m=(16, 16)
 
 def oracle_q(inst, p, k):
     return law_q(inst.a, inst.b, inst.m, inst.n, p, k)
-
-
-class TestBernoulliNumbers:
-    def test_small_values(self):
-        expected = [1, Q(-1, 2), Q(1, 6), 0, Q(-1, 30), 0, Q(1, 42)]
-        assert [bernoulli_number(j) for j in range(7)] == expected
-
-    def test_odd_vanish(self):
-        for j in range(3, 16, 2):
-            assert bernoulli_number(j) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bernoulli_number(-1)
-
-    def test_against_the_oracle(self):
-        assert [bernoulli_number(j) for j in range(33)] == bernoulli_numbers(32)
-
-
-class TestBernoulliPolynomials:
-    def test_small_polynomials(self):
-        assert bernoulli_polynomial(0) == Polynomial.one()
-        assert bernoulli_polynomial(1) == Polynomial.of(Q(-1, 2), 1)
-        assert bernoulli_polynomial(2) == Polynomial.of(Q(1, 6), -1, 1)
-
-    def test_monic(self):
-        for n in range(9):
-            p = bernoulli_polynomial(n)
-            assert p.degree == n
-            assert p.leading == 1
-
-    def test_difference_identity(self):
-        # B_n(x+1) - B_n(x) == n x^(n-1)
-        for n in range(1, 9):
-            p = bernoulli_polynomial(n)
-            for x in (Q(-7, 3), -1, 0, Q(1, 2), 2, Q(9, 4)):
-                assert p(x + 1) - p(x) == n * Q(x) ** (n - 1)
-
-    def test_constant_terms_are_bernoulli_numbers(self):
-        for n in range(9):
-            assert bernoulli_polynomial(n)(0) == bernoulli_number(n)
 
 
 class TestBernoulliCombination:

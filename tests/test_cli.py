@@ -13,6 +13,11 @@ DEGREE_FIVE = {"a": ["0", "1/2"], "b": ["1/3", "1/4"], "m": [3, 3], "n": [0, 0]}
 # r - s = 1 is odd and the n_i have mixed parities, so the per-term sign
 # (-1)^((r-s) n_i) matters
 ODD_MIXED = {"a": ["1/2", "1/3", "-1/4"], "b": ["1/5", "2/7"], "m": [3, 2], "n": [1, 0, -1]}
+# (1 - b_0 + a_0)_(m_0 - n_0) = (1)_(-1) has a zero factor
+PREFACTOR_POLE = {"a": ["0", "1/2"], "b": ["0", "1/4"], "m": [0, 0], "n": [1, 0]}
+# the prefactor of term 0 has negative shifts m_1 - n_0 = -2 and
+# n_1 - n_0 + 1 = -2, neither of them at a pole
+NEGATIVE_SHIFTS = {"a": ["1/3", "-2/5"], "b": ["1/4", "1/6"], "m": [5, 1], "n": [3, 0]}
 
 
 def write(tmp_path, name, payload):
@@ -206,6 +211,15 @@ class TestStrictInput:
         assert status == 2
         assert json.loads(out)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "value, error", [(1.5, "ValueError"), ("+1/2", "ValueError"), ("1/0", "ZeroDivisionError")]
+    )
+    def test_non_rational_parameter_exits_2(self, tmp_path, capsys, value, error):
+        path = write(tmp_path, "inst.json", {**ZERO_SHIFT, "a": [value, "1/3"]})
+        status, out = run_cli(capsys, ["verify", path])
+        assert status == 2
+        assert json.loads(out)["error"]["type"] == error
+
     def test_rejection_exhaustion_exits_2(self, capsys):
         # r = 1 never validates, so every draw is rejected
         status, out = run_cli(capsys, ["fuzz", "--r-range", "1", "1", "--count", "1"])
@@ -294,6 +308,10 @@ GOLDEN = [
      b'{"beta":{"-1":"5083/5600","0":"28083983/661500","1":"-1143539/19600","2":"215/14","3":"-1"},"support_high":3,"support_low":-1,"theorem":"Two"}\n'),
     (ODD_MIXED, ['verify'], 0,
      b'{"beta":{"-1":"5083/5600","0":"28083983/661500","1":"-1143539/19600","2":"215/14","3":"-1"},"checked_up_to":28,"cross_checks":{"alpha":null,"lemma1":null,"residue":null},"derived":{"M":5,"N":0,"m_min":2,"n_max":1,"p":3,"r":3,"s":2,"theorem":"Two"},"instance":{"a":["1/2","1/3","-1/4"],"b":["1/5","2/7"],"m":[3,2],"n":[1,0,-1]},"vanishing_ok":true}\n'),
+    (PREFACTOR_POLE, ['verify'], 2,
+     b'{"error":{"message":"prefactor (1-b[0]+a[0])_(m[0]-n[0]) is undefined: (1)_-1 has zero factor 1 + -1","type":"PrefactorPole"}}\n'),
+    (NEGATIVE_SHIFTS, ['coeffs'], 0,
+     b'{"beta":{"-1":"15041/480","-2":"7267/1440","-3":"-247/45","0":"-310063/7200","1":"23023/1440"},"support_high":1,"support_low":-3,"theorem":"One"}\n'),
 ]
 
 

@@ -16,11 +16,10 @@ from hypident.hyper import (
     Theorem,
     hyper_series,
     pochhammer,
-    pochhammer_vec,
     validate,
 )
 
-from oracles import series_coefficient
+from oracles import poch, series_coefficient
 
 
 def non_integer_rational(rng):
@@ -60,6 +59,24 @@ class TestPochhammer:
             k = rng.randint(-6, 6)
             assert pochhammer(x, k + 1) == pochhammer(x, k) * (x + k)
 
+    def test_against_the_oracle(self):
+        rng = random.Random(24)
+        for _ in range(200):
+            x = Q(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 5, 12]))
+            k = rng.randint(-8, 8)
+            if x.denominator == 1 and 1 <= x <= -k:
+                continue  # a pole, see test_pole_set
+            assert pochhammer(x, k) == poch(x, k)
+
+    def test_pole_set(self):
+        for x in range(-8, 9):
+            for k in range(-6, 7):
+                if 1 <= x <= -k:
+                    with pytest.raises(PochhammerPole, match=rf"\({x}\)_{k} has zero factor"):
+                        pochhammer(x, k)
+                else:
+                    assert pochhammer(x, k) == poch(x, k)
+
     def test_sign_reversal_identity(self):
         # (z)_j == (-1)^j (1 - z - j)_j for j >= 0
         rng = random.Random(23)
@@ -67,23 +84,6 @@ class TestPochhammer:
             z = Q(rng.randint(-30, 30), rng.randint(1, 9))
             j = rng.randint(0, 8)
             assert pochhammer(z, j) == (-1) ** j * pochhammer(1 - z - j, j)
-
-
-class TestPochhammerVec:
-    def test_empty(self):
-        assert pochhammer_vec([], []) == 1
-
-    def test_simple(self):
-        assert pochhammer_vec([1, 2], [1, 1]) == 2
-        assert pochhammer_vec([Q(1, 2), Q(1, 3)], [2, 1]) == Q(1, 4)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pochhammer_vec([1], [1, 2])
-
-    def test_pole_propagates(self):
-        with pytest.raises(PochhammerPole):
-            pochhammer_vec([Q(1, 2), 1], [2, -1])
 
 
 class TestHyperSeries:
@@ -239,6 +239,21 @@ class TestInstanceSerialization:
             IdentityInstance.from_dict({"a": ["0", "x"], "n": [0, 0]})
         with pytest.raises(ValueError):
             IdentityInstance.from_dict({"n": [0, 0]})
+        # no float, exponent, padding, plus sign, underscore, bool or
+        # denominator sign: each of these used to be coerced silently
+        for bad in (1.5, 0.1, "1e-3", " 1/2 ", "+1/2", "1_0/3", True, "1/-2", "1.5"):
+            with pytest.raises(ValueError, match="rational must be"):
+                IdentityInstance.from_dict({"a": [bad, "1/3"], "n": [0, 0]})
+            with pytest.raises(ValueError, match="rational must be"):
+                IdentityInstance.from_dict({"a": ["0", "1/3"], "b": [bad], "m": [0], "n": [0, 0]})
+        with pytest.raises(ZeroDivisionError):
+            IdentityInstance.from_dict({"a": ["1/0", "1/3"], "n": [0, 0]})
+        # a string or an object in place of an array used to be iterated
+        for bad in ("12", {"1": 0, "1/2": 0}):
+            with pytest.raises(ValueError, match="must be arrays"):
+                IdentityInstance.from_dict({"a": bad, "n": [0, 0]})
+        inst = IdentityInstance.from_dict({"a": [2, "-7/3"], "b": ["-0"], "m": [0], "n": [0, 0]})
+        assert inst.a == (2, Q(-7, 3)) and inst.b == (0,)
 
     @pytest.mark.parametrize("shift", [1.7, 1.0, True, "1", Q(1)])
     def test_shifts_must_be_ints(self, shift):
