@@ -4,13 +4,14 @@ rational functions over arbitrary-precision rationals.
 A Laurent series keeps integer numerators over one common positive
 denominator, so a product is an integer convolution and a sum works over
 the lcm of two denominators; its coefficients are read back as exact
-`fractions.Fraction`s.  Polynomial coefficients stay `int` while every
-input is an integer and become `Fraction` otherwise, so integer
-polynomials run on plain ints.  Every division is exact (``exact_div``);
-no floating point enters this module.  The truncation order of a Laurent
-series is a hard certificate boundary: coefficients at exponents <= trunc
-are exactly known, anything above is unknown and reading it raises
-instead of silently returning 0.
+`fractions.Fraction`s.  It is the one ring here: a polynomial is only
+built (from roots, or by interpolation), evaluated and deflated.
+Polynomial coefficients stay `int` while every input is an integer and
+become `Fraction` otherwise, so integer polynomials run on plain ints.
+Every division is exact (``exact_div``); no floating point enters this
+module.  The truncation order of a Laurent series is a hard certificate
+boundary: coefficients at exponents <= trunc are exactly known, anything
+above is unknown and reading it raises instead of silently returning 0.
 All values are immutable after construction, so they can be shared freely
 between threads and concurrently running verification jobs.
 
@@ -59,6 +60,23 @@ def exact_div(x: Scalar, y: Scalar) -> Scalar:
     return x / y
 
 
+def _format_terms(terms: Iterable[tuple[int, Scalar]]) -> str:
+    """``c*z^e`` for the (exponent, coefficient) pairs, in the order given,
+    zero coefficients skipped; "0" when no term is left."""
+    parts = []
+    for e, c in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        var = "" if e == 0 else ("z" if e == 1 else f"z^{e}")
+        body = f"{mag}" if not var else (var if mag == 1 else f"{mag}*{var}")
+        parts.append(("- " if c < 0 else "+ ") + body)
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Dense univariate polynomial; coefficient index = exponent.
@@ -91,10 +109,6 @@ class Polynomial:
         return cls((1,))
 
     @classmethod
-    def constant(cls, c: Scalar) -> Polynomial:
-        return cls((c,))
-
-    @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> Polynomial:
         """Monic product of (z - root) over the given roots."""
         out = [1]
@@ -116,10 +130,13 @@ class Polynomial:
         while row:
             diffs.append(row[0])
             row = [y - x for x, y in zip(row, row[1:])]
-        out = cls.zero()
+        out: list[Scalar] = []
         for j in range(len(diffs) - 1, -1, -1):
-            out = out * cls.of(-start - j, 1) * Fraction(1, j + 1) + cls.constant(diffs[j])
-        return out
+            # out <- out * (z - start - j) / (j + 1) + Delta^j f(start)
+            c = -start - j
+            out = [exact_div(lo + c * hi, j + 1) for lo, hi in zip([0, *out], [*out, 0])]
+            out[0] += diffs[j]
+        return cls(tuple(out))
 
     # -- structure ----------------------------------------------------
 
@@ -131,42 +148,7 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, e: int) -> Scalar:
-        return self.coeffs[e] if 0 <= e < len(self.coeffs) else 0
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(tuple(out))
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
-
-    def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return Polynomial(tuple(out))
-
-    def __rmul__(self, other: Scalar) -> Polynomial:
-        return self.scale(other)
-
-    def scale(self, c: Scalar) -> Polynomial:
-        return Polynomial(tuple(c * x for x in self.coeffs))
+    # -- evaluation ---------------------------------------------------
 
     def __call__(self, x: Scalar) -> Scalar:
         acc = 0
@@ -187,19 +169,7 @@ class Polynomial:
         return Polynomial(tuple(out)), rem
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            mag = abs(c)
-            var = "" if e == 0 else ("z" if e == 1 else f"z^{e}")
-            body = f"{mag}" if not var else (var if mag == 1 else f"{mag}*{var}")
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return _format_terms([*enumerate(self.coeffs)][::-1])
 
 
 @dataclass(frozen=True)
@@ -341,19 +311,7 @@ class LaurentSeries:
         )
 
     def __str__(self) -> str:
-        if not self.nums:
-            return f"0 + O(z^{self.trunc + 1})"
-        parts = []
-        for e, c in self.items():
-            if c == 0:
-                continue
-            var = "" if e == 0 else ("z" if e == 1 else f"z^{e}")
-            mag = abs(c)
-            body = f"{mag}" if not var else (var if mag == 1 else f"{mag}*{var}")
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        text = text[2:] if text.startswith("+ ") else "-" + text[2:]
-        return f"{text} + O(z^{self.trunc + 1})"
+        return f"{_format_terms(self.items())} + O(z^{self.trunc + 1})"
 
 
 def one_minus_z_power(exponent: int, trunc: int) -> LaurentSeries:
@@ -383,9 +341,6 @@ class RationalFunction:
         if self.num.is_zero:
             return NEG_INF
         return self.num.degree - self.den.degree
-
-    def __call__(self, x: Scalar) -> Scalar:
-        return exact_div(self.num(x), self.den(x))
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"

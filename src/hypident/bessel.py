@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Scalar, as_fraction
+from .algebra import Scalar
 from .errors import NumericResidualExceeded
 from .hyper import IdentityInstance
 from .identity import DEFAULT_BUFFER, VerificationReport, verify
@@ -100,13 +100,13 @@ def bessel_demo(
     Raises NumericResidualExceeded when a divided difference that should
     vanish stays above ``tolerance`` relative to the largest sampled
     magnitude; exact-layer validation errors propagate (nu must be a
-    non-integer rational, so that (0, nu) is distinct modulo integers).
+    non-integer Fraction, so that (0, nu) is distinct modulo integers; a
+    float raises ValueError).
     Raises ValueError for a negative ``order`` (every truncated J would be
     0), a ``tolerance`` that is not finite and positive, and samples that
     are not finite, positive and distinct; any of these would let the
     numeric layer pass vacuously.
     """
-    nu = as_fraction(nu)
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     if not (math.isfinite(tolerance) and tolerance > 0):

@@ -2,10 +2,12 @@
 
 Instance files are JSON objects {"a": [...], "b": [...], "m": [...],
 "n": [...]} with rationals written as ints or strings "p/q", "p"; r and s are
-inferred from the vector lengths.  Every command prints a single JSON
-payload on stdout.  Exit codes: 0 all checks pass, 1 a check failed,
-2 input or validation error (with an {"error": ...} payload).  Output is
-deterministic: identical input, flags, and seed produce byte-identical
+inferred from the vector lengths; ``bessel --nu`` takes the same strings.
+Every command prints a single JSON payload on stdout.  Exit codes: 0 all
+checks pass, 1 a check failed, 2 input or validation error (with an
+{"error": ...} payload), a command line that does not parse included: its
+UsageError payload is always compact, as --pretty was never read.  Output
+is deterministic: identical input, flags, and seed produce byte-identical
 bytes; --pretty toggles indentation only.
 """
 
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .asymptotics import check_residue_polynomial
@@ -26,7 +27,7 @@ from .errors import (
     SupportViolation,
 )
 from .fuzzing import fuzz
-from .hyper import IdentityInstance
+from .hyper import IdentityInstance, parse_rational
 from .identity import DEFAULT_BUFFER, beta_coefficients, verify
 from .residues import (
     residue_at_infinity,
@@ -40,11 +41,19 @@ _CHECK_FAILURES = (SupportViolation, CheckFailed, NumericResidualExceeded)
 
 
 class UsageError(ValueError):
-    """A structurally valid command line missing a required value."""
+    """A command line that does not parse: an unknown command or option, a
+    missing or malformed argument."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypident",
         description="Exact certification of hypergeometric-product reduction identities.",
     )
@@ -73,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residue-check", help="three-route residue values at one k")
     add_common(p, with_buffer=False)
-    p.add_argument("--k", type=int, default=None, help="kernel index (required)")
+    p.add_argument("--k", type=int, required=True, help="kernel index")
 
     p = sub.add_parser("fuzz", help="verify a batch of random instances")
     add_common(p, with_input=False)
@@ -91,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bessel", help="Bessel-product demonstration")
     add_common(p, with_input=False, with_buffer=False)
-    p.add_argument("--nu", type=str, default=None, help='rational order, e.g. "1/3"')
-    p.add_argument("--m", type=int, default=None, dest="m_shift", help="integer shift")
+    p.add_argument("--nu", required=True, help='rational order, e.g. "1/3"')
+    p.add_argument("--m", type=int, required=True, dest="m_shift", help="integer shift")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument(
@@ -123,8 +132,6 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         return report.to_dict(), 0
 
     if args.command == "residue-check":
-        if args.k is None:
-            raise UsageError("residue-check requires --k")
         inst = _load_instance(args.input)
         kernel = residue_kernel(inst, args.k)
         finite = sum_finite_residues(kernel)
@@ -151,21 +158,17 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         return report.to_dict(), 0 if report.failed == 0 else 1
 
     if args.command == "bessel":
-        if args.nu is None or args.m_shift is None:
-            raise UsageError("bessel requires --nu and --m")
         samples = DEFAULT_SAMPLES
         if args.samples:
             samples = tuple(float(x) for x in args.samples.split(","))
         report = bessel_demo(
-            Fraction(args.nu),
+            parse_rational(args.nu),
             args.m_shift,
             order=args.order,
             samples=samples,
             tolerance=args.tolerance,
         )
         return report.to_dict(), 0 if report.passed else 1
-
-    raise UsageError(f"unknown command {args.command!r}")
 
 
 def _emit(payload: dict, pretty: bool) -> None:
@@ -191,7 +194,13 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(build_parser().parse_args(argv))
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        # the command line did not parse, so --pretty is unknown
+        _emit({"error": {"type": "UsageError", "message": str(exc)}}, pretty=False)
+        return 2
+    return run(args)
 
 
 if __name__ == "__main__":

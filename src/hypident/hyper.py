@@ -6,7 +6,9 @@ series generation, and the validation step that turns a raw parameter/shift
 tuple into the derived quantities (M, N, m_min, n_max, p, D) driving
 everything downstream.
 
-Parameters are exact rationals throughout.  The upper parameters ``a`` must
+Parameters are exact rationals throughout: an instance takes only ints and
+Fractions, and text only in the form "p/q" or "p" (``parse_rational``), so
+nothing is coerced silently.  The upper parameters ``a`` must
 be pairwise distinct modulo integers; this single hypothesis guarantees all
 kernel poles are simple and every lower series parameter stays off the
 non-positive integers.
@@ -32,6 +34,14 @@ from .errors import (
 )
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # "p/q" or "p", the sign on p only
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written "p/q" or "p" (the sign on p only, nothing
+    around it); ValueError for any other text, ZeroDivisionError for q = 0."""
+    if not (isinstance(text, str) and _RATIONAL.fullmatch(text)):
+        raise ValueError(f"rational must be an int or a string p/q, got {text!r}")
+    return Fraction(text)
 
 
 def rising(x: int, q: int, scale: int) -> tuple[int, int]:
@@ -111,12 +121,14 @@ class Theorem(enum.Enum):
         return self.value
 
 
-def _shifts(name: str, values: Sequence) -> tuple[int, ...]:
-    """The shift vector as a tuple, rejecting anything but plain ints."""
+def _entries(name: str, values: Sequence, kinds: tuple[type, ...]) -> tuple:
+    """The vector as a tuple, rejecting any entry that is not one of
+    ``kinds`` and every bool (an int to ``isinstance``)."""
     values = tuple(values)
     for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"shift vector {name} must hold integers, got {x!r}")
+        if not isinstance(x, kinds) or isinstance(x, bool):
+            kind = " or ".join(k.__name__ for k in kinds)
+            raise ValueError(f"vector {name} must hold {kind} entries, got {x!r}")
     return values
 
 
@@ -131,10 +143,11 @@ class IdentityInstance:
     n: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(as_fraction(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(as_fraction(x) for x in self.b))
-        object.__setattr__(self, "m", _shifts("m", self.m))
-        object.__setattr__(self, "n", _shifts("n", self.n))
+        for name in "ab":
+            values = _entries(name, getattr(self, name), (int, Fraction))
+            object.__setattr__(self, name, tuple([as_fraction(x) for x in values]))
+        object.__setattr__(self, "m", _entries("m", self.m, (int,)))
+        object.__setattr__(self, "n", _entries("n", self.n, (int,)))
 
     @cached_property
     def derived(self) -> DerivedQuantities:
@@ -199,12 +212,10 @@ class IdentityInstance:
             a, b, m, n = data["a"], data.get("b", []), data.get("m", []), data["n"]
             if not all(isinstance(v, list) for v in (a, b, m, n)):
                 raise ValueError("a, b, m and n must be arrays")
-            for x in a + b:
-                if not (type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x)):
-                    raise ValueError(f"rational must be an int or a string p/q, got {x!r}")
+            a, b = ([x if type(x) is int else parse_rational(x) for x in v] for v in (a, b))
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"malformed instance object: {exc}") from exc
-        return cls(a=tuple(map(Fraction, a)), b=tuple(map(Fraction, b)), m=tuple(m), n=tuple(n))
+        return cls(a=tuple(a), b=tuple(b), m=tuple(m), n=tuple(n))
 
     def to_dict(self) -> dict:
         return {

@@ -33,8 +33,8 @@ class TestBernoulliCombination:
     # and its degree through q_j, whose leading term is G_1^j / j!
 
     def test_canonical_linear_polynomial(self):
-        q1 = exp_series_coefficient(CANONICAL, 1) * 2
-        assert q1 == Polynomial.of(1, Q(23, 6))
+        q1 = exp_series_coefficient(CANONICAL, 1)
+        assert q1 == Polynomial.of(Q(1, 2), Q(23, 12))
 
     def test_pointwise_against_direct_evaluation(self):
         # independent route: evaluate the Bernoulli sum directly at each k

@@ -61,6 +61,10 @@ class TestBesselDemo:
         with pytest.raises(NotDistinctModZ):
             bessel_demo(2, 1)
 
+    def test_float_order_rejected(self):
+        with pytest.raises(ValueError):
+            bessel_demo(1 / 3, 1)
+
     def test_unreachable_tolerance(self):
         with pytest.raises(NumericResidualExceeded):
             bessel_demo(Q(1, 3), 1, tolerance=1e-18)

@@ -264,12 +264,36 @@ class TestStrictInput:
             ["--nu", "1/3", "--m", "3", "--samples", "inf,1,2"],
             ["--nu", "1/3", "--m", "3", "--tolerance", "inf"],
             ["--nu", "1/3", "--m", "3", "--tolerance", "0"],
+            # each of these used to be read as a rational and exit 0
+            ["--nu", "0.25", "--m", "1"],
+            ["--nu", " 1/3", "--m", "1"],
+            ["--nu", "+1/3", "--m", "1"],
+            ["--nu", "1_0/3", "--m", "1"],
         ],
     )
     def test_bad_bessel_values_exit_2(self, capsys, args):
         status, out = run_cli(capsys, ["bessel", *args])
         assert status == 2
         assert "error" in json.loads(out, parse_constant=pytest.fail)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fuzz", "--count", "abc"],
+            ["verify"],
+            ["no-such-command"],
+            ["residue-check", "x.json", "--k"],
+            ["verify", "x.json", "--no-such-flag"],
+            [],
+        ],
+    )
+    def test_unparsable_command_line_exits_2_with_json(self, capsys, args):
+        # each of these used to print argparse usage text on stderr only
+        status = main(args)
+        out, err = capsys.readouterr()
+        assert status == 2
+        assert out.count("\n") == 1 and err == ""
+        assert json.loads(out)["error"]["type"] == "UsageError"
 
 
 # (instance or None, command line without the input path, exit status, stdout)

@@ -265,3 +265,12 @@ class TestInstanceSerialization:
             IdentityInstance.from_dict(
                 {"a": ["0", "1/2"], "b": ["1/3"], "m": [shift], "n": [0, 0]}
             )
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, "1/2", True, False])
+    def test_parameters_must_be_ints_or_fractions(self, value):
+        # 0.1 used to become 3602879701896397/36028797018963968, "1/2" 1/2
+        # and True 1
+        with pytest.raises(ValueError):
+            IdentityInstance(a=(value, Q(1, 3)), b=(), m=(), n=(0, 0))
+        with pytest.raises(ValueError):
+            IdentityInstance(a=(0, Q(1, 2)), b=(value,), m=(0,), n=(0, 0))
