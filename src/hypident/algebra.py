@@ -5,7 +5,7 @@ A Laurent series keeps integer numerators over one common positive
 denominator, so a product is an integer convolution and a sum works over
 the lcm of two denominators; its coefficients are read back as exact
 `fractions.Fraction`s.  It is the one ring here: a polynomial is only
-built (from roots, or by interpolation), evaluated and deflated.
+built (from roots, or by interpolation) and evaluated.
 Polynomial coefficients stay `int` while every input is an integer and
 become `Fraction` otherwise, so integer polynomials run on plain ints.
 Every division is exact (``exact_div``); no floating point enters this
@@ -155,18 +155,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def deflate(self, z0: Scalar) -> tuple[Polynomial, Scalar]:
-        """Synthetic division by (z - z0): returns (quotient, remainder)."""
-        if not self.coeffs:
-            return Polynomial.zero(), 0
-        out = [0] * (len(self.coeffs) - 1)
-        carry = 0
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            carry = self.coeffs[i] + carry * z0
-            out[i - 1] = carry
-        rem = self.coeffs[0] + carry * z0
-        return Polynomial(tuple(out)), rem
 
     def __str__(self) -> str:
         return _format_terms([*enumerate(self.coeffs)][::-1])

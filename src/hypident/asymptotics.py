@@ -181,6 +181,25 @@ class Lemma1Report:
         }
 
 
+def _law_points(derived: DerivedQuantities) -> range:
+    """The k where the law is checked: -m_min .. -m_min + max(p, 0) + 2."""
+    return range(-derived.m_min, -derived.m_min + max(derived.p, 0) + 3)
+
+
+def _check_law(inst: IdentityInstance, values: list[Scalar]) -> Lemma1Report:
+    """Compare the residues at infinity ``values``, taken at ``_law_points``,
+    with the law of the balanced ``inst``; raises CheckFailed at the first
+    discrepant k."""
+    p, points = inst.derived.p, _law_points(inst.derived)
+    expected = _law_values(inst, p, points[0], len(points)) if p >= 0 else [0] * len(points)
+    for k, value, law in zip(points, values, expected):
+        if value != law:
+            raise CheckFailed(
+                f"residue at infinity for k={k} is {value}, expected {law} (p={p})"
+            )
+    return Lemma1Report(p=p, points=tuple(points), residue_values=tuple(values))
+
+
 def check_residue_polynomial(inst: IdentityInstance) -> Lemma1Report:
     """Confirm the degree-p polynomial law for residues at infinity.
 
@@ -191,18 +210,5 @@ def check_residue_polynomial(inst: IdentityInstance) -> Lemma1Report:
     sampled k and evidence, not proof, for the others.
     Raises CheckFailed at the first discrepant k.
     """
-    derived = _require_balanced(inst)
-    p = derived.p
-    count = p + 3 if p >= 1 else 3
-    points = tuple(range(-derived.m_min, -derived.m_min + count))
-    values = tuple([residue_at_infinity(residue_kernel(inst, k)) for k in points])
-    if p == -1:
-        expected = [Fraction(0)] * count
-    else:
-        expected = _law_values(inst, p, points[0], count)
-    for k, value, law in zip(points, values, expected):
-        if value != law:
-            raise CheckFailed(
-                f"residue at infinity for k={k} is {value}, expected {law} (p={p})"
-            )
-    return Lemma1Report(p=p, points=points, residue_values=values)
+    points = _law_points(_require_balanced(inst))
+    return _check_law(inst, [residue_at_infinity(residue_kernel(inst, k)) for k in points])

@@ -8,13 +8,17 @@ checks pass, 1 a check failed, 2 input or validation error (with an
 {"error": ...} payload), a command line that does not parse included: its
 UsageError payload is always compact, as --pretty was never read.  Output
 is deterministic: identical input, flags, and seed produce byte-identical
-bytes; --pretty toggles indentation only.
+bytes; --pretty toggles indentation only.  A reader that closes stdout
+early ends the run quietly with status 141, as a shell reports a process
+stopped by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from pathlib import Path
 
@@ -99,6 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bessel", help="Bessel-product demonstration")
+    # read "--nu -1/3" as a value: argparse's own pattern admits -3 and -0.5 but no "/"
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     add_common(p, with_input=False, with_buffer=False)
     p.add_argument("--nu", required=True, help='rational order, e.g. "1/3"')
     p.add_argument("--m", type=int, required=True, dest="m_shift", help="integer shift")
@@ -176,7 +182,7 @@ def _emit(payload: dict, pretty: bool) -> None:
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    print(text)
+    print(text, flush=True)
 
 
 def run(args: argparse.Namespace) -> int:
@@ -195,12 +201,18 @@ def run(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        # the command line did not parse, so --pretty is unknown
-        _emit({"error": {"type": "UsageError", "message": str(exc)}}, pretty=False)
-        return 2
-    return run(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except UsageError as exc:
+            # the command line did not parse, so --pretty is unknown
+            _emit({"error": {"type": "UsageError", "message": str(exc)}}, pretty=False)
+            return 2
+        return run(args)
+    except BrokenPipeError:
+        # the reader closed stdout early: what is still buffered goes to
+        # devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -18,13 +18,29 @@ the denominators of the parameters a and b.  Every kernel root lies in
 a_i + Z or b_l + Z, so in (1/D) Z, and becomes the integer D times itself:
 numerator and denominator are monic polynomials in w with integer
 coefficients, Ntilde(w) = D^{deg num} num(w/D) and likewise for the
-denominator.  Synthetic division at an integer pole and series division
+denominator.  Horner evaluation at an integer pole and series division
 by a monic denominator then stay in the integers, and only the final
 division of a residue leaves them.  Since dz = dw / D, both the residue at
 a pole and the coefficient of 1/z at infinity return to z through the one
 factor D^(deg den - deg num - 1).  The closed form scales each Pochhammer
 factor the same way: (X/D)_q is an integer product over D^q (``rising``).
 D, D a_i and D b_l are computed once per instance, in ``inst.derived``.
+
+The finite-residue route takes the residue at a simple pole w0 as
+num(w0) / den'(w0), with den(w0) and den'(w0) from one Horner pass.  The
+closed-form route steps each pole string in j: (y - 1)_q / (y)_q is
+(y - 1)/(y + q - 1) for q of either sign, so term j + 1 is term j times
+-(K - j)/(j + 1), times (Y_l - D)/(Y_l + (q_l - 1) D) for each l and
+(X_l + (Q_l - 1) D)/(X_l - D) for each l != i, where K = k + n_i,
+Y_l = D (1 - b_l + a_i - j), X_l = D (a_i - a_l - j), q_l = m_l + k and
+Q_l = n_l + k + 1 (a factor of shift 0 is 1 and left out).  A run of
+nonzero terms is thus one integer over a running denominator, as in
+``hyper_series``.  A zero term cannot be stepped out of.  It has a factor
+Y_l / D in -(q_l - 1) .. 0, so b_l - a_i is an integer, and it lies at an
+end of its string: zero terms on both sides of a nonzero one need b_l - a_i
+in [m_l - n_i + 1, 0], a prefactor pole that ``validate`` rejects.  So each
+string is one run, restarted from ``residue_closed_form`` at its first
+nonzero term.  This route never reads a ``ResidueKernel``.
 """
 
 from __future__ import annotations
@@ -120,26 +136,28 @@ def residue_kernel(inst: IdentityInstance, k: int) -> ResidueKernel:
     poles = []
     for i, (a_i, n_i) in enumerate(zip(inst.a, inst.n)):
         for j in range(k + n_i + 1):
-            poles.append(Pole(a_i + k - j, i, j))
+            poles.append(Pole(a_i + (k - j), i, j))
     return ResidueKernel(
         k=k, scale=scale, scaled=RationalFunction(num, den), poles=tuple(poles)
     )
 
 
 def residue_at_simple_pole(f: RationalFunction, z0: Scalar) -> Scalar:
-    """Residue of f at a simple denominator root z0.
+    """Residue of f at a simple denominator root z0: num(z0) / den'(z0).
 
-    Computed by synthetic division: with den = (z - z0) d(z), the residue is
-    num(z0)/d(z0).  Raises NotSimplePole if z0 is not a root or is a
-    multiple root of the (stored, unreduced) denominator.
+    One Horner pass evaluates den and den' at z0 together.  Raises
+    NotSimplePole if z0 is not a root or is a multiple root of the
+    (stored, unreduced) denominator.
     """
-    quotient, rem = f.den.deflate(z0)
-    if rem != 0:
+    value = slope = 0
+    for c in reversed(f.den.coeffs):
+        slope = slope * z0 + value
+        value = value * z0 + c
+    if value != 0:
         raise NotSimplePole(f"{z0} is not a root of the denominator")
-    d0 = quotient(z0)
-    if d0 == 0:
+    if slope == 0:
         raise NotSimplePole(f"{z0} is a multiple root of the denominator")
-    return exact_div(f.num(z0), d0)
+    return exact_div(f.num(z0), slope)
 
 
 def residue_closed_form(inst: IdentityInstance, i: int, k: int, j: int) -> Scalar:
@@ -177,20 +195,46 @@ def residue_closed_form(inst: IdentityInstance, i: int, k: int, j: int) -> Scala
 
 
 def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:
-    """Double sum of closed-form residues over all pole strings at index k."""
+    """Double sum of closed-form residues over all pole strings at index k,
+    each string summed by term ratio (module docstring)."""
+    derived = inst.derived
+    scale, a, b = derived.scale, derived.a_int, derived.b_int
     total = 0
     for i, n_i in enumerate(inst.n):
-        for j in range(k + n_i + 1):
-            total += residue_closed_form(inst, i, k, j)
+        top = k + n_i
+        # Y_l and X_l at j = 0 with their shifts; a factor of shift 0 is 1
+        ups = [(scale - b_l + a[i], m_l + k) for b_l, m_l in zip(b, inst.m) if m_l + k]
+        downs = [(a[i] - a_l, n_l + k + 1) for l, (a_l, n_l) in enumerate(zip(a, inst.n))
+                 if l != i and n_l + k + 1]
+        # the nonzero terms are the one run lo .. hi (module docstring)
+        lo, hi = 0, top
+        for y, q in ups:
+            if q > 0 and y % scale == 0:
+                c = y // scale  # terms c .. c + q - 1 have a zero factor
+                lo, hi = (max(lo, c + q), hi) if c <= 0 else (lo, min(hi, c - 1))
+        if lo > hi:
+            continue
+        start = residue_closed_form(inst, i, k, lo)
+        term, den, acc = start.numerator, start.denominator, start.numerator
+        for j in range(lo + 1, hi + 1):
+            # the ratio of term j to term j - 1
+            up, down, shift = j - 1 - top, j, (j - 1) * scale
+            for y, q in ups:
+                up, down = up * (y - shift - scale), down * (y - shift + (q - 1) * scale)
+            for x, q in downs:
+                up, down = up * (x - shift + (q - 1) * scale), down * (x - shift - scale)
+            term, den, acc = term * up, den * down, acc * down + term * up
+        total += Fraction(acc, den)
     return total
 
 
 def sum_finite_residues(kernel: ResidueKernel) -> Scalar:
-    """Sum of residues over the kernel's enumerated (simple) poles, each by
-    synthetic division of the w-form denominator at its integer pole."""
+    """Sum of residues over the kernel's enumerated (simple) poles, each
+    from the w-form kernel at its integer pole."""
     total = 0
     for pole in kernel.poles:
-        total += residue_at_simple_pole(kernel.scaled, int(pole.location * kernel.scale))
+        w0 = pole.location.numerator * (kernel.scale // pole.location.denominator)
+        total += residue_at_simple_pole(kernel.scaled, w0)
     return kernel._to_z(total)
 
 

@@ -56,17 +56,6 @@ class TestPolynomial:
             assert p(root) == 0
         assert p(0) == (0 - 1) * (0 - Q(1, 2)) * (0 + 3)
 
-    def test_deflate_matches_divmod(self):
-        rng = random.Random(12)
-        for _ in range(40):
-            p = rand_poly(rng)
-            z0 = rand_fraction(rng)
-            q, rem = p.deflate(z0)
-            # deg p + 2 points pin the identity p = q (z - z0) + rem
-            for z in range(len(p.coeffs) + 1):
-                assert q(z) * (z - z0) + rem == p(z)
-            assert rem == p(z0)
-
     def test_compose_affine(self):
         # p(c0 + c1 t), of degree deg p in t, rebuilt by interpolation at
         # deg p + 1 consecutive points and checked at others

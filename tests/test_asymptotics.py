@@ -162,13 +162,17 @@ class TestResiduePolynomialLaw:
             assert report.polynomial(k) == oracle_q(P31, 31, k)
 
     def test_failure_names_the_k(self, monkeypatch):
-        # a residue at infinity off by one at k = 1 only: the law check fails
+        # the law's value off by one at k = 1 only: the law check fails
         # there, and verify records the failure instead of raising
         inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(3, 3), n=(0, 0))
-        real = asymptotics.residue_at_infinity
-        monkeypatch.setattr(
-            asymptotics, "residue_at_infinity", lambda kernel: real(kernel) + (kernel.k == 1)
-        )
+        real = asymptotics._law_values
+
+        def perturbed(inst, order, start, count):
+            values = real(inst, order, start, count)
+            values[1 - start] += 1
+            return values
+
+        monkeypatch.setattr(asymptotics, "_law_values", perturbed)
         report = verify(inst)
         assert report.cross_checks == {"residue": True, "lemma1": False, "alpha": True}
         assert not report.passed

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,31 @@ class TestBesselCommand:
         )
         assert status == 1
         assert json.loads(out)["error"]["type"] == "NumericResidualExceeded"
+
+    def test_negative_nu_in_either_form(self, capsys):
+        outputs = []
+        for args in (["--nu", "-1/3"], ["--nu=-1/3"]):
+            status, out = run_cli(capsys, ["bessel", *args, "--m", "1"])
+            assert status == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["nu"] == "-1/3"
+
+    def test_closed_stdout_exits_without_traceback(self):
+        # the reader closes the pipe before the payload is written, so
+        # every write to stdout fails with EPIPE, whatever the buffering
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "hypident", "bessel", "--nu=-1/3", "--m", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 141
+        assert err == b""
 
     def test_missing_nu_is_usage_error(self, capsys):
         status, out = run_cli(capsys, ["bessel", "--m", "1"])

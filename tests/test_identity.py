@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hypident import identity
+from hypident import asymptotics, identity
 from hypident.algebra import LaurentSeries, one_minus_z_power
 from hypident.errors import SupportViolation, TruncationTooSmall
 from hypident.fuzzing import random_instance
@@ -170,3 +170,29 @@ class TestVerify:
         assert data["derived"]["theorem"] == "One"
         assert data["instance"]["a"] == ["0", "1/2"]
         assert set(data["cross_checks"]) == {"residue", "lemma1", "alpha"}
+
+    @pytest.mark.parametrize(
+        "inst, ks",
+        [
+            # p = 1: the residue window -1 .. 11 holds the law's points -1 .. 2
+            (UNIT_SHIFT, range(-1, 12)),
+            # p = 15: the law's points -8 .. 9 reach past the window -8 .. 4
+            (
+                IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(8, 8), n=(0, 0)),
+                range(-8, 10),
+            ),
+        ],
+    )
+    def test_one_kernel_per_k(self, monkeypatch, inst, ks):
+        built = []
+        real = identity.residue_kernel
+
+        def counting(inst, k):
+            built.append(k)
+            return real(inst, k)
+
+        monkeypatch.setattr(identity, "residue_kernel", counting)
+        monkeypatch.setattr(asymptotics, "residue_kernel", counting)
+        report = verify(inst)
+        assert report.passed
+        assert built == list(ks)

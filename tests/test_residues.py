@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from hypident.algebra import Polynomial, RationalFunction, expansion_at_infinity
-from hypident.errors import KBelowRange, NotSimplePole
+from hypident.errors import KBelowRange, NotSimplePole, ValidationError
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, validate
 from hypident.residues import (
@@ -94,6 +94,21 @@ class TestSimplePoleResidue:
         with pytest.raises(NotSimplePole):
             residue_at_simple_pole(f, 2)
 
+    def test_random_roots_against_product_formula(self):
+        # residue of num / prod (z - root) at a root z0 is
+        # num(z0) / prod_{root != z0} (z0 - root)
+        rng = random.Random(12)
+        for _ in range(40):
+            roots = list({Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 6))})
+            num = Polynomial(tuple(Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)))
+            f = RationalFunction(num, Polynomial.from_roots(roots))
+            for z0 in roots:
+                expected = num(z0)
+                for root in roots:
+                    if root != z0:
+                        expected /= z0 - root
+                assert residue_at_simple_pole(f, z0) == expected
+
 
 class TestClosedForm:
     def test_conventions(self):
@@ -119,6 +134,47 @@ class TestClosedForm:
                 for pole in kernel.poles:
                     direct = residue_at_simple_pole(kernel.fraction, pole.location)
                     assert direct == residue_closed_form(inst, pole.i, k, pole.j)
+
+
+def small_denominator_instance(rng):
+    """A valid balanced instance whose parameters have denominators <= 4,
+    so that some b_l - a_i are integers and route 2 meets zero terms."""
+    while True:
+        r = rng.randint(2, 3)
+        a = tuple(Q(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(r))
+        b = tuple(Q(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(r))
+        m = tuple(rng.randint(-3, 3) for _ in range(r))
+        n = tuple(rng.randint(-3, 3) for _ in range(r))
+        inst = IdentityInstance(a=a, b=b, m=m, n=n)
+        try:
+            validate(inst)
+        except ValidationError:
+            continue
+        return inst
+
+
+class TestTermRatioSum:
+    def test_against_the_oracle_through_zero_stretches(self):
+        # route 2 steps each pole string by its term ratio, restarting from
+        # the closed form after zero terms; the oracle takes every residue
+        # by its own product
+        rng = random.Random(61)
+        restarts = 0
+        for _ in range(30):
+            inst = small_denominator_instance(rng)
+            derived = validate(inst)
+            args = (inst.a, inst.b, inst.m, inst.n)
+            for k in range(-derived.n_max, -derived.m_min + 10):
+                total = 0
+                for i, (a_i, n_i) in enumerate(zip(inst.a, inst.n)):
+                    terms = [
+                        kernel_pole_residue(*args, k, a_i + k - j) for j in range(k + n_i + 1)
+                    ]
+                    total += sum(terms)
+                    # a nonzero term after a zero one: the sum had to restart
+                    restarts += any(x == 0 and y != 0 for x, y in zip(terms, terms[1:]))
+                assert residue_sum_closed_form(inst, k) == total, (inst, k)
+        assert restarts > 0
 
 
 class TestResidueTheorem:
