@@ -36,8 +36,9 @@ kernel = residue_kernel(inst, 1)
 print("kernel at k=1:", kernel.fraction)
 print("poles and residues:")
 for pole in kernel.poles:
-    res = residue_at_simple_pole(kernel.fraction, pole.location)
-    print(f"  z = {pole.location}  (string i={pole.i}, offset j={pole.j}):  {res}")
+    z0 = Q(pole.w, kernel.scale)
+    res = residue_at_simple_pole(kernel.fraction, z0)
+    print(f"  z = {z0}  (string i={pole.i}, offset j={pole.j}):  {res}")
 print()
 
 series = lhs_series(inst, 10)

@@ -165,11 +165,12 @@ class LaurentSeries:
     """Truncated formal Laurent series with exact rational coefficients,
     kept as integer numerators over one common denominator.
 
-    The coefficient of z**(low + i) is ``nums[i] / den``.  Coefficients at
+    The coefficient of z**(low + i) is ``nums[i] / den``, read as a
+    Fraction through ``coefficient`` and ``items``.  Coefficients at
     exponents in (low + len(nums) - 1, trunc] are exactly zero; exponents
     above ``trunc`` are unknown and querying them raises TruncationError.
-    ``nums`` may also be given as Fractions (or a mix with ints); their
-    denominators are cleared into ``den`` once, on construction.
+    ``nums`` and ``den`` are ints (``clear_denominators`` turns rationals
+    into that form); a nonzero Fraction numerator raises TypeError.
     Construction canonicalises: ``den`` is made positive, zero numerators
     are stripped at both ends and the content gcd(den, *nums) is divided
     out, so two equal series compare equal however they were built.
@@ -184,9 +185,6 @@ class LaurentSeries:
         nums, den = self.nums, self.den
         if den == 0:
             raise ZeroDivisionError("series with zero denominator")
-        if not all(type(c) is int for c in nums):
-            scale, nums = clear_denominators(nums)
-            den *= scale
         if den < 0:
             nums, den = [-c for c in nums], -den
         lo, hi = 0, len(nums)
@@ -217,11 +215,6 @@ class LaurentSeries:
     def high(self) -> int:
         """Largest exponent with a stored coefficient (low - 1 if none)."""
         return self.low + len(self.nums) - 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The stored coefficients, low to high, as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def coefficient(self, e: int) -> Fraction:
         if e > self.trunc:

@@ -181,22 +181,23 @@ class Lemma1Report:
         }
 
 
-def _law_points(derived: DerivedQuantities) -> range:
-    """The k where the law is checked: -m_min .. -m_min + max(p, 0) + 2."""
-    return range(-derived.m_min, -derived.m_min + max(derived.p, 0) + 3)
-
-
-def _check_law(inst: IdentityInstance, values: list[Scalar]) -> Lemma1Report:
-    """Compare the residues at infinity ``values``, taken at ``_law_points``,
-    with the law of the balanced ``inst``; raises CheckFailed at the first
-    discrepant k."""
-    p, points = inst.derived.p, _law_points(inst.derived)
-    expected = _law_values(inst, p, points[0], len(points)) if p >= 0 else [0] * len(points)
-    for k, value, law in zip(points, values, expected):
+def _check_law(inst: IdentityInstance, at_infinity: dict[int, Scalar]) -> Lemma1Report:
+    """Compare the residues at infinity of the balanced ``inst`` with its
+    law at k = -m_min .. -m_min + max(p, 0) + 2.  ``at_infinity`` holds the
+    values already known, by k; the kernels for the other points are built
+    here.  Raises CheckFailed at the first discrepant k."""
+    derived = _require_balanced(inst)
+    p, start = derived.p, -derived.m_min
+    points = range(start, start + max(p, 0) + 3)
+    expected = _law_values(inst, p, start, len(points)) if p >= 0 else [0] * len(points)
+    values = []
+    for k, law in zip(points, expected):
+        value = at_infinity[k] if k in at_infinity else residue_at_infinity(residue_kernel(inst, k))
         if value != law:
             raise CheckFailed(
                 f"residue at infinity for k={k} is {value}, expected {law} (p={p})"
             )
+        values.append(value)
     return Lemma1Report(p=p, points=tuple(points), residue_values=tuple(values))
 
 
@@ -210,5 +211,4 @@ def check_residue_polynomial(inst: IdentityInstance) -> Lemma1Report:
     sampled k and evidence, not proof, for the others.
     Raises CheckFailed at the first discrepant k.
     """
-    points = _law_points(_require_balanced(inst))
-    return _check_law(inst, [residue_at_infinity(residue_kernel(inst, k)) for k in points])
+    return _check_law(inst, {})

@@ -23,7 +23,7 @@ from typing import Sequence
 from .algebra import Scalar
 from .errors import NumericResidualExceeded
 from .hyper import IdentityInstance
-from .identity import DEFAULT_BUFFER, VerificationReport, verify
+from .identity import VerificationReport, verify
 
 DEFAULT_SAMPLES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 DEFAULT_ORDER = 30
@@ -93,7 +93,6 @@ def bessel_demo(
     order: int = DEFAULT_ORDER,
     samples: Sequence[float] = DEFAULT_SAMPLES,
     tolerance: float = DEFAULT_TOLERANCE,
-    buffer: int = DEFAULT_BUFFER,
 ) -> BesselReport:
     """Run both layers of the Bessel-product check.
 
@@ -119,7 +118,7 @@ def bessel_demo(
         raise ValueError("samples must be distinct")
 
     inst = IdentityInstance(a=(Fraction(0), nu), b=(), m=(), n=(m_shift, 0))
-    exact = verify(inst, buffer)
+    exact = verify(inst)
 
     nu_f = float(nu)
     size = abs(m_shift)

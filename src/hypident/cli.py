@@ -43,6 +43,20 @@ from .residues import (
 #: Exceptions that mean "the certificate failed", not "the input was bad".
 _CHECK_FAILURES = (SupportViolation, CheckFailed, NumericResidualExceeded)
 
+_DECIMAL = re.compile(r"[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")  # "1", "0.5", "1e-10"
+
+
+def decimal(text: str) -> float:
+    """An argparse type: digits, an optional fraction and exponent, nothing else."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(text)
+    return float(text)
+
+
+def decimals(text: str) -> tuple[float, ...]:
+    """An argparse type: one or more comma-separated ``decimal``s."""
+    return tuple([decimal(x) for x in text.split(",")])
+
 
 class UsageError(ValueError):
     """A command line that does not parse: an unknown command or option, a
@@ -109,13 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True, help='rational order, e.g. "1/3"')
     p.add_argument("--m", type=int, required=True, dest="m_shift", help="integer shift")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument(
-        "--samples",
-        type=str,
-        default=None,
-        help='comma-separated positive abscissae, e.g. "0.5,1,1.5,2"',
-    )
+    p.add_argument("--tolerance", type=decimal, default=DEFAULT_TOLERANCE)
+    p.add_argument("--samples", type=decimals, default=DEFAULT_SAMPLES, help='e.g. "0.5,1,2"')
     return parser
 
 
@@ -164,14 +173,11 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         return report.to_dict(), 0 if report.failed == 0 else 1
 
     if args.command == "bessel":
-        samples = DEFAULT_SAMPLES
-        if args.samples:
-            samples = tuple(float(x) for x in args.samples.split(","))
         report = bessel_demo(
             parse_rational(args.nu),
             args.m_shift,
             order=args.order,
-            samples=samples,
+            samples=args.samples,
             tolerance=args.tolerance,
         )
         return report.to_dict(), 0 if report.passed else 1

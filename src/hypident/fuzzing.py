@@ -20,13 +20,14 @@ def random_rational(rng: random.Random, shift_range: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, max(1, min(12, bound))))
 
 
-def _check_draw_arguments(r_range: tuple[int, int], shift_range: int, family: str) -> None:
-    if family not in ("any", "one", "two"):
-        raise ValueError(f"unknown family {family!r}")
-    if shift_range < 0:
-        raise ValueError(f"shift range must be non-negative, got {shift_range}")
+def _check_draw_arguments(r_range: tuple[int, int], shift_range: int) -> None:
+    # no draw validates with r < 2, nor with shift range 0 (every a_i an integer)
+    if shift_range < 1:
+        raise ValueError(f"shift range must be positive, got {shift_range}")
     if r_range[0] > r_range[1]:
         raise ValueError(f"r range {r_range[0]}..{r_range[1]} is empty")
+    if r_range[0] < 2:
+        raise ValueError(f"r range must start at 2 or more, got {r_range[0]}")
 
 
 def random_instance(
@@ -40,8 +41,11 @@ def random_instance(
     poles — and raising ValueError if none of MAX_REJECTIONS draws is valid.
     ``family`` selects s: "one" forces s = r, "two" forces s < r,
     "any" draws s uniformly from {0, ..., r}.  Raises ValueError for an
-    unknown family, a negative shift range or an empty r range."""
-    _check_draw_arguments(r_range, shift_range, family)
+    unknown family, a shift range below 1 or an r range that is empty or
+    starts below 2."""
+    if family not in ("any", "one", "two"):
+        raise ValueError(f"unknown family {family!r}")
+    _check_draw_arguments(r_range, shift_range)
     for _ in range(MAX_REJECTIONS):
         r = rng.randint(*r_range)
         if family == "one":
@@ -89,23 +93,22 @@ def fuzz(
     shift_range: int = 3,
     seed: int = 0,
     buffer: int = DEFAULT_BUFFER,
-    family: str = "any",
 ) -> FuzzReport:
-    """Verify ``count`` random instances; deterministic for a fixed seed.
-    A draw whose verification raises is a failure recording the exception's
-    type and message, and the batch goes on.  The arguments are checked
-    before the first draw: a negative count, a non-positive buffer, a
-    negative shift range or an empty r range raises ValueError."""
+    """Verify ``count`` random instances of the "any" family; deterministic
+    for a fixed seed.  A draw whose verification raises is a failure
+    recording the exception's type and message, and the batch goes on.
+    A negative count, a non-positive buffer or draw arguments that
+    ``random_instance`` rejects raise ValueError before the first draw."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     if buffer < 1:
         raise ValueError(f"buffer must be positive, got {buffer}")
-    _check_draw_arguments(r_range, shift_range, family)
+    _check_draw_arguments(r_range, shift_range)
     rng = random.Random(seed)
     passed = 0
     failures = []
     for index in range(count):
-        inst = random_instance(rng, r_range=r_range, shift_range=shift_range, family=family)
+        inst = random_instance(rng, r_range=r_range, shift_range=shift_range)
         try:
             report = verify(inst, buffer)
         except Exception as exc:  # a fuzzer reports every crash and keeps going

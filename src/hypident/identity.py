@@ -24,7 +24,7 @@ from fractions import Fraction
 from .algebra import LaurentSeries, one_minus_z_power
 # check_residue_polynomial is not called here, but perfbench/tracer.py hooks
 # it by this module's name
-from .asymptotics import _check_law, _law_points, check_residue_polynomial  # noqa: F401
+from .asymptotics import _check_law, check_residue_polynomial  # noqa: F401
 from .errors import CheckFailed, SupportViolation, TruncationTooSmall
 from .hyper import (
     DerivedQuantities,
@@ -218,28 +218,24 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
         "alpha": None,
     }
     if derived.theorem is Theorem.ONE:
-        # one kernel per k of the residue window and the law's points
-        window = range(-derived.m_min, -derived.m_min + buffer // 2 + 1)
-        points = _law_points(derived)
-        ks = range(window.start, max(window.stop, points.stop))
-        kernels = [residue_kernel(inst, k) for k in ks]
-        at_infinity = [residue_at_infinity(kernel) for kernel in kernels]
+        # one kernel per k of the residue window; the law builds its other points
+        start = -derived.m_min
+        kernels = [residue_kernel(inst, k) for k in range(start, start + buffer // 2 + 1)]
+        at_infinity = {kernel.k: residue_at_infinity(kernel) for kernel in kernels}
         cross_checks["residue"] = all(
-            sum_finite_residues(kernel) == value == residue_sum_closed_form(inst, kernel.k)
-            == series.coefficient(kernel.k)
-            for kernel, value in zip(kernels[: len(window)], at_infinity)
+            sum_finite_residues(kernel) == at_infinity[kernel.k]
+            == residue_sum_closed_form(inst, kernel.k) == series.coefficient(kernel.k)
+            for kernel in kernels
         )
         try:
-            _check_law(inst, at_infinity[: len(points)])
+            _check_law(inst, at_infinity)
             cross_checks["lemma1"] = True
         except CheckFailed:
             cross_checks["lemma1"] = False
-        alpha_ok = True
-        for k in range(-derived.n_max, -derived.m_min):
-            if residue_sum_closed_form(inst, k) != series.coefficient(k):
-                alpha_ok = False
-                break
-        cross_checks["alpha"] = alpha_ok
+        cross_checks["alpha"] = all(
+            residue_sum_closed_form(inst, k) == series.coefficient(k)
+            for k in range(-derived.n_max, start)
+        )
 
     return VerificationReport(
         instance=inst,

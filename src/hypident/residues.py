@@ -26,11 +26,12 @@ factor D^(deg den - deg num - 1).  The closed form scales each Pochhammer
 factor the same way: (X/D)_q is an integer product over D^q (``rising``).
 D, D a_i and D b_l are computed once per instance, in ``inst.derived``.
 
-The finite-residue route takes the residue at a simple pole w0 as
-num(w0) / den'(w0), with den(w0) and den'(w0) from one Horner pass.  The
-closed-form route steps each pole string in j: (y - 1)_q / (y)_q is
-(y - 1)/(y + q - 1) for q of either sign, so term j + 1 is term j times
--(K - j)/(j + 1), times (Y_l - D)/(Y_l + (q_l - 1) D) for each l and
+Each ``Pole`` carries its integer w0 = D a_i + (k - j) D, and the
+finite-residue route takes the residue there as num(w0) / den'(w0), with
+den(w0) and den'(w0) from one Horner pass.  The closed-form route steps
+each pole string in j: (y - 1)_q / (y)_q is (y - 1)/(y + q - 1) for q of
+either sign, so term j + 1 is term j times -(K - j)/(j + 1), times
+(Y_l - D)/(Y_l + (q_l - 1) D) for each l and
 (X_l + (Q_l - 1) D)/(X_l - D) for each l != i, where K = k + n_i,
 Y_l = D (1 - b_l + a_i - j), X_l = D (a_i - a_l - j), q_l = m_l + k and
 Q_l = n_l + k + 1 (a factor of shift 0 is 1 and left out).  A run of
@@ -63,9 +64,9 @@ from .hyper import IdentityInstance, Theorem, rising
 
 
 class Pole(NamedTuple):
-    location: Fraction
+    w: int  # the pole in w = D z: D (a_i + k - j)
     i: int  # which upper parameter the pole string belongs to
-    j: int  # offset within the string: location = a_i + k - j
+    j: int  # offset within the string
 
 
 def _unscale_polynomial(poly: Polynomial, scale: int) -> Polynomial:
@@ -80,7 +81,7 @@ def _unscale_polynomial(poly: Polynomial, scale: int) -> Polynomial:
 @dataclass(frozen=True)
 class ResidueKernel:
     """One member of the kernel family, expanded in w = scale * z, with its
-    pole list in z."""
+    poles as integers in w."""
 
     k: int
     scale: int
@@ -134,9 +135,9 @@ def residue_kernel(inst: IdentityInstance, k: int) -> ResidueKernel:
         offset -= (derived.r - derived.s) * k
     assert num.degree - den.degree == offset, "kernel degree bookkeeping broke"
     poles = []
-    for i, (a_i, n_i) in enumerate(zip(inst.a, inst.n)):
+    for i, (a_i, n_i) in enumerate(zip(a, inst.n)):
         for j in range(k + n_i + 1):
-            poles.append(Pole(a_i + (k - j), i, j))
+            poles.append(Pole(a_i + (k - j) * scale, i, j))
     return ResidueKernel(
         k=k, scale=scale, scaled=RationalFunction(num, den), poles=tuple(poles)
     )
@@ -233,8 +234,7 @@ def sum_finite_residues(kernel: ResidueKernel) -> Scalar:
     from the w-form kernel at its integer pole."""
     total = 0
     for pole in kernel.poles:
-        w0 = pole.location.numerator * (kernel.scale // pole.location.denominator)
-        total += residue_at_simple_pole(kernel.scaled, w0)
+        total += residue_at_simple_pole(kernel.scaled, pole.w)
     return kernel._to_z(total)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from hypident import fuzzing
 from hypident.cli import main
+from hypident.errors import ValidationError
 
 ZERO_SHIFT = {"a": ["0", "1/2"], "b": ["1/3", "1/4"], "m": [0, 0], "n": [0, 0]}
 COLLIDING = {"a": ["0", "1"], "b": ["1/3", "1/4"], "m": [0, 0], "n": [0, 0]}
@@ -249,11 +250,19 @@ class TestStrictInput:
         assert status == 2
         assert json.loads(out)["error"]["type"] == error
 
-    def test_rejection_exhaustion_exits_2(self, capsys):
-        # r = 1 never validates, so every draw is rejected
-        status, out = run_cli(capsys, ["fuzz", "--r-range", "1", "1", "--count", "1"])
+    def test_rejection_exhaustion_exits_2(self, capsys, monkeypatch):
+        def reject(_inst):
+            raise ValidationError("rejected")
+
+        monkeypatch.setattr(fuzzing, "validate", reject)
+        status, out = run_cli(capsys, ["fuzz", "--count", "1"])
         assert status == 2
-        assert json.loads(out)["error"]["type"] == "ValueError"
+        assert json.loads(out) == {
+            "error": {
+                "type": "ValueError",
+                "message": "rejection sampling found no valid instance in 10000 draws",
+            }
+        }
 
     def test_negative_fuzz_count_exits_2(self, capsys):
         status, out = run_cli(capsys, ["fuzz", "--count", "-1"])
@@ -266,9 +275,13 @@ class TestStrictInput:
             # a zero buffer used to fail every draw and exit 1
             (["--buffer", "0"], "buffer must be positive, got 0"),
             # these two used to exit 2 with randrange's own message
-            (["--shift-range", "-1"], "shift range must be non-negative, got -1"),
+            (["--shift-range", "-1"], "shift range must be positive, got -1"),
             (["--r-range", "5", "3"], "r range 5..3 is empty"),
             (["--r-range", "4", "3"], "r range 4..3 is empty"),
+            (["--r-range", "-3", "-2"], "r range must start at 2 or more, got -3"),
+            # these two used to spend every draw before giving up
+            (["--r-range", "1", "1"], "r range must start at 2 or more, got 1"),
+            (["--shift-range", "0"], "shift range must be positive, got 0"),
         ],
     )
     def test_bad_fuzz_arguments_exit_2_before_drawing(self, capsys, monkeypatch, args, message):
@@ -298,6 +311,10 @@ class TestStrictInput:
             ["--nu", " 1/3", "--m", "1"],
             ["--nu", "+1/3", "--m", "1"],
             ["--nu", "1_0/3", "--m", "1"],
+            # each of these used to exit 0: the default samples, 10.0, 1e-10
+            ["--nu", "1/3", "--m", "1", "--samples", ""],
+            ["--nu", "1/3", "--m", "1", "--samples", "1_0,2,3"],
+            ["--nu", "1/3", "--m", "1", "--tolerance", "1_0e-11"],
         ],
     )
     def test_bad_bessel_values_exit_2(self, capsys, args):

@@ -130,7 +130,7 @@ class TestBetaCoefficients:
         table = beta_coefficients(inst)
         trunc = verify(inst).checked_up_to
         for e in (table.support_low - 1, table.support_high + 1, trunc):
-            bump = LaurentSeries(e, (Q(1, 7),), trunc)
+            bump = LaurentSeries(e, (1,), trunc, 7)
             monkeypatch.setattr(identity, "lhs_series", lambda i, t: real(i, t) + bump)
             with pytest.raises(SupportViolation, match=rf"^coefficient 1/7 at z\^{e} "):
                 beta_coefficients(inst)

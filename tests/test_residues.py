@@ -26,7 +26,7 @@ class TestKernelConstruction:
         kernel = residue_kernel(CANONICAL, 0)
         assert kernel.fraction.num == Polynomial.one()
         assert kernel.fraction.den == Polynomial.from_roots([0, Q(1, 2)])
-        assert sorted(p.location for p in kernel.poles) == [0, Q(1, 2)]
+        assert sorted(Q(p.w, kernel.scale) for p in kernel.poles) == [0, Q(1, 2)]
 
     def test_unit_shift_numerator(self):
         kernel = residue_kernel(SHIFTED, 0)
@@ -38,10 +38,10 @@ class TestKernelConstruction:
         kernel = residue_kernel(CANONICAL, 1)
         assert kernel.fraction.den == Polynomial.from_roots([1, 0, Q(3, 2), Q(1, 2)])
         assert len(kernel.poles) == 4
-        assert all(
-            residue_at_simple_pole(kernel.fraction, p.location) is not None
-            for p in kernel.poles
-        )
+        for p in kernel.poles:
+            # the pole z = a_i + k - j as an integer in w = D z
+            assert p.w == kernel.scale * (CANONICAL.a[p.i] + 1 - p.j)
+            assert residue_at_simple_pole(kernel.fraction, Q(p.w, kernel.scale)) is not None
 
     def test_confluent_numerator_is_one(self):
         inst = IdentityInstance(a=(0, Q(1, 3)), b=(), m=(), n=(1, 0))
@@ -132,7 +132,8 @@ class TestClosedForm:
             for k in range(-m_min, -m_min + 5):
                 kernel = residue_kernel(inst, k)
                 for pole in kernel.poles:
-                    direct = residue_at_simple_pole(kernel.fraction, pole.location)
+                    z0 = Q(pole.w, kernel.scale)
+                    direct = residue_at_simple_pole(kernel.fraction, z0)
                     assert direct == residue_closed_form(inst, pole.i, k, pole.j)
 
 
@@ -298,9 +299,10 @@ class TestScaledKernelAgainstOracle:
                 offsets.add(kernel.fraction.degree_offset)
                 expected = Q(0)
                 for pole in kernel.poles:
-                    res = oracle_residue(inst, k, pole.location)
+                    z0 = Q(pole.w, kernel.scale)
+                    res = oracle_residue(inst, k, z0)
                     assert residue_closed_form(inst, pole.i, k, pole.j) == res
-                    assert residue_at_simple_pole(kernel.fraction, pole.location) == res
+                    assert residue_at_simple_pole(kernel.fraction, z0) == res
                     expected += res
                 assert sum_finite_residues(kernel) == expected
                 assert residue_at_infinity(kernel) == expected
