@@ -34,7 +34,6 @@ from .errors import (
     NotDistinctModZ,
     NotSimplePole,
     NumericResidualExceeded,
-    PochhammerPole,
     PrefactorPole,
     SupportViolation,
     TruncationError,
@@ -47,7 +46,6 @@ from .hyper import (
     IdentityInstance,
     Theorem,
     hyper_series,
-    pochhammer,
     validate,
 )
 from .identity import (
@@ -85,7 +83,6 @@ __all__ = [
     "NotDistinctModZ",
     "NotSimplePole",
     "NumericResidualExceeded",
-    "PochhammerPole",
     "Polynomial",
     "PrefactorPole",
     "RationalFunction",
@@ -106,7 +103,6 @@ __all__ = [
     "hyper_series",
     "lhs_series",
     "one_minus_z_power",
-    "pochhammer",
     "random_instance",
     "residue_at_infinity",
     "residue_at_simple_pole",

@@ -97,18 +97,6 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def of(cls, *coeffs: Scalar) -> Polynomial:
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def zero(cls) -> Polynomial:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> Polynomial:
-        return cls((1,))
-
-    @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> Polynomial:
         """Monic product of (z - root) over the given roots."""
         out = [1]
@@ -248,12 +236,6 @@ class LaurentSeries:
             for i, c in enumerate(part.nums[: max(0, trunc - part.low + 1)]):
                 out[offset + i] += factor * c
         return LaurentSeries(low, tuple(out), trunc, den)
-
-    def __neg__(self) -> LaurentSeries:
-        return LaurentSeries(self.low, [-c for c in self.nums], self.trunc, self.den)
-
-    def __sub__(self, other: LaurentSeries) -> LaurentSeries:
-        return self + (-other)
 
     def __mul__(self, other: LaurentSeries) -> LaurentSeries:
         # Every returned coefficient must be a complete convolution, which

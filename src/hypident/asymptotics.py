@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
+from typing import Mapping
 
 from .algebra import Polynomial, Scalar
 from .errors import CheckFailed
@@ -181,34 +182,31 @@ class Lemma1Report:
         }
 
 
-def _check_law(inst: IdentityInstance, at_infinity: dict[int, Scalar]) -> Lemma1Report:
-    """Compare the residues at infinity of the balanced ``inst`` with its
-    law at k = -m_min .. -m_min + max(p, 0) + 2.  ``at_infinity`` holds the
-    values already known, by k; the kernels for the other points are built
-    here.  Raises CheckFailed at the first discrepant k."""
-    derived = _require_balanced(inst)
-    p, start = derived.p, -derived.m_min
-    points = range(start, start + max(p, 0) + 3)
-    expected = _law_values(inst, p, start, len(points)) if p >= 0 else [0] * len(points)
-    values = []
-    for k, law in zip(points, expected):
-        value = at_infinity[k] if k in at_infinity else residue_at_infinity(residue_kernel(inst, k))
-        if value != law:
-            raise CheckFailed(
-                f"residue at infinity for k={k} is {value}, expected {law} (p={p})"
-            )
-        values.append(value)
-    return Lemma1Report(p=p, points=tuple(points), residue_values=tuple(values))
-
-
-def check_residue_polynomial(inst: IdentityInstance) -> Lemma1Report:
+def check_residue_polynomial(
+    inst: IdentityInstance, at_infinity: Mapping[int, Scalar] | None = None
+) -> Lemma1Report:
     """Confirm the degree-p polynomial law for residues at infinity.
 
     p = -1: the residue vanishes at every sampled k.  p = 0: it equals 1.
     p >= 1: it matches q_p at k = -m_min .. -m_min + p + 2.  The p + 3
     points would over-determine a degree-p polynomial, but the residues are
     not known beforehand to be one, so agreement is exact equality at the
-    sampled k and evidence, not proof, for the others.
+    sampled k and evidence, not proof, for the others.  ``at_infinity``
+    holds the residues already known, by k (``verify`` passes its window's);
+    the kernels for the other points are built here.
     Raises CheckFailed at the first discrepant k.
     """
-    return _check_law(inst, {})
+    derived = _require_balanced(inst)
+    known = at_infinity or {}
+    p, start = derived.p, -derived.m_min
+    points = range(start, start + max(p, 0) + 3)
+    expected = _law_values(inst, p, start, len(points)) if p >= 0 else [0] * len(points)
+    values = []
+    for k, law in zip(points, expected):
+        value = known[k] if k in known else residue_at_infinity(residue_kernel(inst, k))
+        if value != law:
+            raise CheckFailed(
+                f"residue at infinity for k={k} is {value}, expected {law} (p={p})"
+            )
+        values.append(value)
+    return Lemma1Report(p=p, points=tuple(points), residue_values=tuple(values))

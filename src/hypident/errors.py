@@ -29,10 +29,6 @@ class PrefactorPole(ValidationError):
     """A negative-shift Pochhammer in a prefactor is undefined."""
 
 
-class PochhammerPole(HypidentError):
-    """(x)_k with k < 0 hit a zero factor in the denominator."""
-
-
 class BadLowerParameter(HypidentError):
     """A lower series parameter is a non-positive integer."""
 

@@ -1,10 +1,12 @@
 """Instance bookkeeping for the reduction identities.
 
-Holds the rising factorial with integer shifts of either sign (``rising``
-in integers, ``pochhammer`` its Fraction form), formal hypergeometric
-series generation, and the validation step that turns a raw parameter/shift
-tuple into the derived quantities (M, N, m_min, n_max, p, D) driving
-everything downstream.
+Holds the rising factorial with integer shifts of either sign (``rising``,
+and ``rising_quotient`` for a quotient of them as one Fraction), formal
+hypergeometric series generation, and the validation step that turns a raw
+parameter/shift tuple into the derived quantities (M, N, m_min, n_max, p,
+D) driving everything downstream.  D is the lcm of the denominators of a
+and b, and every series or Pochhammer argument the routes need is an
+integer over D: these functions take it as that integer.
 
 Parameters are exact rationals throughout: an instance takes only ints and
 Fractions, and text only in the form "p/q" or "p" (``parse_rational``), so
@@ -24,14 +26,8 @@ from fractions import Fraction
 from math import prod
 from typing import Mapping, Sequence
 
-from .algebra import LaurentSeries, Scalar, as_fraction, clear_denominators
-from .errors import (
-    BadLowerParameter,
-    DimensionMismatch,
-    NotDistinctModZ,
-    PochhammerPole,
-    PrefactorPole,
-)
+from .algebra import LaurentSeries, as_fraction, clear_denominators
+from .errors import BadLowerParameter, DimensionMismatch, NotDistinctModZ, PrefactorPole
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # "p/q" or "p", the sign on p only
 
@@ -53,51 +49,56 @@ def rising(x: int, q: int, scale: int) -> tuple[int, int]:
     return 1, prod(x + t * scale for t in range(q, 0))
 
 
-def pochhammer(x: Scalar, k: int) -> Fraction:
-    """Rising factorial (x)_k for any integer k.
-
-    k >= 0: x (x+1) ... (x+k-1), empty product = 1.
-    k <  0: 1 / ((x+k)(x+k+1) ... (x-1)); raises PochhammerPole when a
-    factor vanishes.
-    """
-    x = as_fraction(x)
-    d = x.denominator
-    top, bottom = rising(x.numerator, k, d)
-    if bottom == 0:
-        raise PochhammerPole(f"({x})_{k} has zero factor {x} + {-x}")
-    return Fraction(top * d ** max(0, -k), bottom * d ** max(0, k))
+def rising_quotient(
+    scale: int, ups: Sequence[tuple[int, int]], downs: Sequence[tuple[int, int]]
+) -> Fraction:
+    """prod (x/scale)_q over the (x, q) in ``ups`` divided by the same
+    product over ``downs``, as one Fraction: the integer products of
+    ``rising`` over the one power of scale their shifts leave.  A zero
+    factor (a pole of an up, a zero of a down) raises ZeroDivisionError;
+    validation rejects every instance on which the callers would meet one."""
+    top = bottom = 1
+    exponent = 0  # the power of scale in the denominator
+    for x, q in ups:
+        up, down = rising(x, q, scale)
+        top, bottom, exponent = top * up, bottom * down, exponent + q
+    for x, q in downs:
+        up, down = rising(x, q, scale)
+        top, bottom, exponent = top * down, bottom * up, exponent - q
+    return Fraction(top * scale ** max(0, -exponent), bottom * scale ** max(0, exponent))
 
 
 def hyper_series(
-    upper: Sequence[Scalar], lower: Sequence[Scalar], trunc: int
+    scale: int, upper: Sequence[int], lower: Sequence[int], trunc: int
 ) -> LaurentSeries:
     """Formal hypergeometric series with coefficients
-    prod(upper)_k / (prod(lower)_k * k!) at z^k, truncated at ``trunc``.
+    prod_u (u)_k / (prod_w (w)_k * k!) at z^k, truncated at ``trunc``, for
+    the parameters u = U / D over the integers U in ``upper`` and w = W / D
+    over the W in ``lower``, with D = ``scale``.
 
-    With D the lcm of the parameters' denominators, the term ratio
-    c_{t+1} / c_t = prod(u + t) / (prod(w + t) (t + 1)) is P(t) / Q(t) for
-    the integers P(t) = prod(D u + D t) D^max(0, #lower - #upper) and
-    Q(t) = prod(D w + D t) (t + 1) D^max(0, #upper - #lower).  So c_k is the
-    integer prod_{t<k} P(t) prod_{k<=t<trunc} Q(t) over the common
+    The term ratio c_{t+1} / c_t = prod(u + t) / (prod(w + t) (t + 1)) is
+    P(t) / Q(t) for the integers P(t) = prod(U + D t) D^max(0, #lower - #upper)
+    and Q(t) = prod(W + D t) (t + 1) D^max(0, #upper - #lower).  So c_k is
+    the integer prod_{t<k} P(t) prod_{k<=t<trunc} Q(t) over the common
     denominator prod_{t<trunc} Q(t): one suffix pass over Q and one running
     prefix over P, with no Fraction per term.
     """
-    for w in map(as_fraction, lower):
-        if w.denominator == 1 and w <= 0:
-            raise BadLowerParameter(f"lower parameter {w} is a non-positive integer")
+    for w in lower:
+        if w % scale == 0 and w <= 0:
+            raise BadLowerParameter(
+                f"lower parameter {Fraction(w, scale)} is a non-positive integer"
+            )
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
-    scale, ints = clear_denominators([*upper, *lower])
-    ups, los = ints[: len(upper)], ints[len(upper) :]
-    lift_p = scale ** max(0, len(los) - len(ups))
-    lift_q = scale ** max(0, len(ups) - len(los))
+    lift_p = scale ** max(0, len(lower) - len(upper))
+    lift_q = scale ** max(0, len(upper) - len(lower))
     nums = [0] * (trunc + 1)
     suffix = 1
     for k in range(trunc, 0, -1):
         nums[k] = suffix
         t = scale * (k - 1)
         q = k * lift_q
-        for w in los:
+        for w in lower:
             q *= w + t
         suffix *= q
     nums[0] = suffix
@@ -105,7 +106,7 @@ def hyper_series(
     for k in range(1, trunc + 1):
         t = scale * (k - 1)
         prefix *= lift_p
-        for u in ups:
+        for u in upper:
             prefix *= u + t
         nums[k] *= prefix
     return LaurentSeries(0, tuple(nums), trunc, suffix)
@@ -167,20 +168,23 @@ class IdentityInstance:
             raise DimensionMismatch(f"len(m)={len(self.m)} != s={s}")
         if s > r:
             raise DimensionMismatch(f"s={s} exceeds r={r}")
+        scale, ints = clear_denominators(self.a + self.b)
+        a, b = ints[:r], ints[r:]
         for i in range(r):
             for j in range(i + 1, r):
-                if (self.a[i] - self.a[j]).denominator == 1:
+                if (a[i] - a[j]) % scale == 0:
                     raise NotDistinctModZ(
                         f"a[{i}]={self.a[i]} and a[{j}]={self.a[j]} differ by an integer"
                     )
         for i in range(r):
             for l in range(s):
-                try:
-                    pochhammer(1 - self.b[l] + self.a[i], self.m[l] - self.n[i])
-                except PochhammerPole as exc:
+                x, q = scale - b[l] + a[i], self.m[l] - self.n[i]
+                if rising(x, q, scale)[1] == 0:
+                    value = Fraction(x, scale)
                     raise PrefactorPole(
-                        f"prefactor (1-b[{l}]+a[{i}])_(m[{l}]-n[{i}]) is undefined: {exc}"
-                    ) from exc
+                        f"prefactor (1-b[{l}]+a[{i}])_(m[{l}]-n[{i}]) is undefined: "
+                        f"({value})_{q} has zero factor {value} + {-value}"
+                    )
         M = sum(self.m)
         N = sum(self.n)
         m_min = min(self.m) if self.m else 0
@@ -191,10 +195,9 @@ class IdentityInstance:
         else:
             theorem = Theorem.TWO
             p = (M - N - r + 1) // (r - s)
-        scale, ints = clear_denominators(self.a + self.b)
         return DerivedQuantities(
             r=r, s=s, M=M, N=N, m_min=m_min, n_max=n_max, p=p, theorem=theorem,
-            scale=scale, a_int=tuple(ints[:r]), b_int=tuple(ints[r:]),
+            scale=scale, a_int=tuple(a), b_int=tuple(b),
         )
 
     @property

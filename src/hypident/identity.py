@@ -22,16 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LaurentSeries, one_minus_z_power
-# check_residue_polynomial is not called here, but perfbench/tracer.py hooks
-# it by this module's name
-from .asymptotics import _check_law, check_residue_polynomial  # noqa: F401
+from .asymptotics import check_residue_polynomial
 from .errors import CheckFailed, SupportViolation, TruncationTooSmall
 from .hyper import (
     DerivedQuantities,
     IdentityInstance,
     Theorem,
     hyper_series,
-    pochhammer,
+    rising_quotient,
 )
 from .residues import (
     residue_at_infinity,
@@ -58,29 +56,30 @@ def lhs_series(inst: IdentityInstance, trunc: int) -> LaurentSeries:
             f"truncation {trunc} cannot reach the lowest exponent {-derived.n_max}"
         )
     diff = derived.r - derived.s
+    scale, a, b = derived.scale, derived.a_int, derived.b_int
     total = LaurentSeries.zero(trunc)
-    for i in range(derived.r):
-        a_i, n_i = inst.a[i], inst.n[i]
+    for i, (a_i, n_i) in enumerate(zip(a, inst.n)):
         if trunc + n_i < 0:
             continue  # term starts above the window
-        others = [l for l in range(derived.r) if l != i]
+        # times D: x_l = 1 - b_l + a_i with q_l = m_l - n_i, and
+        # y_l = a_i - a_l with Q_l = n_l - n_i + 1 for l != i.  The prefactor
+        # is prod (x_l)_{q_l} / prod (y_l)_{Q_l}, the first series has the
+        # parameters 1 - x_l over 1 - y_l, the second x_l + q_l over y_l + Q_l
+        ups = [(scale - b_l + a_i, m_l - n_i) for b_l, m_l in zip(b, inst.m)]
+        downs = [(a_i - a_l, n_l - n_i + 1) for l, (a_l, n_l) in enumerate(zip(a, inst.n))
+                 if l != i]
         first = hyper_series(
-            [b_l - a_i for b_l in inst.b],
-            [1 + inst.a[l] - a_i for l in others],
-            trunc + n_i,
+            scale, [scale - x for x, _ in ups], [scale - y for y, _ in downs], trunc + n_i
         )
         second = hyper_series(
-            [1 - b_l + a_i + m_l - n_i for b_l, m_l in zip(inst.b, inst.m)],
-            [1 - inst.a[l] + a_i + inst.n[l] - n_i for l in others],
+            scale,
+            [x + q * scale for x, q in ups],
+            [y + q * scale for y, q in downs],
             trunc + n_i,
         )
         if diff % 2:
             second = second.substitute_neg_z()
-        prefactor = Fraction(1)
-        for b_l, m_l in zip(inst.b, inst.m):
-            prefactor *= pochhammer(1 - b_l + a_i, m_l - n_i)
-        for l in others:
-            prefactor /= pochhammer(a_i - inst.a[l], inst.n[l] - n_i + 1)
+        prefactor = rising_quotient(scale, ups, downs)
         if (diff * n_i) % 2:
             prefactor = -prefactor
         total = total + (first * second).shift(-n_i).scale(prefactor)
@@ -228,7 +227,7 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
             for kernel in kernels
         )
         try:
-            _check_law(inst, at_infinity)
+            check_residue_polynomial(inst, at_infinity)
             cross_checks["lemma1"] = True
         except CheckFailed:
             cross_checks["lemma1"] = False

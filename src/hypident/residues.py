@@ -23,7 +23,9 @@ by a monic denominator then stay in the integers, and only the final
 division of a residue leaves them.  Since dz = dw / D, both the residue at
 a pole and the coefficient of 1/z at infinity return to z through the one
 factor D^(deg den - deg num - 1).  The closed form scales each Pochhammer
-factor the same way: (X/D)_q is an integer product over D^q (``rising``).
+factor the same way: (X/D)_q is an integer product over D^q, and the
+quotient of such products in each closed-form residue is one
+``rising_quotient``, as is the series route's prefactor.
 D, D a_i and D b_l are computed once per instance, in ``inst.derived``.
 
 Each ``Pole`` carries its integer w0 = D a_i + (k - j) D, and the
@@ -60,7 +62,7 @@ from .algebra import (
     expansion_at_infinity,
 )
 from .errors import KBelowRange, NotSimplePole
-from .hyper import IdentityInstance, Theorem, rising
+from .hyper import IdentityInstance, Theorem, rising_quotient
 
 
 class Pole(NamedTuple):
@@ -180,19 +182,12 @@ def residue_closed_form(inst: IdentityInstance, i: int, k: int, j: int) -> Scala
     scale, a, b = derived.scale, derived.a_int, derived.b_int
     # the Pochhammer arguments times scale: D (1 - b_l + a_i - j), D (a_i - a_l - j)
     base = a[i] - j * scale
-    top = (-1) ** j
-    bottom = factorial(j) * factorial(k + n_i - j)
-    exponent = 0  # the power of scale the integer quotient still carries
-    for b_l, m_l in zip(b, inst.m):
-        up, down = rising(base + scale - b_l, m_l + k, scale)
-        top, bottom, exponent = top * up, bottom * down, exponent - (m_l + k)
-    for l, (a_l, n_l) in enumerate(zip(a, inst.n)):
-        if l != i:
-            up, down = rising(base - a_l, n_l + k + 1, scale)
-            top, bottom, exponent = top * down, bottom * up, exponent + n_l + k + 1
-    if exponent >= 0:
-        return Fraction(top * scale**exponent, bottom)
-    return Fraction(top, bottom * scale**-exponent)
+    quotient = rising_quotient(
+        scale,
+        [(base + scale - b_l, m_l + k) for b_l, m_l in zip(b, inst.m)],
+        [(base - a_l, n_l + k + 1) for l, (a_l, n_l) in enumerate(zip(a, inst.n)) if l != i],
+    )
+    return quotient / ((-1) ** j * factorial(j) * factorial(k + n_i - j))
 
 
 def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:

@@ -89,6 +89,50 @@ def lhs_coefficients(a, b, m, n, hi: int) -> dict:
     return out
 
 
+def lhs_value(a, b, m, n, z, dps: int = 40):
+    """S(z) summed analytically by mpmath at ``dps`` digits, as an mpf:
+
+        sum_i (-1)^((r-s) n_i) z^(-n_i) prod_l (1 - b_l + a_i)_{m_l - n_i}
+              / prod_{l != i} (a_i - a_l)_{n_l - n_i + 1}
+              * F(b - a_i; 1 + a_l - a_i; z)
+              * F(1 - b + a_i + m - n_i; 1 - a_l + a_i + n_l - n_i; (-1)^(r-s) z),
+
+    with each F an ``mpmath.hyper`` and each Pochhammer an ``mpmath.rf``.
+    It shares no code with the exact series: mpmath sums each F to its own
+    convergence, and nothing here truncates.  mpmath is imported here, so
+    the other oracles run without it."""
+    import mpmath
+
+    def num(x):
+        x = Fraction(x)
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    r, s = len(a), len(b)
+    with mpmath.workdps(dps):
+        z = num(z)
+        total = mpmath.mpf(0)
+        for i in range(r):
+            a_i, n_i = a[i], n[i]
+            others = [l for l in range(r) if l != i]
+            term = (-1) ** ((r - s) * n_i) * z ** (-n_i)
+            for l in range(s):
+                term *= mpmath.rf(num(1 - b[l] + a_i), m[l] - n_i)
+            for l in others:
+                term /= mpmath.rf(num(a_i - a[l]), n[l] - n_i + 1)
+            term *= mpmath.hyper(
+                [num(b_l - a_i) for b_l in b], [num(1 + a[l] - a_i) for l in others], z
+            )
+            term *= mpmath.hyper(
+                [num(1 - b[l] + a_i + m[l] - n_i) for l in range(s)],
+                [num(1 - a[l] + a_i + n[l] - n_i) for l in others],
+                (-1) ** (r - s) * z,
+            )
+            total += term
+        return total
+
+
 def partial_fraction_zero_sum(a) -> Fraction:
     """sum_i 1 / prod_{j != i} (a_i - a_j); identically zero for len >= 2."""
     a = [Fraction(x) for x in a]

@@ -55,9 +55,9 @@ class TestPolynomial:
         assert Polynomial(()).is_zero
 
     def test_zero_degree_sentinel(self):
-        assert Polynomial.zero().degree == NEG_INF
-        assert Polynomial.zero().degree < -10**9
-        assert Polynomial.one().degree == 0
+        assert Polynomial(()).degree == NEG_INF
+        assert Polynomial(()).degree < -10**9
+        assert Polynomial((1,)).degree == 0
 
     def test_from_roots_and_eval(self):
         p = Polynomial.from_roots([1, Q(1, 2), -3])
@@ -115,7 +115,7 @@ class TestLaurentSeries:
         rng = random.Random(20)
         for _ in range(60):
             a, b, c = rand_series(rng), rand_series(rng), rand_series(rng)
-            for s in (a + b, a * b, a.scale(rand_fraction(rng)), -c, c.substitute_neg_z()):
+            for s in (a + b, a * b, a.scale(rand_fraction(rng)), c.scale(-1), c.substitute_neg_z()):
                 assert s.den > 0
                 assert gcd(s.den, *s.nums) == 1
                 assert all(type(x) is int for x in s.nums)
@@ -123,7 +123,7 @@ class TestLaurentSeries:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             t = min(a.trunc, b.trunc)
-            assert (a + b) - b == a + LaurentSeries.zero(t)
+            assert (a + b) + b.scale(-1) == a + LaurentSeries.zero(t)
             assert a.scale(Q(-7, 4)).scale(Q(-4, 7)) == a
             assert c.substitute_neg_z().substitute_neg_z() == c
             # rebuilt from its Fraction coefficients it is the same value
@@ -206,7 +206,7 @@ class TestLaurentSeries:
         assert s.shift(2).coefficient(1) == 2
         assert s.shift(2).trunc == 6
         assert s.scale(Q(1, 2)).coefficient(-1) == 1
-        assert (-s).coefficient(0) == -3
+        assert s.scale(-1).coefficient(0) == -3
         t = series(0, (Q(3, 5), Q(-1, 2), Q(2)), 4)
         scaled = t.scale(Q(-10, 9))
         assert coeffs(scaled) == [Q(-2, 3), Q(5, 9), Q(-20, 9)]
@@ -222,14 +222,14 @@ class TestLaurentSeries:
 @pytest.mark.parametrize(
     "value, text",
     [
-        (Polynomial.zero(), "0"),
-        (Polynomial.of(1, -2, 0, -1), "-z^3 - 2*z + 1"),
-        (Polynomial.of(Q(1, 2), 1, Q(-3, 4), -1), "-z^3 - 3/4*z^2 + z + 1/2"),
-        (Polynomial.of(-5), "-5"),
-        (Polynomial.of(0, 1), "z"),
-        (Polynomial.of(0, -1), "-z"),
-        (Polynomial.of(3, 0, 1), "z^2 + 3"),
-        (Polynomial.of(0, Q(-2, 3), Q(7, 5)), "7/5*z^2 - 2/3*z"),
+        (Polynomial(()), "0"),
+        (Polynomial((1, -2, 0, -1)), "-z^3 - 2*z + 1"),
+        (Polynomial((Q(1, 2), 1, Q(-3, 4), -1)), "-z^3 - 3/4*z^2 + z + 1/2"),
+        (Polynomial((-5,)), "-5"),
+        (Polynomial((0, 1)), "z"),
+        (Polynomial((0, -1)), "-z"),
+        (Polynomial((3, 0, 1)), "z^2 + 3"),
+        (Polynomial((0, Q(-2, 3), Q(7, 5))), "7/5*z^2 - 2/3*z"),
         (LaurentSeries.zero(4), "0 + O(z^5)"),
         (LaurentSeries.zero(-3), "0 + O(z^-2)"),
         (series(-1, (Q(-1), 2, 0, Q(3, 7), -1), 6), "-z^-1 + 2 + 3/7*z^2 - z^3 + O(z^7)"),
@@ -266,31 +266,31 @@ class TestOneMinusZPower:
 
 class TestExpansionAtInfinity:
     def test_exact_identity(self):
-        f = RationalFunction(Polynomial.of(1, 1), Polynomial.of(0, 1))  # (z+1)/z
+        f = RationalFunction(Polynomial((1, 1)), Polynomial((0, 1)))  # (z+1)/z
         top, coeffs = expansion_at_infinity(f, 2)
         assert top == 0
         assert coeffs == [1, 1]
 
     def test_degree_gap(self):
-        f = RationalFunction(Polynomial.one(), Polynomial.of(0, -1, 1))  # 1/(z(z-1))
+        f = RationalFunction(Polynomial((1,)), Polynomial((0, -1, 1)))  # 1/(z(z-1))
         top, coeffs = expansion_at_infinity(f, 3)
         assert top == -2
         assert coeffs == [1, 1, 1]
 
     def test_geometric_expansion(self):
-        f = RationalFunction(Polynomial.of(0, 0, 1), Polynomial.of(-1, 1))  # z^2/(z-1)
+        f = RationalFunction(Polynomial((0, 0, 1)), Polynomial((-1, 1)))  # z^2/(z-1)
         top, coeffs = expansion_at_infinity(f, 4)
         assert top == 1
         assert coeffs == [1, 1, 1, 1]
 
     def test_zero_numerator(self):
-        f = RationalFunction(Polynomial.zero(), Polynomial.of(77, 1))
+        f = RationalFunction(Polynomial(()), Polynomial((77, 1)))
         top, coeffs = expansion_at_infinity(f, 3)
         assert top == NEG_INF
         assert coeffs == [0, 0, 0]
 
     def test_bad_depth(self):
-        f = RationalFunction(Polynomial.one(), Polynomial.of(0, 1))
+        f = RationalFunction(Polynomial((1,)), Polynomial((0, 1)))
         with pytest.raises(ValueError):
             expansion_at_infinity(f, 0)
 
@@ -298,7 +298,7 @@ class TestExpansionAtInfinity:
 class TestRationalFunction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            RationalFunction(Polynomial.one(), Polynomial.zero())
+            RationalFunction(Polynomial((1,)), Polynomial(()))
 
     def test_residue_sum_equals_inverse_z_coefficient(self):
         # for deg num < deg den with simple poles: sum of residues == C_{-1}

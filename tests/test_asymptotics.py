@@ -34,7 +34,7 @@ class TestBernoulliCombination:
 
     def test_canonical_linear_polynomial(self):
         q1 = exp_series_coefficient(CANONICAL, 1)
-        assert q1 == Polynomial.of(Q(1, 2), Q(23, 12))
+        assert q1 == Polynomial((Q(1, 2), Q(23, 12)))
 
     def test_pointwise_against_direct_evaluation(self):
         # independent route: evaluate the Bernoulli sum directly at each k
@@ -65,7 +65,7 @@ class TestBernoulliCombination:
 
 class TestExpSeriesCoefficient:
     def test_order_zero_is_one(self):
-        assert exp_series_coefficient(CANONICAL, 0) == Polynomial.one()
+        assert exp_series_coefficient(CANONICAL, 0) == Polynomial((1,))
 
     def test_order_one_is_half_the_combination(self):
         numbers = bernoulli_numbers(2)

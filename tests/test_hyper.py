@@ -4,18 +4,19 @@ from math import factorial
 
 import pytest
 
+from hypident.algebra import clear_denominators
 from hypident.errors import (
     BadLowerParameter,
     DimensionMismatch,
     NotDistinctModZ,
-    PochhammerPole,
     PrefactorPole,
 )
 from hypident.hyper import (
     IdentityInstance,
     Theorem,
     hyper_series,
-    pochhammer,
+    rising,
+    rising_quotient,
     validate,
 )
 
@@ -26,38 +27,67 @@ def non_integer_rational(rng):
     return Q(rng.randint(-20, 20) * 2 + 1, rng.choice([2, 3, 4, 5, 7]))
 
 
+def poch_of(x, k):
+    """(x)_k through the library: one rising_quotient over x's denominator."""
+    x = Q(x)
+    return rising_quotient(x.denominator, [(x.numerator, k)], [])
+
+
+def series_of(upper, lower, trunc, lift=1):
+    """hyper_series over rational parameters, on lift times the lcm of
+    their denominators."""
+    scale, ints = clear_denominators([*upper, *lower])
+    ints = [lift * x for x in ints]
+    return hyper_series(lift * scale, ints[: len(upper)], ints[len(upper) :], trunc)
+
+
 class TestPochhammer:
+    """``rising`` and ``rising_quotient``, the one Pochhammer of the package."""
+
     def test_empty_product(self):
         for x in (Q(0), Q(7, 3), Q(-5)):
-            assert pochhammer(x, 0) == 1
+            assert rising(x.numerator, 0, x.denominator) == (1, 1)
+            assert poch_of(x, 0) == 1
+        assert rising_quotient(5, [], []) == 1
 
     def test_factorial(self):
-        assert pochhammer(1, 4) == 24
-        assert pochhammer(Q(1, 2), 2) == Q(3, 4)
+        assert rising(1, 4, 1) == (24, 1)
+        assert poch_of(1, 4) == 24
+        assert rising(1, 2, 2) == (3, 1)  # (1/2)_2 = 1 * 3 / 2^2
+        assert poch_of(Q(1, 2), 2) == Q(3, 4)
 
     def test_negative_shift(self):
-        assert pochhammer(Q(1, 2), -1) == -2
-        assert pochhammer(Q(1, 2), -2) == Q(4, 3)  # 1/((-3/2)(-1/2))
+        assert rising(1, -1, 2) == (1, -1)  # (1/2)_{-1} = 1 / (-1 * 2^-1)
+        assert poch_of(Q(1, 2), -1) == -2
+        assert poch_of(Q(1, 2), -2) == Q(4, 3)  # 1/((-3/2)(-1/2))
 
     def test_pole(self):
-        with pytest.raises(PochhammerPole):
-            pochhammer(1, -1)
-        with pytest.raises(PochhammerPole):
-            pochhammer(3, -5)
+        assert rising(1, -1, 1) == (1, 0)
+        assert rising(9, -5, 3)[1] == 0  # (3)_{-5}
+        with pytest.raises(ZeroDivisionError):
+            poch_of(1, -1)
+        with pytest.raises(ZeroDivisionError):
+            poch_of(3, -5)
+        # a zero of a down is a pole of the quotient too
+        with pytest.raises(ZeroDivisionError):
+            rising_quotient(2, [(1, 1)], [(0, 2)])
 
     def test_reflection(self):
         rng = random.Random(21)
         for _ in range(60):
             x = non_integer_rational(rng)
             k = rng.randint(-6, 6)
-            assert pochhammer(x, k) * pochhammer(x + k, -k) == 1
+            assert poch_of(x, k) * poch_of(x + k, -k) == 1
+            d = x.denominator
+            assert rising_quotient(d, [(x.numerator, k)], [(x.numerator, k)]) == 1
+            assert rising_quotient(d, [(x.numerator, k), (x.numerator + k * d, -k)], []) == 1
 
     def test_shift_law(self):
         rng = random.Random(22)
         for _ in range(60):
             x = non_integer_rational(rng)
             k = rng.randint(-6, 6)
-            assert pochhammer(x, k + 1) == pochhammer(x, k) * (x + k)
+            assert poch_of(x, k + 1) == poch_of(x, k) * (x + k)
 
     def test_against_the_oracle(self):
         rng = random.Random(24)
@@ -66,16 +96,33 @@ class TestPochhammer:
             k = rng.randint(-8, 8)
             if x.denominator == 1 and 1 <= x <= -k:
                 continue  # a pole, see test_pole_set
-            assert pochhammer(x, k) == poch(x, k)
+            assert poch_of(x, k) == poch(x, k)
+        # quotients of several factors over a common scale, ups and downs
+        # with shifts of either sign (odd over even: no factor vanishes)
+        for _ in range(200):
+            scale = rng.choice([2, 6, 10, 12])
+            ups, downs = (
+                [(rng.randint(-40, 40) * 2 + 1, rng.randint(-6, 6)) for _ in range(rng.randint(0, 3))]
+                for _ in range(2)
+            )
+            expected = Q(1)
+            for x, q in ups:
+                expected *= poch(Q(x, scale), q)
+            for y, q in downs:
+                expected /= poch(Q(y, scale), q)
+            assert rising_quotient(scale, ups, downs) == expected, (scale, ups, downs)
 
     def test_pole_set(self):
         for x in range(-8, 9):
             for k in range(-6, 7):
+                for scale in (1, 3):
+                    bottom = rising(x * scale, k, scale)[1]
+                    assert (bottom == 0) == (1 <= x <= -k), (x, k, scale)
                 if 1 <= x <= -k:
-                    with pytest.raises(PochhammerPole, match=rf"\({x}\)_{k} has zero factor"):
-                        pochhammer(x, k)
+                    with pytest.raises(ZeroDivisionError):
+                        poch_of(x, k)
                 else:
-                    assert pochhammer(x, k) == poch(x, k)
+                    assert poch_of(x, k) == poch(x, k)
 
     def test_sign_reversal_identity(self):
         # (z)_j == (-1)^j (1 - z - j)_j for j >= 0
@@ -83,21 +130,21 @@ class TestPochhammer:
         for _ in range(60):
             z = Q(rng.randint(-30, 30), rng.randint(1, 9))
             j = rng.randint(0, 8)
-            assert pochhammer(z, j) == (-1) ** j * pochhammer(1 - z - j, j)
+            assert poch_of(z, j) == (-1) ** j * poch_of(1 - z - j, j)
 
 
 class TestHyperSeries:
     def test_upper_lower_cancellation_gives_exp(self):
-        s = hyper_series([Q(2, 7)], [Q(2, 7)], 5)
+        s = series_of([Q(2, 7)], [Q(2, 7)], 5)
         for k in range(6):
             assert s.coefficient(k) == Q(1, factorial(k))
 
     def test_terminating_square(self):
-        s = hyper_series([-2, 1], [1], 5)
+        s = series_of([-2, 1], [1], 5)
         assert [s.coefficient(e) for e in range(6)] == [1, -2, 1, 0, 0, 0]
 
     def test_no_parameters_gives_exp(self):
-        s = hyper_series([], [], 3)
+        s = series_of([], [], 3)
         assert [s.coefficient(e) for e in range(4)] == [1, 1, Q(1, 2), Q(1, 6)]
 
     def test_terminating_tail_vanishes(self):
@@ -106,13 +153,14 @@ class TestHyperSeries:
             d = rng.randint(0, 6)
             extra = non_integer_rational(rng)
             # the 1/11 offset keeps the lower parameter off the integers
-            s = hyper_series([-d, extra], [extra + Q(1, 11)], 10)
+            s = series_of([-d, extra], [extra + Q(1, 11)], 10)
             assert all(s.coefficient(k) == 0 for k in range(d + 1, 11))
             assert s.coefficient(d) != 0
 
     def test_against_the_oracle(self):
         # upper and lower counts differ in both directions (the D power moves
-        # between P and Q), and a third of the upper lists terminate
+        # between P and Q), and a third of the upper lists terminate; a
+        # scale above the parameters' own lcm gives the same series
         rng = random.Random(25)
         for _ in range(60):
             upper = [
@@ -126,20 +174,23 @@ class TestHyperSeries:
                 if w.denominator != 1
             ]
             trunc = rng.randint(0, 14)
-            s = hyper_series(upper, lower, trunc)
+            s = series_of(upper, lower, trunc)
             assert s.trunc == trunc and s.den > 0
             for k in range(trunc + 1):
                 expected = series_coefficient(upper, lower, k)
                 assert s.coefficient(k) == expected, (upper, lower, k)
+            assert series_of(upper, lower, trunc, lift=rng.choice([2, 5, 7])) == s
 
     def test_bad_lower_parameter(self):
-        with pytest.raises(BadLowerParameter):
-            hyper_series([Q(1, 2)], [0], 5)
-        with pytest.raises(BadLowerParameter):
-            hyper_series([Q(1, 2)], [-3], 5)
+        with pytest.raises(BadLowerParameter, match="lower parameter 0 is"):
+            series_of([Q(1, 2)], [0], 5)
+        with pytest.raises(BadLowerParameter, match="lower parameter -3 is"):
+            series_of([Q(1, 2)], [-3], 5)
+        with pytest.raises(BadLowerParameter, match="lower parameter -3 is"):
+            series_of([Q(1, 2)], [-3], 5, lift=4)
         # positive integers and non-integers are fine
-        hyper_series([Q(1, 2)], [2], 5)
-        hyper_series([Q(1, 2)], [Q(-7, 2)], 5)
+        series_of([Q(1, 2)], [2], 5)
+        series_of([Q(1, 2)], [Q(-7, 2)], 5)
 
 
 class TestValidate:

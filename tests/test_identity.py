@@ -11,7 +11,7 @@ from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.identity import beta_coefficients, lhs_series, verify
 from hypident.residues import residue_sum_closed_form
 
-from oracles import lhs_coefficients, partial_fraction_zero_sum
+from oracles import lhs_coefficients, lhs_value, partial_fraction_zero_sum
 
 ZERO_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 UNIT_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 1), n=(0, 0))
@@ -40,8 +40,12 @@ class TestLhsSeries:
     def test_matches_oracle_coefficients(self):
         rng = random.Random(52)
         sign_path = 0
-        for _ in range(12):
-            inst = random_instance(rng, r_range=(2, 4), shift_range=2)
+        # D = 6, but term 0's first series has the parameters 1 over 4/3,
+        # whose own lcm is 3: route 1 runs on the instance's scale, not on
+        # each series' own
+        fixed = IdentityInstance(a=(Q(1, 6), Q(1, 2)), b=(Q(7, 6),), m=(1,), n=(0, 1))
+        draws = [random_instance(rng, r_range=(2, 4), shift_range=2) for _ in range(12)]
+        for inst in [fixed, *draws]:
             hi = 30
             series = lhs_series(inst, hi)
             expected = lhs_coefficients(inst.a, inst.b, inst.m, inst.n, hi)
@@ -65,6 +69,35 @@ class TestLhsSeries:
         reduced = one_minus_z_power(2, 25) * series
         assert reduced.coefficient(0) == Q(23, 12)
         assert all(reduced.coefficient(e) == 0 for e in range(1, reduced.trunc + 1))
+
+
+class TestAgainstAnalysis:
+    @pytest.mark.parametrize(
+        "family, seed, zs",
+        [
+            ("one", 1001, (Q(3, 10), Q(-3, 10), Q(-7, 10), Q(11, 20))),
+            # the confluent series are entire, so |z| > 1 too
+            ("two", 1002, (Q(3, 10), Q(-7, 10), Q(5, 2), Q(-3))),
+        ],
+        ids=["balanced", "confluent"],
+    )
+    def test_table_matches_the_mpmath_sum(self, family, seed, zs):
+        # sum_j beta_j z^j / (1-z)^(p+1), or sum_j beta_j z^j for a
+        # confluent instance, is S(z) as mpmath sums it at 40 digits; the
+        # tolerance leaves room for cancellation between the r terms
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(seed)
+        for _ in range(12):
+            inst = random_instance(rng, family=family)
+            table = beta_coefficients(inst)
+            for z in zs:
+                exact = sum((v * z**j for j, v in table.values.items()), Q(0))
+                if family == "one":
+                    exact /= (1 - z) ** (validate(inst).p + 1)
+                value = lhs_value(inst.a, inst.b, inst.m, inst.n, z)
+                with mpmath.workdps(40):
+                    rhs = mpmath.mpf(exact.numerator) / exact.denominator
+                    assert abs(value - rhs) <= mpmath.mpf(10) ** -20 * max(1, abs(rhs)), (inst, z)
 
 
 class TestAlphaCoefficient:
@@ -170,6 +203,21 @@ class TestVerify:
         assert data["derived"]["theorem"] == "One"
         assert data["instance"]["a"] == ["0", "1/2"]
         assert set(data["cross_checks"]) == {"residue", "lemma1", "alpha"}
+
+    def test_law_runs_through_its_entry_point(self, monkeypatch):
+        # once per balanced verify, with the window's residues at infinity,
+        # and never for a confluent one
+        calls = []
+        real = identity.check_residue_polynomial
+
+        def counting(inst, at_infinity=None):
+            calls.append((inst, sorted(at_infinity)))
+            return real(inst, at_infinity)
+
+        monkeypatch.setattr(identity, "check_residue_polynomial", counting)
+        for inst in (UNIT_SHIFT, CONFLUENT, ZERO_SHIFT):
+            assert verify(inst).cross_checks["lemma1"] in (True, None)
+        assert calls == [(UNIT_SHIFT, list(range(-1, 12))), (ZERO_SHIFT, list(range(0, 13)))]
 
     @pytest.mark.parametrize(
         "inst, ks",

@@ -24,7 +24,7 @@ SHIFTED = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 1), n=(0,
 class TestKernelConstruction:
     def test_zero_shift_k0(self):
         kernel = residue_kernel(CANONICAL, 0)
-        assert kernel.fraction.num == Polynomial.one()
+        assert kernel.fraction.num == Polynomial((1,))
         assert kernel.fraction.den == Polynomial.from_roots([0, Q(1, 2)])
         assert sorted(Q(p.w, kernel.scale) for p in kernel.poles) == [0, Q(1, 2)]
 
@@ -46,7 +46,7 @@ class TestKernelConstruction:
     def test_confluent_numerator_is_one(self):
         inst = IdentityInstance(a=(0, Q(1, 3)), b=(), m=(), n=(1, 0))
         for k in range(4):
-            assert residue_kernel(inst, k).fraction.num == Polynomial.one()
+            assert residue_kernel(inst, k).fraction.num == Polynomial((1,))
 
     def test_negative_denominator_shift_flips_to_numerator(self):
         inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(-3, 0))
@@ -76,21 +76,21 @@ class TestKernelConstruction:
 
 class TestSimplePoleResidue:
     def test_single_pole(self):
-        f = RationalFunction(Polynomial.one(), Polynomial.from_roots([Q(5, 7)]))
+        f = RationalFunction(Polynomial((1,)), Polynomial.from_roots([Q(5, 7)]))
         assert residue_at_simple_pole(f, Q(5, 7)) == 1
 
     def test_partial_fractions(self):
-        f = RationalFunction(Polynomial.one(), Polynomial.from_roots([0, 1]))
+        f = RationalFunction(Polynomial((1,)), Polynomial.from_roots([0, 1]))
         assert residue_at_simple_pole(f, 0) == -1
         assert residue_at_simple_pole(f, 1) == 1
 
     def test_multiple_root_rejected(self):
-        f = RationalFunction(Polynomial.one(), Polynomial.from_roots([1, 1]))
+        f = RationalFunction(Polynomial((1,)), Polynomial.from_roots([1, 1]))
         with pytest.raises(NotSimplePole):
             residue_at_simple_pole(f, 1)
 
     def test_non_root_rejected(self):
-        f = RationalFunction(Polynomial.one(), Polynomial.from_roots([1]))
+        f = RationalFunction(Polynomial((1,)), Polynomial.from_roots([1]))
         with pytest.raises(NotSimplePole):
             residue_at_simple_pole(f, 2)
 
@@ -247,9 +247,9 @@ def is_exact(value) -> bool:
 
 class TestExactness:
     def test_int_inputs_never_give_floats(self):
-        f = RationalFunction(Polynomial.of(3, 1), Polynomial.from_roots([1, 2, 5]))
+        f = RationalFunction(Polynomial((3, 1)), Polynomial.from_roots([1, 2, 5]))
         values = [residue_at_simple_pole(f, 1), residue_at_simple_pole(f, 2)]
-        for g in (f, RationalFunction(Polynomial.of(1, 0, 0, 1), Polynomial.of(2, 3))):
+        for g in (f, RationalFunction(Polynomial((1, 0, 0, 1)), Polynomial((2, 3)))):
             values.extend(expansion_at_infinity(g, 5)[1])
         for inst in (CANONICAL, SHIFTED, OFFSET_ZERO, LARGE_LCM):
             m_min = validate(inst).m_min
@@ -263,7 +263,7 @@ class TestExactness:
         assert all(is_exact(v) for v in values), [v for v in values if not is_exact(v)]
 
     def test_not_simple_pole_on_int_polynomials(self):
-        f = RationalFunction(Polynomial.of(1), Polynomial.from_roots([1, 1, 3]))
+        f = RationalFunction(Polynomial((1,)), Polynomial.from_roots([1, 1, 3]))
         with pytest.raises(NotSimplePole):
             residue_at_simple_pole(f, 2)  # not a root
         with pytest.raises(NotSimplePole):
