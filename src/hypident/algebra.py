@@ -5,7 +5,8 @@ A Laurent series keeps integer numerators over one common positive
 denominator, so a product is an integer convolution and a sum works over
 the lcm of two denominators; its coefficients are read back as exact
 `fractions.Fraction`s.  It is the one ring here: a polynomial is only
-built (from roots, or by interpolation) and evaluated.
+built (from roots, or by interpolation) and evaluated.  A degree is an
+int, -1 for the zero polynomial, as an empty series has ``high = low - 1``.
 Polynomial coefficients stay `int` while every input is an integer and
 become `Fraction` otherwise, so integer polynomials run on plain ints.
 Every division is exact (``exact_div``); no floating point enters this
@@ -34,9 +35,6 @@ from typing import Iterable, Iterator, Sequence, Union
 from .errors import TruncationError
 
 Scalar = Union[int, Fraction]
-
-#: Degree of the zero polynomial (sentinel; compares below every integer).
-NEG_INF = float("-inf")
 
 
 def as_fraction(x: Scalar) -> Fraction:
@@ -129,8 +127,8 @@ class Polynomial:
     # -- structure ----------------------------------------------------
 
     @property
-    def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -297,22 +295,12 @@ class RationalFunction:
         if self.den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
 
-    @property
-    def degree_offset(self) -> int | float:
-        """deg(num) - deg(den); the leading exponent of the expansion at
-        infinity (-inf for the zero function)."""
-        if self.num.is_zero:
-            return NEG_INF
-        return self.num.degree - self.den.degree
-
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
 
 
-def expansion_at_infinity(
-    f: RationalFunction, depth: int
-) -> tuple[int | float, list[Scalar]]:
-    """Leading exponent and first ``depth`` coefficients of f at infinity.
+def expansion_at_infinity(f: RationalFunction, depth: int) -> list[Scalar]:
+    """The first ``depth`` coefficients of f at infinity.
 
     f(z) = C_top z^top + C_{top-1} z^{top-1} + ... with top = deg num - deg den,
     computed by exact power-series division of the reversed-coefficient
@@ -323,8 +311,6 @@ def expansion_at_infinity(
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    if f.num.is_zero:
-        return NEG_INF, [0] * depth
     revn = f.num.coeffs[::-1]
     revd = f.den.coeffs[::-1]
     out: list[Scalar] = []
@@ -333,4 +319,4 @@ def expansion_at_infinity(
         for u in range(max(0, t - len(revd) + 1), t):
             acc -= out[u] * revd[t - u]
         out.append(exact_div(acc, revd[0]))
-    return f.num.degree - f.den.degree, out
+    return out

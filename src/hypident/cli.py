@@ -129,7 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_instance(path: str) -> IdentityInstance:
-    data = json.loads(Path(path).read_text())
+    text = Path(path).read_text()
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # bad input, not a failed check: exit 2 like any other malformed file
+        raise ValueError("instance JSON is nested too deeply") from None
     return IdentityInstance.from_dict(data)
 
 

@@ -175,7 +175,9 @@ class VerificationReport:
 
     ``cross_checks`` maps check name to True/False, or None when the check
     does not apply (the residue, alpha, and polynomial-law routes are
-    defined for balanced instances only).
+    defined for balanced instances only).  ``residue``: routes 2-4 meet the
+    series at k = -m_min .. -m_min + buffer // 2, and route 4 at the law's
+    points up to ``checked_up_to``, which cover the top beta at p - m_min.
     """
 
     instance: IdentityInstance
@@ -221,16 +223,17 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
         start = -derived.m_min
         kernels = [residue_kernel(inst, k) for k in range(start, start + buffer // 2 + 1)]
         at_infinity = {kernel.k: residue_at_infinity(kernel) for kernel in kernels}
-        cross_checks["residue"] = all(
-            sum_finite_residues(kernel) == at_infinity[kernel.k]
-            == residue_sum_closed_form(inst, kernel.k) == series.coefficient(kernel.k)
-            for kernel in kernels
-        )
         try:
-            check_residue_polynomial(inst, at_infinity)
+            law = check_residue_polynomial(inst, at_infinity)
             cross_checks["lemma1"] = True
+            at_infinity.update(zip(law.points, law.residue_values))
         except CheckFailed:
             cross_checks["lemma1"] = False
+        # route 4 meets the series also at the law's points, up to the top beta
+        cross_checks["residue"] = all(
+            sum_finite_residues(kernel) == at_infinity[kernel.k]
+            == residue_sum_closed_form(inst, kernel.k) for kernel in kernels
+        ) and all(value == series.coefficient(k) for k, value in at_infinity.items() if k <= trunc)
         cross_checks["alpha"] = all(
             residue_sum_closed_form(inst, k) == series.coefficient(k)
             for k in range(-derived.n_max, start)

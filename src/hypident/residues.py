@@ -22,13 +22,17 @@ denominator.  Horner evaluation at an integer pole and series division
 by a monic denominator then stay in the integers, and only the final
 division of a residue leaves them.  Since dz = dw / D, both the residue at
 a pole and the coefficient of 1/z at infinity return to z through the one
-factor D^(deg den - deg num - 1).  The closed form scales each Pochhammer
-factor the same way: (X/D)_q is an integer product over D^q, and the
-quotient of such products in each closed-form residue is one
-``rising_quotient``, as is the series route's prefactor.
+factor D^(deg den - deg num - 1).  The gap deg num - deg den is
+M - N - r, less (r - s) k for confluent instances; the kernel takes it
+from the instance as ``offset``, and route 4 expands to depth offset + 2.
+The closed form scales each Pochhammer factor the same way: (X/D)_q is an
+integer product over D^q, and the quotient of such products in each
+closed-form residue is one ``rising_quotient``, as is the series route's
+prefactor.
 D, D a_i and D b_l are computed once per instance, in ``inst.derived``.
 
-Each ``Pole`` carries its integer w0 = D a_i + (k - j) D, and the
+Each ``Pole`` carries its integer w0 = D a_i + (k - j) D, the
+denominator is the product of (w - w0) over the poles, and the
 finite-residue route takes the residue there as num(w0) / den'(w0), with
 den(w0) and den'(w0) from one Horner pass.  The closed-form route steps
 each pole string in j: (y - 1)_q / (y)_q is (y - 1)/(y + q - 1) for q of
@@ -82,13 +86,14 @@ def _unscale_polynomial(poly: Polynomial, scale: int) -> Polynomial:
 
 @dataclass(frozen=True)
 class ResidueKernel:
-    """One member of the kernel family, expanded in w = scale * z, with its
-    poles as integers in w."""
+    """One member of the kernel family, expanded in w = scale * z: ``poles``
+    are the roots of ``scaled.den`` in w, and ``offset`` is deg num - deg den."""
 
     k: int
     scale: int
     scaled: RationalFunction  # monic integer polynomials in w
     poles: tuple[Pole, ...]
+    offset: int
 
     @cached_property
     def fraction(self) -> RationalFunction:
@@ -100,7 +105,7 @@ class ResidueKernel:
 
     def _to_z(self, value: Scalar) -> Scalar:
         """A residue of the w-form kernel as the same residue in z."""
-        exponent = self.scaled.den.degree - self.scaled.num.degree - 1
+        exponent = -self.offset - 1
         if exponent >= 0:
             return value * self.scale**exponent
         return exact_div(value, self.scale**-exponent)
@@ -116,33 +121,21 @@ def residue_kernel(inst: IdentityInstance, k: int) -> ResidueKernel:
     if k < -derived.m_min:
         raise KBelowRange(f"k={k} below -m_min={-derived.m_min}")
     scale, a, b = derived.scale, derived.a_int, derived.b_int
-    num_roots: list[int] = []
-    den_roots: list[int] = []
-    for b_l, m_l in zip(b, inst.m):
-        # (z - b_l - k + 1)_{m_l + k} has roots b_l + k - 1 - t (times scale)
-        root = b_l + (k - 1) * scale
-        num_roots.extend(root - t * scale for t in range(m_l + k))
-    for a_l, n_l in zip(a, inst.n):
-        q = n_l + k + 1
-        root = a_l + k * scale
-        if q >= 0:
-            den_roots.extend(root - t * scale for t in range(q))
-        else:
-            # negative shift: 1/(x)_q is the polynomial (x-1)...(x+q)
-            num_roots.extend(root + t * scale for t in range(1, -q + 1))
+    # (z - b_l - k + 1)_{m_l + k} has the roots b_l + k - 1 - t, and for a
+    # negative shift q = n_l + k + 1, 1/(z - a_l - k)_q has a_l + k + t for
+    # t = 1 .. -q (no t for q >= 0); all times scale
+    num_roots = [b_l + (k - 1 - t) * scale for b_l, m_l in zip(b, inst.m) for t in range(m_l + k)]
+    num_roots += [a_l + (k + t) * scale for a_l, n_l in zip(a, inst.n) for t in range(1, -n_l - k)]
+    # (z - a_i - k)_{n_i + k + 1} has the simple roots a_i + k - j
+    poles = [Pole(a_i + (k - j) * scale, i, j) for i, (a_i, n_i) in enumerate(zip(a, inst.n))
+             for j in range(k + n_i + 1)]
     num = Polynomial.from_roots(num_roots)
-    den = Polynomial.from_roots(den_roots)
+    den = Polynomial.from_roots([pole.w for pole in poles])
     offset = derived.M - derived.N - derived.r
     if derived.theorem is Theorem.TWO:
         offset -= (derived.r - derived.s) * k
     assert num.degree - den.degree == offset, "kernel degree bookkeeping broke"
-    poles = []
-    for i, (a_i, n_i) in enumerate(zip(a, inst.n)):
-        for j in range(k + n_i + 1):
-            poles.append(Pole(a_i + (k - j) * scale, i, j))
-    return ResidueKernel(
-        k=k, scale=scale, scaled=RationalFunction(num, den), poles=tuple(poles)
-    )
+    return ResidueKernel(k, scale, RationalFunction(num, den), tuple(poles), offset)
 
 
 def residue_at_simple_pole(f: RationalFunction, z0: Scalar) -> Scalar:
@@ -170,8 +163,9 @@ def residue_closed_form(inst: IdentityInstance, i: int, k: int, j: int) -> Scala
         ---------------------------------------------------------
         j! (k + n_i - j)! prod_{l != i} (a_i - a_l - j)_{n_l+k+1}
 
-    Zero by convention outside 0 <= j <= k + n_i, which extends the formula
-    to every integer pair (k, j) the assembly code touches.
+    Zero by convention outside 0 <= j <= k + n_i.  Route 2
+    (``residue_sum_closed_form``) calls it only at the first nonzero term
+    of each pole string and steps the others by term ratio.
     A zero factor needs b_l - a_i in [m_l - n_i + 1, 0], which validation
     rejects as a prefactor pole; it would raise, never give a value.
     """
@@ -239,9 +233,6 @@ def residue_at_infinity(kernel: ResidueKernel) -> Scalar:
     For a rational function this equals the sum of all finite residues,
     which is exactly the consistency the verifier checks.
     """
-    top = kernel.scaled.degree_offset
-    if top < -1:
+    if kernel.offset < -1:
         return 0
-    depth = int(top) + 2
-    _, coeffs = expansion_at_infinity(kernel.scaled, depth)
-    return kernel._to_z(coeffs[depth - 1])
+    return kernel._to_z(expansion_at_infinity(kernel.scaled, kernel.offset + 2)[-1])

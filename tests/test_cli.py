@@ -250,6 +250,35 @@ class TestStrictInput:
         assert status == 2
         assert json.loads(out)["error"]["type"] == error
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200_000,
+            '{"a": ' + "[" * 100_000 + "]" * 100_000 + ', "n": [0, 0]}',
+        ],
+        ids=["array", "object"],
+    )
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys, text):
+        # json.loads raises RecursionError on these, which used to escape
+        # as a traceback with exit 1, the status of a failed check
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        child = subprocess.run(
+            [sys.executable, "-m", "hypident", "verify", str(path)],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert child.returncode == 2
+        assert child.stdout.count(b"\n") == 1
+        assert json.loads(child.stdout)["error"]["type"] == "ValueError"
+        assert b"Traceback" not in child.stderr
+        for args in (["coeffs"], ["lemma"], ["residue-check", "--k", "0"]):
+            status, out = run_cli(capsys, [*args, str(path)])
+            assert status == 2
+            assert json.loads(out)["error"]["type"] == "ValueError"
+
     def test_rejection_exhaustion_exits_2(self, capsys, monkeypatch):
         def reject(_inst):
             raise ValidationError("rejected")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
 
@@ -218,6 +219,31 @@ class TestVerify:
         for inst in (UNIT_SHIFT, CONFLUENT, ZERO_SHIFT):
             assert verify(inst).cross_checks["lemma1"] in (True, None)
         assert calls == [(UNIT_SHIFT, list(range(-1, 12))), (ZERO_SHIFT, list(range(0, 13)))]
+
+    def test_top_beta_is_cross_checked(self, monkeypatch):
+        # p = 31: the residue window -16 .. -4 stops below the top beta at
+        # p - m_min = 15, which only the law's points -16 .. 17 reach
+        inst = IdentityInstance(
+            a=(Q(-7, 5), Q(2, 9)), b=(Q(3, 4), Q(-5, 11)), m=(16, 16), n=(0, 0)
+        )
+        p, top = 31, 15
+        real = identity.lhs_series
+
+        def perturbed(inst, trunc):
+            # plus z^top / (1 - z)^(p + 1): the top beta moves by 1, the support stays
+            bump = [comb(t + p, p) for t in range(trunc - top + 1)]
+            return real(inst, trunc) + LaurentSeries(top, bump, trunc)
+
+        # with buffer 1 the law's top point lies above the truncation
+        for buffer in (25, 1):
+            assert verify(inst, buffer).passed
+        table = verify(inst).beta
+        monkeypatch.setattr(identity, "lhs_series", perturbed)
+        for buffer in (25, 1):
+            report = verify(inst, buffer)
+            assert report.vanishing_ok
+            assert report.beta.values == {**table.values, top: table.values[top] + 1}
+            assert report.cross_checks == {"residue": False, "lemma1": True, "alpha": True}
 
     @pytest.mark.parametrize(
         "inst, ks",

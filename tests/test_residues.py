@@ -6,7 +6,7 @@ import pytest
 from hypident.algebra import Polynomial, RationalFunction, expansion_at_infinity
 from hypident.errors import KBelowRange, NotSimplePole, ValidationError
 from hypident.fuzzing import random_instance
-from hypident.hyper import IdentityInstance, validate
+from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.residues import (
     residue_at_infinity,
     residue_at_simple_pole,
@@ -67,11 +67,13 @@ class TestKernelConstruction:
         for k in range(0, 6):
             kernel = residue_kernel(t2, k)
             expected = derived.M - derived.N - derived.r - (derived.r - derived.s) * k
-            assert kernel.fraction.degree_offset == expected
+            assert kernel.offset == expected
+            assert kernel.fraction.num.degree - kernel.fraction.den.degree == expected
         derived = validate(SHIFTED)
         for k in range(-1, 6):
             kernel = residue_kernel(SHIFTED, k)
-            assert kernel.fraction.degree_offset == derived.M - derived.N - derived.r
+            assert kernel.offset == derived.M - derived.N - derived.r
+            assert kernel.fraction.num.degree - kernel.fraction.den.degree == kernel.offset
 
 
 class TestSimplePoleResidue:
@@ -216,7 +218,7 @@ class TestResidueTheorem:
     def test_degree_gap_means_zero(self):
         # deg num <= deg den - 2 forces a vanishing 1/z coefficient
         kernel = residue_kernel(CANONICAL, 0)
-        assert kernel.fraction.degree_offset == -2
+        assert kernel.offset == -2
         assert residue_at_infinity(kernel) == 0
 
     def test_unit_value_when_offset_is_minus_one(self):
@@ -250,7 +252,7 @@ class TestExactness:
         f = RationalFunction(Polynomial((3, 1)), Polynomial.from_roots([1, 2, 5]))
         values = [residue_at_simple_pole(f, 1), residue_at_simple_pole(f, 2)]
         for g in (f, RationalFunction(Polynomial((1, 0, 0, 1)), Polynomial((2, 3)))):
-            values.extend(expansion_at_infinity(g, 5)[1])
+            values.extend(expansion_at_infinity(g, 5))
         for inst in (CANONICAL, SHIFTED, OFFSET_ZERO, LARGE_LCM):
             m_min = validate(inst).m_min
             for k in range(-m_min, -m_min + 4):
@@ -290,13 +292,27 @@ class TestScaledKernelAgainstOracle:
                 assert kernel.fraction.num == Polynomial.from_roots(num)
                 assert kernel.fraction.den == Polynomial.from_roots(den)
 
+    def test_poles_and_offset_match_the_factors(self):
+        # the poles are the denominator's roots, and the offset is the
+        # numerator-root count less the denominator-root count
+        checked = 0
+        for inst in self.CASES:
+            m_min = validate(inst).m_min
+            for k in range(-m_min, -m_min + 6):
+                num, den = kernel_roots(inst.a, inst.b, inst.m, inst.n, k)
+                kernel = residue_kernel(inst, k)
+                assert sorted(Q(pole.w, kernel.scale) for pole in kernel.poles) == sorted(den)
+                assert kernel.offset == len(num) - len(den)
+                checked += validate(inst).theorem is Theorem.TWO
+        assert checked  # confluent kernels were among them
+
     def test_every_route_matches_the_product_formula(self):
         offsets = set()
         for inst in self.CASES:
             m_min = validate(inst).m_min
             for k in range(-m_min, -m_min + 7):
                 kernel = residue_kernel(inst, k)
-                offsets.add(kernel.fraction.degree_offset)
+                offsets.add(kernel.offset)
                 expected = Q(0)
                 for pole in kernel.poles:
                     z0 = Q(pole.w, kernel.scale)
