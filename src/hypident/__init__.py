@@ -59,7 +59,6 @@ from .residues import (
     ResidueKernel,
     residue_at_infinity,
     residue_at_simple_pole,
-    residue_closed_form,
     residue_kernel,
     residue_sum_closed_form,
     sum_finite_residues,
@@ -106,7 +105,6 @@ __all__ = [
     "random_instance",
     "residue_at_infinity",
     "residue_at_simple_pole",
-    "residue_closed_form",
     "residue_kernel",
     "residue_sum_closed_form",
     "sum_finite_residues",

@@ -128,10 +128,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not its last value."""
+    if len(data := dict(pairs)) < len(pairs):
+        raise ValueError(f"instance JSON object repeats a key: {[key for key, _ in pairs]}")
+    return data
+
+
 def _load_instance(path: str) -> IdentityInstance:
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         # bad input, not a failed check: exit 2 like any other malformed file
         raise ValueError("instance JSON is nested too deeply") from None
@@ -203,7 +210,7 @@ def run(args: argparse.Namespace) -> int:
     except _CHECK_FAILURES as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
         return 1
-    except (HypidentError, UsageError, OSError, ValueError, ZeroDivisionError) as exc:
+    except (HypidentError, OSError, ValueError, ZeroDivisionError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
         return 2
     _emit(payload, args.pretty)

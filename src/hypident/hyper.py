@@ -118,9 +118,6 @@ class Theorem(enum.Enum):
     ONE = "One"   # balanced: s = r
     TWO = "Two"   # confluent: s < r
 
-    def __str__(self) -> str:
-        return self.value
-
 
 def _entries(name: str, values: Sequence, kinds: tuple[type, ...]) -> tuple:
     """The vector as a tuple, rejecting any entry that is not one of
@@ -210,9 +207,11 @@ class IdentityInstance:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> IdentityInstance:
-        """Parse the JSON object form: rationals as JSON ints or strings "p/q", "p"."""
+        """Parse the JSON object, keys a, b, m and n only: rationals as ints or "p/q", "p"."""
         try:
             a, b, m, n = data["a"], data.get("b", []), data.get("m", []), data["n"]
+            if unknown := sorted(set(data) - {"a", "b", "m", "n"}):
+                raise ValueError(f"unknown keys {unknown}")
             if not all(isinstance(v, list) for v in (a, b, m, n)):
                 raise ValueError("a, b, m and n must be arrays")
             a, b = ([x if type(x) is int else parse_rational(x) for x in v] for v in (a, b))

@@ -173,11 +173,12 @@ def beta_coefficients(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> B
 class VerificationReport:
     """Everything ``verify`` established about one instance.
 
-    ``cross_checks`` maps check name to True/False, or None when the check
-    does not apply (the residue, alpha, and polynomial-law routes are
-    defined for balanced instances only).  ``residue``: routes 2-4 meet the
-    series at k = -m_min .. -m_min + buffer // 2, and route 4 at the law's
-    points up to ``checked_up_to``, which cover the top beta at p - m_min.
+    ``cross_checks`` maps check name to True/False, or None for a check not
+    run: ``verify`` does not run the residue, alpha and polynomial-law checks
+    on confluent instances yet, and the law is stated for balanced ones only.
+    ``residue``: routes 2-4 meet the series at k = -m_min .. -m_min +
+    buffer // 2, and route 4 at the law's points up to ``checked_up_to``,
+    which cover the top beta at p - m_min.
     """
 
     instance: IdentityInstance

@@ -23,19 +23,20 @@ by a monic denominator then stay in the integers, and only the final
 division of a residue leaves them.  Since dz = dw / D, both the residue at
 a pole and the coefficient of 1/z at infinity return to z through the one
 factor D^(deg den - deg num - 1).  The gap deg num - deg den is
-M - N - r, less (r - s) k for confluent instances; the kernel takes it
-from the instance as ``offset``, and route 4 expands to depth offset + 2.
+M - N - r - (r - s) k in both families; the kernel takes it from the
+instance as ``offset``, and route 4 expands to depth offset + 2.
 The closed form scales each Pochhammer factor the same way: (X/D)_q is an
-integer product over D^q, and the quotient of such products in each
-closed-form residue is one ``rising_quotient``, as is the series route's
-prefactor.
+integer product over D^q, and a quotient of such products is one
+``rising_quotient``, as is the series route's prefactor.
 D, D a_i and D b_l are computed once per instance, in ``inst.derived``.
 
 Each ``Pole`` carries its integer w0 = D a_i + (k - j) D, the
 denominator is the product of (w - w0) over the poles, and the
 finite-residue route takes the residue there as num(w0) / den'(w0), with
-den(w0) and den'(w0) from one Horner pass.  The closed-form route steps
-each pole string in j: (y - 1)_q / (y)_q is (y - 1)/(y + q - 1) for q of
+den(w0) and den'(w0) from one Horner pass.  The closed-form route sums
+the residues (-1)^j prod_l (1 - b_l + a_i - j)_{m_l+k} / (j! (K - j)!
+prod_{l != i} (a_i - a_l - j)_{n_l+k+1}) at z = a_i + k - j, stepping each
+pole string in j: (y - 1)_q / (y)_q is (y - 1)/(y + q - 1) for q of
 either sign, so term j + 1 is term j times -(K - j)/(j + 1), times
 (Y_l - D)/(Y_l + (q_l - 1) D) for each l and
 (X_l + (Q_l - 1) D)/(X_l - D) for each l != i, where K = k + n_i,
@@ -44,10 +45,11 @@ Q_l = n_l + k + 1 (a factor of shift 0 is 1 and left out).  A run of
 nonzero terms is thus one integer over a running denominator, as in
 ``hyper_series``.  A zero term cannot be stepped out of.  It has a factor
 Y_l / D in -(q_l - 1) .. 0, so b_l - a_i is an integer, and it lies at an
-end of its string: zero terms on both sides of a nonzero one need b_l - a_i
-in [m_l - n_i + 1, 0], a prefactor pole that ``validate`` rejects.  So each
-string is one run, restarted from ``residue_closed_form`` at its first
-nonzero term.  This route never reads a ``ResidueKernel``.
+end of its string: zero terms on both sides of a nonzero one, like a pole
+in any term, need b_l - a_i in [m_l - n_i + 1, 0], a prefactor pole that
+``validate`` rejects.  So each string is one run lo .. hi, started from its
+own pairs (Y_l, q_l) and (X_l, Q_l) moved to j = lo: one ``rising_quotient``
+over (-1)^lo lo! (K - lo)!.  This route never reads a ``ResidueKernel``.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .algebra import (
     expansion_at_infinity,
 )
 from .errors import KBelowRange, NotSimplePole
-from .hyper import IdentityInstance, Theorem, rising_quotient
+from .hyper import IdentityInstance, rising_quotient
 
 
 class Pole(NamedTuple):
@@ -131,9 +133,7 @@ def residue_kernel(inst: IdentityInstance, k: int) -> ResidueKernel:
              for j in range(k + n_i + 1)]
     num = Polynomial.from_roots(num_roots)
     den = Polynomial.from_roots([pole.w for pole in poles])
-    offset = derived.M - derived.N - derived.r
-    if derived.theorem is Theorem.TWO:
-        offset -= (derived.r - derived.s) * k
+    offset = derived.M - derived.N - derived.r - (derived.r - derived.s) * k
     assert num.degree - den.degree == offset, "kernel degree bookkeeping broke"
     return ResidueKernel(k, scale, RationalFunction(num, den), tuple(poles), offset)
 
@@ -156,37 +156,8 @@ def residue_at_simple_pole(f: RationalFunction, z0: Scalar) -> Scalar:
     return exact_div(f.num(z0), slope)
 
 
-def residue_closed_form(inst: IdentityInstance, i: int, k: int, j: int) -> Scalar:
-    """Closed form of the kernel residue at z = a_i + k - j:
-
-        (-1)^j prod_l (1 - b_l + a_i - j)_{m_l+k}
-        ---------------------------------------------------------
-        j! (k + n_i - j)! prod_{l != i} (a_i - a_l - j)_{n_l+k+1}
-
-    Zero by convention outside 0 <= j <= k + n_i.  Route 2
-    (``residue_sum_closed_form``) calls it only at the first nonzero term
-    of each pole string and steps the others by term ratio.
-    A zero factor needs b_l - a_i in [m_l - n_i + 1, 0], which validation
-    rejects as a prefactor pole; it would raise, never give a value.
-    """
-    n_i = inst.n[i]
-    if j < 0 or j > k + n_i:
-        return 0
-    derived = inst.derived
-    scale, a, b = derived.scale, derived.a_int, derived.b_int
-    # the Pochhammer arguments times scale: D (1 - b_l + a_i - j), D (a_i - a_l - j)
-    base = a[i] - j * scale
-    quotient = rising_quotient(
-        scale,
-        [(base + scale - b_l, m_l + k) for b_l, m_l in zip(b, inst.m)],
-        [(base - a_l, n_l + k + 1) for l, (a_l, n_l) in enumerate(zip(a, inst.n)) if l != i],
-    )
-    return quotient / ((-1) ** j * factorial(j) * factorial(k + n_i - j))
-
-
 def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:
-    """Double sum of closed-form residues over all pole strings at index k,
-    each string summed by term ratio (module docstring)."""
+    """Route 2 at index k: the closed-form residues, summed string by string."""
     derived = inst.derived
     scale, a, b = derived.scale, derived.a_int, derived.b_int
     total = 0
@@ -204,7 +175,10 @@ def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:
                 lo, hi = (max(lo, c + q), hi) if c <= 0 else (lo, min(hi, c - 1))
         if lo > hi:
             continue
-        start = residue_closed_form(inst, i, k, lo)
+        # term lo: the pairs moved to j = lo, over (-1)^lo lo! (top - lo)!
+        start = rising_quotient(
+            scale, [(y - lo * scale, q) for y, q in ups], [(x - lo * scale, q) for x, q in downs]
+        ) / ((-1) ** lo * factorial(lo) * factorial(top - lo))
         term, den, acc = start.numerator, start.denominator, start.numerator
         for j in range(lo + 1, hi + 1):
             # the ratio of term j to term j - 1

@@ -279,6 +279,24 @@ class TestStrictInput:
             assert status == 2
             assert json.loads(out)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # misspelled keys used to be dropped, certifying the s = 0 instance
+            '{"a": ["0", "1/2"], "B": ["1/3", "1/4"], "M": [1, 1], "n": [0, 0]}',
+            # a repeated key used to keep its last value
+            '{"a": ["0", "1/2"], "n": [0, 0], "b": [], "n": [5, 5]}',
+        ],
+        ids=["unknown-key", "repeated-key"],
+    )
+    def test_unknown_or_repeated_key_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        status, out = run_cli(capsys, ["verify", str(path)])
+        assert status == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["type"] == "ValueError"
+
     def test_rejection_exhaustion_exits_2(self, capsys, monkeypatch):
         def reject(_inst):
             raise ValidationError("rejected")

@@ -1,5 +1,6 @@
-"""Each demo script runs to completion against the package in src/, and the
-demos that print only exact values print the same bytes as tests/golden/."""
+"""Each demo script runs to completion against the package in src/, with
+every warning an error, and the demos that print only exact values print
+the same bytes as tests/golden/."""
 
 import os
 import subprocess
@@ -16,9 +17,11 @@ EXACT_DEMOS = ["confluent_family", "reduction_walkthrough", "residue_routes"]
 
 
 def run_demo(demo):
+    # pytest's filterwarnings does not reach a child process, so the child
+    # turns warnings into errors itself
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, timeout=120
     )
 
 

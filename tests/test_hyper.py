@@ -290,6 +290,8 @@ class TestInstanceSerialization:
             IdentityInstance.from_dict({"a": ["0", "x"], "n": [0, 0]})
         with pytest.raises(ValueError):
             IdentityInstance.from_dict({"n": [0, 0]})
+        with pytest.raises(ValueError, match=r"unknown keys \['B', 'M'\]"):
+            IdentityInstance.from_dict({"a": ["0", "1/2"], "B": [], "M": [], "n": [0, 0]})
         # no float, exponent, padding, plus sign, underscore, bool or
         # denominator sign: each of these used to be coerced silently
         for bad in (1.5, 0.1, "1e-3", " 1/2 ", "+1/2", "1_0/3", True, "1/-2", "1.5"):

@@ -10,7 +10,6 @@ from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.residues import (
     residue_at_infinity,
     residue_at_simple_pole,
-    residue_closed_form,
     residue_kernel,
     residue_sum_closed_form,
     sum_finite_residues,
@@ -113,15 +112,10 @@ class TestSimplePoleResidue:
 
 
 class TestClosedForm:
-    def test_conventions(self):
-        assert residue_closed_form(CANONICAL, 0, 3, -1) == 0
-        assert residue_closed_form(CANONICAL, 0, 3, 4) == 0  # j > k + n_i
-        assert residue_closed_form(CANONICAL, 1, 2, 3) == 0
-
     def test_matches_direct_residue_at_origin(self):
         kernel = residue_kernel(CANONICAL, 0)
         direct = residue_at_simple_pole(kernel.fraction, 0)
-        assert direct == residue_closed_form(CANONICAL, 0, 0, 0) == -2
+        assert direct == oracle_residue(CANONICAL, 0, 0) == -2
 
     def test_matches_direct_residue_everywhere(self):
         for inst in (
@@ -133,10 +127,13 @@ class TestClosedForm:
             m_min = validate(inst).m_min
             for k in range(-m_min, -m_min + 5):
                 kernel = residue_kernel(inst, k)
+                total = 0
                 for pole in kernel.poles:
                     z0 = Q(pole.w, kernel.scale)
                     direct = residue_at_simple_pole(kernel.fraction, z0)
-                    assert direct == residue_closed_form(inst, pole.i, k, pole.j)
+                    assert direct == oracle_residue(inst, k, z0)
+                    total += direct
+                assert residue_sum_closed_form(inst, k) == total
 
 
 def small_denominator_instance(rng):
@@ -158,11 +155,11 @@ def small_denominator_instance(rng):
 
 class TestTermRatioSum:
     def test_against_the_oracle_through_zero_stretches(self):
-        # route 2 steps each pole string by its term ratio, restarting from
-        # the closed form after zero terms; the oracle takes every residue
-        # by its own product
+        # route 2 steps each pole string by its term ratio from its first
+        # nonzero term, and stops at its last; the oracle takes every
+        # residue by its own product
         rng = random.Random(61)
-        restarts = 0
+        restarts = tails = all_zero = 0
         for _ in range(30):
             inst = small_denominator_instance(rng)
             derived = validate(inst)
@@ -174,10 +171,13 @@ class TestTermRatioSum:
                         kernel_pole_residue(*args, k, a_i + k - j) for j in range(k + n_i + 1)
                     ]
                     total += sum(terms)
-                    # a nonzero term after a zero one: the sum had to restart
+                    # a nonzero term after a zero one: the run starts past j = 0
                     restarts += any(x == 0 and y != 0 for x, y in zip(terms, terms[1:]))
+                    # a zero term after a nonzero one: the run stops below the top
+                    tails += any(x != 0 and y == 0 for x, y in zip(terms, terms[1:]))
+                    all_zero += bool(terms) and not any(terms)
                 assert residue_sum_closed_form(inst, k) == total, (inst, k)
-        assert restarts > 0
+        assert restarts > 0 and tails > 0 and all_zero > 0
 
 
 class TestResidueTheorem:
@@ -317,7 +317,6 @@ class TestScaledKernelAgainstOracle:
                 for pole in kernel.poles:
                     z0 = Q(pole.w, kernel.scale)
                     res = oracle_residue(inst, k, z0)
-                    assert residue_closed_form(inst, pole.i, k, pole.j) == res
                     assert residue_at_simple_pole(kernel.fraction, z0) == res
                     expected += res
                 assert sum_finite_residues(kernel) == expected
@@ -340,9 +339,7 @@ class TestScaledKernelAgainstOracle:
                 expected = Q(0)
                 for i, (a_i, n_i) in enumerate(zip(inst.a, inst.n)):
                     for j in range(k + n_i + 1):
-                        res = oracle_residue(inst, k, a_i + k - j)
-                        assert residue_closed_form(inst, i, k, j) == res
-                        expected += res
+                        expected += oracle_residue(inst, k, a_i + k - j)
                         checked += 1
                 assert residue_sum_closed_form(inst, k) == expected
         assert checked >= 10
