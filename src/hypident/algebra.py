@@ -95,12 +95,12 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_roots(cls, roots: Iterable[Scalar]) -> Polynomial:
-        """Monic product of (z - root) over the given roots."""
-        out = [1]
+    def from_roots(cls, roots: Iterable[Scalar], times: Polynomial | None = None) -> Polynomial:
+        """Product of (z - root) over the roots, times ``times`` (nonzero; default 1)."""
+        out = list(times.coeffs) if times is not None else [1]
         for root in roots:
             # multiply by (z - root) in place, highest coefficient first
-            out.append(1)
+            out.append(out[-1])
             for e in range(len(out) - 2, 0, -1):
                 out[e] = out[e - 1] - root * out[e]
             out[0] = -root * out[0]

@@ -13,15 +13,16 @@ order j, where
 and exponentiating gives q_0 = 1 and s q_s = sum_{u=1}^{s} u G_u q_{s-u}.
 
 The law is evaluated, never expanded: q_p(k) is computed at each sampled k
-in integers.  With D the lcm of the denominators of a and b (as in
-``residues``), every Bernoulli argument is X / D with X an integer, and
-with L_n the lcm of the denominators of B_0 .. B_n, L_n D^n B_n(X / D) is
-an integer.  It is computed by Horner at the first k and then, from one k
-to the next, by B_n(x - 1) = B_n(x) - n (x - 1)^(n-1), at O(p r) per
-point.  So L_{j+1} D^(j+1) Q_j(k) is an integer, and a multiple of D
-because its X^(j+1) terms cancel modulo D.  Writing u D^u G_u as that
-multiple over D, divided by e_u = (u+1) L_{u+1}, the recurrence runs on the
-integers v_t = delta_t D^t q_t, where delta_0 = 1 and
+in integers, from Bernoulli numbers built from integer tangent numbers.
+With D the lcm of the denominators of a and b (as in ``residues``), every
+Bernoulli argument is X / D with X an integer, and with L_n the lcm of the
+denominators of B_0 .. B_n, L_n D^n B_n(X / D) is an integer.  It is
+computed by Horner at the first k and then, from one k to the next, by
+B_n(x - 1) = B_n(x) - n (x - 1)^(n-1), at O(p r) per point.  So
+L_{j+1} D^(j+1) Q_j(k) is an integer, and a multiple of D because its
+X^(j+1) terms cancel modulo D.  Writing u D^u G_u as that multiple over D,
+divided by e_u = (u+1) L_{u+1}, the recurrence runs on the integers
+v_t = delta_t D^t q_t, where delta_0 = 1 and
 delta_t = t lcm_u(e_u delta_{t-u}) clear every denominator the recurrence
 can bring in; the delta_t do not depend on k.  Each point leaves the
 integers once, in a single division.  A check costs O(p^3) integer
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb, factorial, lcm
 from typing import Mapping
 
 from .algebra import Polynomial, Scalar
@@ -51,13 +52,17 @@ from .residues import residue_at_infinity, residue_kernel
 
 
 def _bernoulli_numbers(n: int) -> list[Fraction]:
-    """B_0 .. B_n in the B_1 = -1/2 convention, by one pass of the
-    recurrence sum_{i=0}^{t} C(t+1, i) B_i = 0 with B_0 = 1."""
-    values = [Fraction(1)]
-    for t in range(1, n + 1):
-        acc = sum(comb(t + 1, i) * values[i] for i in range(t))
-        values.append(Fraction(-acc, t + 1))
-    return values
+    """B_0 .. B_n (B_1 = -1/2) from the integer tangent numbers T_k (Brent & Harvey, 2011):
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and B_t = 0 for odd t > 1."""
+    half = n // 2
+    tangent = [0] + [factorial(k - 1) for k in range(1, half + 1)]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    values = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
+    for k in range(1, half + 1):
+        values[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4**k * (4**k - 1))
+    return values[: n + 1]
 
 
 def _require_balanced(inst: IdentityInstance) -> DerivedQuantities:
@@ -193,7 +198,7 @@ def check_residue_polynomial(
     not known beforehand to be one, so agreement is exact equality at the
     sampled k and evidence, not proof, for the others.  ``at_infinity``
     holds the residues already known, by k (``verify`` passes its window's);
-    the kernels for the other points are built here.
+    the kernels for the other points are built here, stepped where they can.
     Raises CheckFailed at the first discrepant k.
     """
     derived = _require_balanced(inst)
@@ -201,9 +206,10 @@ def check_residue_polynomial(
     p, start = derived.p, -derived.m_min
     points = range(start, start + max(p, 0) + 3)
     expected = _law_values(inst, p, start, len(points)) if p >= 0 else [0] * len(points)
-    values = []
+    values, kernel = [], None
     for k, law in zip(points, expected):
-        value = known[k] if k in known else residue_at_infinity(residue_kernel(inst, k))
+        kernel = None if k in known else residue_kernel(inst, k, kernel)
+        value = known[k] if kernel is None else residue_at_infinity(kernel)
         if value != law:
             raise CheckFailed(
                 f"residue at infinity for k={k} is {value}, expected {law} (p={p})"

@@ -220,9 +220,11 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
         "alpha": None,
     }
     if derived.theorem is Theorem.ONE:
-        # one kernel per k of the residue window; the law builds its other points
+        # one kernel per k of the window, stepped from the one below; the law builds the rest
         start = -derived.m_min
-        kernels = [residue_kernel(inst, k) for k in range(start, start + buffer // 2 + 1)]
+        kernels = [residue_kernel(inst, start)]
+        for k in range(start + 1, start + buffer // 2 + 1):
+            kernels.append(residue_kernel(inst, k, kernels[-1]))
         at_infinity = {kernel.k: residue_at_infinity(kernel) for kernel in kernels}
         try:
             law = check_residue_polynomial(inst, at_infinity)

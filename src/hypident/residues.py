@@ -30,10 +30,15 @@ integer product over D^q, and a quotient of such products is one
 ``rising_quotient``, as is the series route's prefactor.
 D, D a_i and D b_l are computed once per instance, in ``inst.derived``.
 
-Each ``Pole`` carries its integer w0 = D a_i + (k - j) D, the
-denominator is the product of (w - w0) over the poles, and the
-finite-residue route takes the residue there as num(w0) / den'(w0), with
-den(w0) and den'(w0) from one Horner pass.  The closed-form route sums
+Each ``Pole`` carries its integer w0 = D a_i + (k - j) D, and the
+denominator is the product of (w - w0) over the poles.  From k - 1 to k
+each string of roots moves only at its k end, so a kernel steps from the
+one below it by one multiplication or exact division per root: the
+denominator gains D a_i + k D where k + n_i >= 0, the numerator gains
+D b_l + (k - 1) D (m_l + k >= 1 as k - 1 >= -m_min) and loses D a_l + k D
+where n_l + k <= -1.  The finite-residue route takes num(w0) and den'(w0)
+from one Horner pass, and sums num(w0) / den'(w0) over the lcm L of the
+den'(w0) as one integer sum and one division.  The closed-form route sums
 the residues (-1)^j prod_l (1 - b_l + a_i - j)_{m_l+k} / (j! (K - j)!
 prod_{l != i} (a_i - a_l - j)_{n_l+k+1}) at z = a_i + k - j, stepping each
 pole string in j: (y - 1)_q / (y)_q is (y - 1)/(y + q - 1) for q of
@@ -57,7 +62,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from itertools import zip_longest
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .algebra import (
@@ -113,8 +119,9 @@ class ResidueKernel:
         return exact_div(value, self.scale**-exponent)
 
 
-def residue_kernel(inst: IdentityInstance, k: int) -> ResidueKernel:
-    """Build the kernel for index k as expanded integer polynomials in w.
+def residue_kernel(inst: IdentityInstance, k: int, below: ResidueKernel | None = None) -> ResidueKernel:
+    """Build the kernel for index k as expanded integer polynomials in w,
+    stepped from ``below``, this instance's kernel at k - 1, when given.
 
     Requires k >= -m_min so every numerator rising factorial stays a
     polynomial; smaller k raises KBelowRange.
@@ -123,37 +130,63 @@ def residue_kernel(inst: IdentityInstance, k: int) -> ResidueKernel:
     if k < -derived.m_min:
         raise KBelowRange(f"k={k} below -m_min={-derived.m_min}")
     scale, a, b = derived.scale, derived.a_int, derived.b_int
-    # (z - b_l - k + 1)_{m_l + k} has the roots b_l + k - 1 - t, and for a
-    # negative shift q = n_l + k + 1, 1/(z - a_l - k)_q has a_l + k + t for
-    # t = 1 .. -q (no t for q >= 0); all times scale
-    num_roots = [b_l + (k - 1 - t) * scale for b_l, m_l in zip(b, inst.m) for t in range(m_l + k)]
-    num_roots += [a_l + (k + t) * scale for a_l, n_l in zip(a, inst.n) for t in range(1, -n_l - k)]
     # (z - a_i - k)_{n_i + k + 1} has the simple roots a_i + k - j
     poles = [Pole(a_i + (k - j) * scale, i, j) for i, (a_i, n_i) in enumerate(zip(a, inst.n))
              for j in range(k + n_i + 1)]
-    num = Polynomial.from_roots(num_roots)
-    den = Polynomial.from_roots([pole.w for pole in poles])
+    if below is None:
+        # (z - b_l - k + 1)_{m_l + k} has the roots b_l + k - 1 - t, and for a
+        # negative shift q = n_l + k + 1, 1/(z - a_l - k)_q has a_l + k + t for
+        # t = 1 .. -q (no t for q >= 0); all times scale
+        num_roots = [b_l + (k - 1 - t) * scale for b_l, m_l in zip(b, inst.m) for t in range(m_l + k)]
+        num_roots += [a_l + (k + t) * scale for a_l, n_l in zip(a, inst.n) for t in range(1, -n_l - k)]
+        num = Polynomial.from_roots(num_roots)
+        den = Polynomial.from_roots([pole.w for pole in poles])
+    else:
+        assert below.k == k - 1, "a kernel steps only from the one at k - 1"
+        # each string of roots moves at its k end (module docstring)
+        num = below.scaled.num
+        for a_l, n_l in zip(a, inst.n):
+            if n_l + k <= -1:
+                num = _divide_root(num, a_l + k * scale)
+        num = Polynomial.from_roots([b_l + (k - 1) * scale for b_l in b], num)
+        den = Polynomial.from_roots([pole.w for pole in poles if pole.j == 0], below.scaled.den)
     offset = derived.M - derived.N - derived.r - (derived.r - derived.s) * k
     assert num.degree - den.degree == offset, "kernel degree bookkeeping broke"
     return ResidueKernel(k, scale, RationalFunction(num, den), tuple(poles), offset)
 
 
-def residue_at_simple_pole(f: RationalFunction, z0: Scalar) -> Scalar:
-    """Residue of f at a simple denominator root z0: num(z0) / den'(z0).
+def _divide_root(poly: Polynomial, root: int) -> Polynomial:
+    """poly / (w - root) for a root of poly: its Horner values at root."""
+    out = [0]
+    for c in reversed(poly.coeffs):
+        out.append(out[-1] * root + c)
+    assert out.pop() == 0, "a stepped kernel lost a root its numerator lacks"
+    return Polynomial(tuple(out[:0:-1]))
 
-    One Horner pass evaluates den and den' at z0 together.  Raises
-    NotSimplePole if z0 is not a root or is a multiple root of the
-    (stored, unreduced) denominator.
-    """
-    value = slope = 0
-    for c in reversed(f.den.coeffs):
-        slope = slope * z0 + value
-        value = value * z0 + c
-    if value != 0:
-        raise NotSimplePole(f"{z0} is not a root of the denominator")
-    if slope == 0:
-        raise NotSimplePole(f"{z0} is a multiple root of the denominator")
-    return exact_div(f.num(z0), slope)
+
+def _residue_parts(f: RationalFunction, points: list[Scalar]) -> list[tuple[Scalar, Scalar]]:
+    """(num(z0), den'(z0)) at each simple denominator root z0 in ``points``,
+    from one Horner pass over num, den and den' together.  Raises NotSimplePole
+    if some z0 is not a root or a multiple root of the (stored) denominator."""
+    pairs = [*zip_longest(f.num.coeffs, f.den.coeffs, fillvalue=0)][::-1]
+    out = []
+    for z0 in points:
+        top = value = slope = 0
+        for a, c in pairs:
+            top = top * z0 + a
+            slope = slope * z0 + value
+            value = value * z0 + c
+        if value != 0:
+            raise NotSimplePole(f"{z0} is not a root of the denominator")
+        if slope == 0:
+            raise NotSimplePole(f"{z0} is a multiple root of the denominator")
+        out.append((top, slope))
+    return out
+
+
+def residue_at_simple_pole(f: RationalFunction, z0: Scalar) -> Scalar:
+    """Residue of f at a simple denominator root z0, num(z0) / den'(z0); else NotSimplePole."""
+    return exact_div(*_residue_parts(f, [z0])[0])
 
 
 def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:
@@ -194,11 +227,10 @@ def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:
 
 def sum_finite_residues(kernel: ResidueKernel) -> Scalar:
     """Sum of residues over the kernel's enumerated (simple) poles, each
-    from the w-form kernel at its integer pole."""
-    total = 0
-    for pole in kernel.poles:
-        total += residue_at_simple_pole(kernel.scaled, pole.w)
-    return kernel._to_z(total)
+    num(w0) / den'(w0) at its integer pole w0, over the lcm of the den'(w0)."""
+    parts = _residue_parts(kernel.scaled, [pole.w for pole in kernel.poles])
+    common = lcm(*[slope for _, slope in parts])
+    return kernel._to_z(exact_div(sum([top * (common // slope) for top, slope in parts]), common))
 
 
 def residue_at_infinity(kernel: ResidueKernel) -> Scalar:

@@ -63,6 +63,18 @@ class TestBernoulliCombination:
             exp_series_coefficient(confluent, 1)
 
 
+class TestTangentNumberBernoulli:
+    def test_numbers_against_the_oracle(self):
+        expected = bernoulli_numbers(64)
+        for n in range(65):
+            assert asymptotics._bernoulli_numbers(n) == expected[: n + 1], n
+
+    def test_law_values_past_the_window(self):
+        # verify's window for P31 is k = -16 .. -4, so the law alone reads -3 and -2
+        values = asymptotics._law_values(P31, 31, -3, 2)
+        assert values == [oracle_q(P31, 31, -3), oracle_q(P31, 31, -2)]
+
+
 class TestExpSeriesCoefficient:
     def test_order_zero_is_one(self):
         assert exp_series_coefficient(CANONICAL, 0) == Polynomial((1,))

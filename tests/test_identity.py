@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as Q
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -12,7 +12,7 @@ from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.identity import beta_coefficients, lhs_series, verify
 from hypident.residues import residue_sum_closed_form
 
-from oracles import lhs_coefficients, lhs_value, partial_fraction_zero_sum
+from oracles import lhs_coefficients, lhs_value, partial_fraction_zero_sum, poch
 
 ZERO_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 UNIT_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 1), n=(0, 0))
@@ -99,6 +99,38 @@ class TestAgainstAnalysis:
                 with mpmath.workdps(40):
                     rhs = mpmath.mpf(exact.numerator) / exact.denominator
                     assert abs(value - rhs) <= mpmath.mpf(10) ** -20 * max(1, abs(rhs)), (inst, z)
+
+
+class TestLommelClosedForm:
+    # a = (0, nu), b = (), n = (m, 0): the table is Lommel's polynomial
+    # R_{m-1, nu+1}, beta_{j-m} = (-1)^(m+1) (m-1-j)! (nu+1+j)_{m-1-2j}
+    # / (j! (m-1-2j)!) for 0 <= j <= (m-1) // 2, and 0 elsewhere
+
+    @staticmethod
+    def lommel(m, nu):
+        return {
+            j - m: (-1) ** (m + 1) * factorial(m - 1 - j) * poch(nu + 1 + j, m - 1 - 2 * j)
+            / (factorial(j) * factorial(m - 1 - 2 * j))
+            for j in range((m - 1) // 2 + 1)
+        }
+
+    def check(self, inst, expected):
+        table = beta_coefficients(inst)
+        support = range(table.support_low, table.support_high + 1)
+        assert set(expected) <= set(support)
+        assert table.values == {e: expected.get(e, 0) for e in support}, inst
+
+    @pytest.mark.parametrize("nu", [Q(1, 3), Q(-2, 7), Q(5, 4), Q(-9, 2)])
+    def test_positive_index(self, nu):
+        for m in range(1, 16):
+            self.check(IdentityInstance(a=(0, nu), b=(), m=(), n=(m, 0)), self.lommel(m, nu))
+
+    def test_negative_index_mirrors_at_minus_nu(self):
+        # n = (-|m|, 0): the table at (-nu, |m|), its index shifted up by |m|
+        nu = Q(1, 3)
+        for m in (1, 2, 5):
+            mirrored = {e + m: v for e, v in self.lommel(m, -nu).items()}
+            self.check(IdentityInstance(a=(0, nu), b=(), m=(), n=(-m, 0)), mirrored)
 
 
 class TestAlphaCoefficient:
@@ -261,9 +293,9 @@ class TestVerify:
         built = []
         real = identity.residue_kernel
 
-        def counting(inst, k):
+        def counting(inst, k, below=None):
             built.append(k)
-            return real(inst, k)
+            return real(inst, k, below)
 
         monkeypatch.setattr(identity, "residue_kernel", counting)
         monkeypatch.setattr(asymptotics, "residue_kernel", counting)

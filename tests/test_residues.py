@@ -8,6 +8,7 @@ from hypident.errors import KBelowRange, NotSimplePole, ValidationError
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.residues import (
+    _residue_parts,
     residue_at_infinity,
     residue_at_simple_pole,
     residue_kernel,
@@ -241,6 +242,8 @@ CONFLUENT = IdentityInstance(a=(Q(0), Q(1, 3)), b=(Q(1, 2),), m=(3,), n=(0, 0))
 THREE_TERM = IdentityInstance(
     a=(Q(1, 5), Q(1, 2), Q(2, 7)), b=(Q(1, 3), Q(1, 4), Q(8, 3)), m=(2, -1, 0), n=(1, 0, -2)
 )
+# no pole at k = 0: both denominator shifts are negative
+NO_POLES = IdentityInstance(a=(Q(1, 5), Q(2, 3)), b=(Q(1, 7), Q(3, 4)), m=(0, 1), n=(-3, -2))
 
 
 def is_exact(value) -> bool:
@@ -280,7 +283,7 @@ def oracle_residue(inst, k, z0):
 class TestScaledKernelAgainstOracle:
     """Routes 2, 3 and 4 against the product formula of tests/oracles.py."""
 
-    CASES = (LARGE_LCM, OFFSET_ZERO, NEGATIVE_SHIFT, CONFLUENT, THREE_TERM, SHIFTED)
+    CASES = (LARGE_LCM, OFFSET_ZERO, NEGATIVE_SHIFT, CONFLUENT, THREE_TERM, SHIFTED, NO_POLES)
 
     def test_kernel_unscales_to_the_product_in_z(self):
         assert residue_kernel(LARGE_LCM, 0).scale == 9009
@@ -307,12 +310,15 @@ class TestScaledKernelAgainstOracle:
         assert checked  # confluent kernels were among them
 
     def test_every_route_matches_the_product_formula(self):
-        offsets = set()
+        # route 3 sums over the lcm of the den'(w0), which take both signs
+        offsets, signs = set(), set()
         for inst in self.CASES:
             m_min = validate(inst).m_min
             for k in range(-m_min, -m_min + 7):
                 kernel = residue_kernel(inst, k)
                 offsets.add(kernel.offset)
+                points = [pole.w for pole in kernel.poles]
+                signs.update(slope > 0 for _, slope in _residue_parts(kernel.scaled, points))
                 expected = Q(0)
                 for pole in kernel.poles:
                     z0 = Q(pole.w, kernel.scale)
@@ -322,7 +328,12 @@ class TestScaledKernelAgainstOracle:
                 assert sum_finite_residues(kernel) == expected
                 assert residue_at_infinity(kernel) == expected
                 assert residue_sum_closed_form(inst, k) == expected
-        assert {-2, -1, 0} <= offsets
+        assert {-2, -1, 0} <= offsets and signs == {True, False}
+
+    def test_a_kernel_without_poles_sums_to_zero(self):
+        kernel = residue_kernel(NO_POLES, 0)
+        assert kernel.poles == () and kernel.offset > 0
+        assert sum_finite_residues(kernel) == 0 == residue_at_infinity(kernel)
 
     def test_closed_form_in_the_low_order_range(self):
         # k in [-n_max, -m_min): some numerator Pochhammer shifts go negative
@@ -343,3 +354,34 @@ class TestScaledKernelAgainstOracle:
                         checked += 1
                 assert residue_sum_closed_form(inst, k) == expected
         assert checked >= 10
+
+
+# p = 31, the top rung of the shift ladder
+P31 = IdentityInstance(a=(Q(-7, 5), Q(2, 9)), b=(Q(3, 4), Q(-5, 11)), m=(16, 16), n=(0, 0))
+
+
+class TestSteppedKernel:
+    def test_stepped_equals_built_from_roots(self):
+        # over verify's 13-k window and the law's p + 3 points
+        rng = random.Random(1001)
+        draws = [random_instance(rng, r_range=(2, 4), shift_range=3, family="one") for _ in range(40)]
+        steps = divisions = 0
+        for inst in [*draws, P31, NEGATIVE_SHIFT, THREE_TERM]:
+            derived = validate(inst)
+            start = -derived.m_min
+            below = residue_kernel(inst, start)
+            for k in range(start + 1, start + max(12, derived.p + 2) + 1):
+                stepped = residue_kernel(inst, k, below)
+                assert stepped == residue_kernel(inst, k), (inst, k)
+                steps += 1
+                # the numerator lost the root D a_l + k D of a negative shift
+                divisions += any(n_l + k <= -1 for n_l in inst.n)
+                below = stepped
+        assert steps > 500 and divisions > 10
+
+    def test_steps_only_from_the_kernel_below(self):
+        kernel = residue_kernel(SHIFTED, 2)
+        with pytest.raises(AssertionError):
+            residue_kernel(SHIFTED, 2, kernel)
+        with pytest.raises(AssertionError):
+            residue_kernel(SHIFTED, 4, kernel)
