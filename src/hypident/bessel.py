@@ -4,12 +4,19 @@ For non-integer rational nu and integer m, the combination
 
     (-1)^m J_{-nu}(x) J_{nu+m}(x) - J_nu(x) J_{-nu-m}(x)
 
-multiplied by x^|m| is a polynomial in t = x^2 of degree < |m|/2.  The
-underlying algebra is the r=2, s=0 instance with a = (0, nu) and
-n = (m, 0), which the exact layer certifies in rational arithmetic; the
-floating-point layer then samples the Bessel form and checks the
-polynomial structure through divided differences.  The numeric side is a
-smoke test of the series-to-Bessel transcription only; the certificate is
+is the r=2, s=0 instance with a = (0, nu) and n = (m, 0), which the exact
+layer certifies in rational arithmetic.  Each J_nu(x) is
+(x/2)^nu / Gamma(nu+1) * 0F1(; nu+1; -x^2/4), so with z = -x^2/4 each
+product is a power of x/2 times one term of S(z), and the reflection
+Gamma(nu) Gamma(1-nu) = pi / sin(nu pi) turns its Gamma quotient into that
+term's rational prefactor.  Collecting both terms,
+
+    combination = (2 sin(nu pi) / (pi x)) (-1)^m (x/2)^(m+1) sum_j beta_j z^j
+
+over the certified table.  The floating-point layer evaluates that closed
+form at each sample (the polynomial exactly, then the float factor) and
+compares it with the combination of ``bessel_j`` values.  The numeric side
+is a check of the series-to-Bessel transcription only; the certificate is
 the exact layer.
 """
 
@@ -42,20 +49,6 @@ def bessel_j(nu: float, x: float, order: int = DEFAULT_ORDER) -> float:
     return (0.5 * x) ** nu / math.gamma(nu + 1) * total
 
 
-def divided_differences(ts: Sequence[float], ys: Sequence[float]) -> list[list[float]]:
-    """Full Newton divided-difference table; row d holds the order-d values."""
-    table = [list(ys)]
-    for d in range(1, len(ys)):
-        prev = table[-1]
-        table.append(
-            [
-                (prev[i + 1] - prev[i]) / (ts[i + d] - ts[i])
-                for i in range(len(prev) - 1)
-            ]
-        )
-    return table
-
-
 @dataclass(frozen=True)
 class BesselReport:
     """Combined exact/numeric outcome of the Bessel demonstration."""
@@ -65,8 +58,7 @@ class BesselReport:
     order: int
     samples: tuple[float, ...]
     tolerance: float
-    degree_bound: int  # largest degree the polynomial in t may have
-    max_residual: float  # worst divided-difference residual, relative
+    max_residual: float  # worst residual against the certified closed form, relative
     exact: VerificationReport
 
     @property
@@ -80,7 +72,6 @@ class BesselReport:
             "order": self.order,
             "samples": list(self.samples),
             "tolerance": self.tolerance,
-            "degree_bound": self.degree_bound,
             "max_residual": self.max_residual,
             "exact": self.exact.to_dict(),
             "ok": self.passed,
@@ -96,15 +87,16 @@ def bessel_demo(
 ) -> BesselReport:
     """Run both layers of the Bessel-product check.
 
-    Raises NumericResidualExceeded when a divided difference that should
-    vanish stays above ``tolerance`` relative to the largest sampled
-    magnitude; exact-layer validation errors propagate (nu must be a
-    non-integer Fraction, so that (0, nu) is distinct modulo integers; a
-    float raises ValueError).
+    Raises NumericResidualExceeded, naming the sample, where
+    |combination - closed form| reaches ``tolerance`` relative to
+    |(-1)^m J_{-nu} J_{nu+m}| + |J_nu J_{-nu-m}| (a NaN fails too);
+    OverflowError where a value does not fit in a float; exact-layer
+    validation errors propagate (nu must be a non-integer Fraction, so that
+    (0, nu) is distinct modulo integers; a float raises ValueError).
     Raises ValueError for a negative ``order`` (every truncated J would be
-    0), a ``tolerance`` that is not finite and positive, and samples that
-    are not finite, positive and distinct; any of these would let the
-    numeric layer pass vacuously.
+    0 and the check vacuous), a ``tolerance`` that is not finite and
+    positive, and fewer than two samples or samples that are not finite,
+    positive and distinct.
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
@@ -121,38 +113,30 @@ def bessel_demo(
     exact = verify(inst)
 
     nu_f = float(nu)
-    size = abs(m_shift)
     sign = -1.0 if m_shift % 2 else 1.0
-    ys = []
-    for x in samples:
-        lhs = sign * bessel_j(-nu_f, x, order) * bessel_j(nu_f + m_shift, x, order)
-        lhs -= bessel_j(nu_f, x, order) * bessel_j(-nu_f - m_shift, x, order)
-        ys.append(x**size * lhs)
-    ts = [x * x for x in samples]
-
-    degree_bound = (size - 1) // 2 if size else -1
-    scale = max(1.0, max(abs(y) for y in ys))
-    table = divided_differences(ts, ys)
+    # 2 sin(nu pi) / (pi x) * (x/2)^(m+1) is sin(nu pi) / pi * (x/2)^m
+    factor = sign * math.sin(nu_f * math.pi) / math.pi
     max_residual = 0.0
-    worst_x = samples[0]
-    for d in range(degree_bound + 1, len(samples)):
-        for pos, value in enumerate(table[d]):
-            residual = abs(value) / scale
-            if residual > max_residual:
-                max_residual = residual
-                worst_x = samples[pos]
-    if max_residual >= tolerance:
-        raise NumericResidualExceeded(
-            f"divided-difference residual {max_residual:.3e} at sample window "
-            f"starting x={worst_x} exceeds tolerance {tolerance:.1e}"
-        )
+    for x in samples:
+        first = sign * bessel_j(-nu_f, x, order) * bessel_j(nu_f + m_shift, x, order)
+        second = bessel_j(nu_f, x, order) * bessel_j(-nu_f - m_shift, x, order)
+        half = Fraction(x) / 2
+        z = -half * half
+        poly = half**m_shift * sum(beta * z**j for j, beta in exact.beta.values.items())
+        scale = abs(first) + abs(second)
+        residual = abs(first - second - factor * float(poly)) / scale if scale else 0.0
+        if not residual < tolerance:
+            raise NumericResidualExceeded(
+                f"residual {residual:.3e} against the certified closed form at x={x} "
+                f"exceeds tolerance {tolerance:.1e}"
+            )
+        max_residual = max(max_residual, residual)
     return BesselReport(
         nu=nu,
         m_shift=m_shift,
         order=order,
         samples=tuple(float(x) for x in samples),
         tolerance=tolerance,
-        degree_bound=degree_bound,
         max_residual=max_residual,
         exact=exact,
     )

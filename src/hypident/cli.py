@@ -5,7 +5,8 @@ Instance files are JSON objects {"a": [...], "b": [...], "m": [...],
 inferred from the vector lengths; ``bessel --nu`` takes the same strings.
 Every command prints a single JSON payload on stdout.  Exit codes: 0 all
 checks pass, 1 a check failed, 2 input or validation error (with an
-{"error": ...} payload), a command line that does not parse included: its
+{"error": ...} payload), a ``bessel`` value too large for a float and a
+command line that does not parse included: the latter's
 UsageError payload is always compact, as --pretty was never read.  Output
 is deterministic: identical input, flags, and seed produce byte-identical
 bytes; --pretty toggles indentation only.  A reader that closes stdout
@@ -210,7 +211,7 @@ def run(args: argparse.Namespace) -> int:
     except _CHECK_FAILURES as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
         return 1
-    except (HypidentError, OSError, ValueError, ZeroDivisionError) as exc:
+    except (HypidentError, OSError, OverflowError, ValueError, ZeroDivisionError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
         return 2
     _emit(payload, args.pretty)

@@ -3,8 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hypident.bessel import bessel_demo, bessel_j, divided_differences
+from hypident import bessel
+from hypident.bessel import bessel_demo, bessel_j
 from hypident.errors import NotDistinctModZ, NumericResidualExceeded
+from hypident.hyper import IdentityInstance
+from hypident.identity import beta_coefficients
 
 
 class TestBesselJ:
@@ -22,40 +25,26 @@ class TestBesselJ:
             )
 
 
-class TestDividedDifferences:
-    def test_polynomial_annihilation(self):
-        ts = [0.5, 1.0, 2.0, 3.0, 4.5]
-        ys = [3.0 * t * t - 2.0 * t + 1.0 for t in ts]
-        table = divided_differences(ts, ys)
-        assert table[2] == pytest.approx([3.0] * 3)  # leading coefficient
-        for row in table[3:]:
-            assert all(abs(v) < 1e-12 for v in row)
-
-
 class TestBesselDemo:
     def test_zero_shift_is_identically_zero(self):
         report = bessel_demo(Q(1, 3), 0)
         assert report.passed
-        assert report.degree_bound == -1
         assert report.exact.beta.is_empty
 
     def test_first_shift_constant(self):
         report = bessel_demo(Q(1, 3), 1, samples=(0.5, 1.0, 1.5, 2.0))
         assert report.passed
-        assert report.degree_bound == 0
         assert report.max_residual < 1e-10
         assert report.exact.passed
 
     def test_third_shift_linear_in_t(self):
         report = bessel_demo(Q(1, 4), 3)
         assert report.passed
-        assert report.degree_bound == 1
         assert (report.exact.beta.support_low, report.exact.beta.support_high) == (-3, -1)
 
     def test_negative_shift(self):
         report = bessel_demo(Q(1, 3), -2)
         assert report.passed
-        assert report.degree_bound == 0
 
     def test_integer_order_rejected_by_exact_layer(self):
         with pytest.raises(NotDistinctModZ):
@@ -93,3 +82,53 @@ class TestBesselDemo:
         assert data["nu"] == "1/3"
         assert data["m"] == 2
         assert data["exact"]["vanishing_ok"] is True
+
+
+class TestAgainstCertifiedTable:
+    @pytest.mark.parametrize("m", [1, 2, 3, -2, 5, 11])
+    def test_doubled_bessel_j_is_caught(self, monkeypatch, m):
+        # a factor-2 transcription fault quadruples the combination but not
+        # the closed form read from the certified table
+        single = bessel.bessel_j
+        monkeypatch.setattr(bessel, "bessel_j", lambda nu, x, order: 2 * single(nu, x, order))
+        with pytest.raises(NumericResidualExceeded, match=r"at x=0\.5 "):
+            bessel_demo(Q(1, 3), m)
+
+    def test_nan_fails(self, monkeypatch):
+        monkeypatch.setattr(bessel, "bessel_j", lambda nu, x, order: math.nan)
+        with pytest.raises(NumericResidualExceeded, match="nan"):
+            bessel_demo(Q(1, 3), 2)
+
+    @pytest.mark.parametrize("m", [11, 40])
+    def test_large_shift_is_checked(self, m):
+        report = bessel_demo(Q(1, 3), m)
+        assert report.passed
+        assert 0 < report.max_residual < 1e-10
+
+
+class TestClosedFormAgainstMpmath:
+    # (-1)^m J_{-nu} J_{nu+m} - J_nu J_{-nu-m}
+    #   = (2 sin(nu pi) / (pi x)) (-1)^m (x/2)^(m+1) sum_j beta_j (-x^2/4)^j,
+    # with the J from mpmath.besselj, independent of bessel_j
+    @pytest.mark.parametrize(
+        "nu, m",
+        [(Q(1, 3), 1), (Q(1, 3), 4), (Q(-2, 7), 7), (Q(5, 4), 6), (Q(1, 3), -3), (Q(1, 5), -8),
+         (Q(7, 3), 9)],
+    )
+    def test_certified_table(self, nu, m):
+        mpmath = pytest.importorskip("mpmath")
+        table = beta_coefficients(IdentityInstance(a=(0, nu), b=(), m=(), n=(m, 0)))
+        for x in (Q(1, 2), Q(7, 5), Q(3)):
+            poly = (x / 2) ** (m + 1) * sum(
+                (v * (-x * x / 4) ** j for j, v in table.values.items()), Q(0)
+            )
+            with mpmath.workdps(30):
+                v, xf = (mpmath.mpf(q.numerator) / q.denominator for q in (nu, x))
+                first = (-1) ** m * mpmath.besselj(-v, xf) * mpmath.besselj(v + m, xf)
+                second = mpmath.besselj(v, xf) * mpmath.besselj(-v - m, xf)
+                closed = (
+                    2 * mpmath.sin(v * mpmath.pi) / (mpmath.pi * xf) * (-1) ** m
+                    * mpmath.mpf(poly.numerator) / poly.denominator
+                )
+                scale = abs(first) + abs(second)
+                assert abs(first - second - closed) <= mpmath.mpf(10) ** -25 * scale, (nu, m, x)

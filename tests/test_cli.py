@@ -362,6 +362,10 @@ class TestStrictInput:
             ["--nu", "1/3", "--m", "1", "--samples", ""],
             ["--nu", "1/3", "--m", "1", "--samples", "1_0,2,3"],
             ["--nu", "1/3", "--m", "1", "--tolerance", "1_0e-11"],
+            # each of these used to end in an OverflowError traceback, status 1
+            ["--nu", "1/3", "--m", "200"],
+            ["--nu", "1/3", "--m", "2", "--samples", "1e300,1"],
+            ["--nu", "1/3", "--m", "2", "--samples", "1e-300,1"],
         ],
     )
     def test_bad_bessel_values_exit_2(self, capsys, args):

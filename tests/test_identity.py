@@ -302,3 +302,44 @@ class TestVerify:
         report = verify(inst)
         assert report.passed
         assert built == list(ks)
+
+
+class TestFaultInjection:
+    # route 1 perturbed by +z^k, for every k from the support's bottom to
+    # the truncation: some check of verify must fail at each k
+    @pytest.mark.parametrize(
+        "family, seed",
+        [
+            ("one", 1001),
+            pytest.param(
+                "two",
+                1002,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 1: confluent verify runs no residue, alpha or law "
+                    "check, so an in-support coefficient rests on route 1 alone",
+                ),
+            ),
+        ],
+    )
+    def test_route_1_fault_is_caught(self, monkeypatch, family, seed):
+        real = identity.lhs_series
+        bump_at = []
+
+        def perturbed(inst, trunc):
+            return real(inst, trunc) + LaurentSeries(bump_at[-1], (1,), trunc)
+
+        rng = random.Random(seed)
+        missed, tried = [], 0
+        for _ in range(5):
+            inst = random_instance(rng, family=family)
+            report = verify(inst)
+            monkeypatch.setattr(identity, "lhs_series", perturbed)
+            for k in range(report.beta.support_low, report.checked_up_to + 1):
+                bump_at.append(k)
+                tried += 1
+                if verify(inst).passed:
+                    missed.append((inst, k))
+            monkeypatch.setattr(identity, "lhs_series", real)
+        assert tried > 100
+        assert not missed, f"{len(missed)} of {tried} missed, first {missed[0]}"
