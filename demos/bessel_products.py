@@ -29,7 +29,7 @@ for nu, m in [(Q(1, 3), 1), (Q(1, 4), 3), (Q(2, 5), 0)]:
 
 x = 1.7
 nu = 1.0 / 3.0
-print(f"sanity: J_nu({x}) for nu = 1/3 from the truncated series: {bessel_j(nu, x):.12f}")
+print(f"sanity: J_nu({x}) for nu = 1/3, summed to float precision: {bessel_j(nu, x):.12f}")
 combo = bessel_j(-nu, x) * bessel_j(nu + 1, x) * (-1) - bessel_j(nu, x) * bessel_j(-nu - 1, x)
 print(f"x * [(-1) J_-nu J_nu+1 - J_nu J_-nu-1] at x = {x}: {x * combo:.12f}")
 print(f"closed form for m = 1, beta_-1 = 1: 2 sin(nu pi) / pi = {2 * math.sin(nu * math.pi) / math.pi:.12f}")

@@ -15,9 +15,9 @@ term's rational prefactor.  Collecting both terms,
 
 over the certified table.  The floating-point layer evaluates that closed
 form at each sample (the polynomial exactly, then the float factor) and
-compares it with the combination of ``bessel_j`` values.  The numeric side
-is a check of the series-to-Bessel transcription only; the certificate is
-the exact layer.
+compares it with the combination of ``bessel_j`` values, each summed to
+float precision.  The numeric side is a check of the series-to-Bessel
+transcription only; the certificate is the exact layer.
 """
 
 from __future__ import annotations
@@ -33,20 +33,28 @@ from .hyper import IdentityInstance
 from .identity import VerificationReport, verify
 
 DEFAULT_SAMPLES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-DEFAULT_ORDER = 30
 DEFAULT_TOLERANCE = 1e-10
 
 
-def bessel_j(nu: float, x: float, order: int = DEFAULT_ORDER) -> float:
-    """J_nu(x) for x > 0 from the ascending series, truncated after
-    ``order`` terms.  nu + 1 must not be a non-positive integer."""
-    total = 0.0
-    term = 1.0
+def bessel_j(nu: float, x: float) -> float:
+    """J_nu(x) for x > 0 from the ascending series (Watson, section 3.1), nu + 1
+    not a non-positive integer.  Past the k with (nu+1+k)(k+1) > x^2/4 every term
+    ratio is below 1 and falls, so the first term there that leaves the float
+    total unchanged ends the sum.  Raises OverflowError, naming nu and x, where a
+    term, (x/2)^nu, Gamma(nu+1) or its reciprocal, or J is not a finite float."""
     w = -0.25 * x * x
-    for k in range(order + 1):
+    total, term, k = 0.0, 1.0, 0
+    while math.isfinite(term) and ((nu + 1 + k) * (k + 1) <= -w or total + term != total):
         total += term
         term *= w / ((nu + 1 + k) * (k + 1))
-    return (0.5 * x) ** nu / math.gamma(nu + 1) * total
+        k += 1
+    try:  # total + term is total at the stop, and not finite where a term was not
+        value = (0.5 * x) ** nu / math.gamma(nu + 1) * (total + term)
+    except (OverflowError, ZeroDivisionError):  # division by zero: Gamma(nu+1) underflowed
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"J_nu(x) does not fit in a float at nu={nu}, x={x}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,6 @@ class BesselReport:
 
     nu: Fraction
     m_shift: int
-    order: int
     samples: tuple[float, ...]
     tolerance: float
     max_residual: float  # worst residual against the certified closed form, relative
@@ -69,7 +76,6 @@ class BesselReport:
         return {
             "nu": str(self.nu),
             "m": self.m_shift,
-            "order": self.order,
             "samples": list(self.samples),
             "tolerance": self.tolerance,
             "max_residual": self.max_residual,
@@ -81,7 +87,6 @@ class BesselReport:
 def bessel_demo(
     nu: Scalar,
     m_shift: int,
-    order: int = DEFAULT_ORDER,
     samples: Sequence[float] = DEFAULT_SAMPLES,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> BesselReport:
@@ -89,17 +94,15 @@ def bessel_demo(
 
     Raises NumericResidualExceeded, naming the sample, where
     |combination - closed form| reaches ``tolerance`` relative to
-    |(-1)^m J_{-nu} J_{nu+m}| + |J_nu J_{-nu-m}| (a NaN fails too);
-    OverflowError where a value does not fit in a float; exact-layer
-    validation errors propagate (nu must be a non-integer Fraction, so that
-    (0, nu) is distinct modulo integers; a float raises ValueError).
-    Raises ValueError for a negative ``order`` (every truncated J would be
-    0 and the check vacuous), a ``tolerance`` that is not finite and
-    positive, and fewer than two samples or samples that are not finite,
-    positive and distinct.
+    |(-1)^m J_{-nu} J_{nu+m}| + |J_nu J_{-nu-m}| (a NaN fails too), and
+    OverflowError, naming the sample, where a value does not fit in a float.
+    Exact-layer validation errors propagate (nu must be a non-integer
+    Fraction, so that (0, nu) is distinct modulo integers; a float raises
+    ValueError).
+    Raises ValueError for a ``tolerance`` that is not finite and positive,
+    and for fewer than two samples or samples that are not finite, positive
+    and distinct.
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     if len(samples) < 2:
@@ -118,13 +121,17 @@ def bessel_demo(
     factor = sign * math.sin(nu_f * math.pi) / math.pi
     max_residual = 0.0
     for x in samples:
-        first = sign * bessel_j(-nu_f, x, order) * bessel_j(nu_f + m_shift, x, order)
-        second = bessel_j(nu_f, x, order) * bessel_j(-nu_f - m_shift, x, order)
+        first = sign * bessel_j(-nu_f, x) * bessel_j(nu_f + m_shift, x)
+        second = bessel_j(nu_f, x) * bessel_j(-nu_f - m_shift, x)
         half = Fraction(x) / 2
         z = -half * half
         poly = half**m_shift * sum(beta * z**j for j, beta in exact.beta.values.items())
+        try:
+            closed = factor * float(poly)
+        except OverflowError:
+            raise OverflowError(f"the closed form does not fit in a float at x={x}") from None
         scale = abs(first) + abs(second)
-        residual = abs(first - second - factor * float(poly)) / scale if scale else 0.0
+        residual = abs(first - second - closed) / scale if scale else 0.0
         if not residual < tolerance:
             raise NumericResidualExceeded(
                 f"residual {residual:.3e} against the certified closed form at x={x} "
@@ -134,7 +141,6 @@ def bessel_demo(
     return BesselReport(
         nu=nu,
         m_shift=m_shift,
-        order=order,
         samples=tuple(float(x) for x in samples),
         tolerance=tolerance,
         max_residual=max_residual,

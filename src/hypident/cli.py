@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .asymptotics import check_residue_polynomial
-from .bessel import DEFAULT_ORDER, DEFAULT_SAMPLES, DEFAULT_TOLERANCE, bessel_demo
+from .bessel import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, bessel_demo
 from .errors import (
     CheckFailed,
     HypidentError,
@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, with_input=False, with_buffer=False)
     p.add_argument("--nu", required=True, help='rational order, e.g. "1/3"')
     p.add_argument("--m", type=int, required=True, dest="m_shift", help="integer shift")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--tolerance", type=decimal, default=DEFAULT_TOLERANCE)
     p.add_argument("--samples", type=decimals, default=DEFAULT_SAMPLES, help='e.g. "0.5,1,2"')
     return parser
@@ -186,13 +185,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         return report.to_dict(), 0 if report.failed == 0 else 1
 
     if args.command == "bessel":
-        report = bessel_demo(
-            parse_rational(args.nu),
-            args.m_shift,
-            order=args.order,
-            samples=args.samples,
-            tolerance=args.tolerance,
-        )
+        report = bessel_demo(parse_rational(args.nu), args.m_shift, args.samples, args.tolerance)
         return report.to_dict(), 0 if report.passed else 1
 
 

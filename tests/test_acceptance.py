@@ -202,7 +202,6 @@ def test_criterion_6_bessel_remark():
             report = bessel_demo(
                 nu,
                 m,
-                order=30,
                 samples=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
                 tolerance=1e-10,
             )

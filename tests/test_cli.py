@@ -347,8 +347,9 @@ class TestStrictInput:
             ["--nu", "abc", "--m", "1"],
             ["--nu", "1/0", "--m", "1"],
             ["--nu", "1/3", "--m", "1", "--samples", "0.5,x"],
-            # each of these used to pass vacuously with max_residual 0.0
+            # used to pass vacuously with max_residual 0.0; --order is now an unknown option
             ["--nu", "1/3", "--m", "3", "--order", "-1"],
+            # each of these used to pass vacuously with max_residual 0.0
             ["--nu", "1/3", "--m", "3", "--samples", "nan,1,2"],
             ["--nu", "1/3", "--m", "3", "--samples", "inf,1,2"],
             ["--nu", "1/3", "--m", "3", "--tolerance", "inf"],
@@ -374,6 +375,22 @@ class TestStrictInput:
         assert "error" in json.loads(out, parse_constant=pytest.fail)
 
     @pytest.mark.parametrize(
+        "args, nu, x",
+        [
+            (["--m", "170"], "-170.33333333333334", "0.5"),
+            (["--m", "200"], "200.33333333333334", "0.5"),
+            (["--m", "2", "--samples", "1e300,1"], "-0.3333333333333333", "1e+300"),
+            # this one used to name no value: (34, 'Numerical result out of range')
+            (["--m", "2", "--samples", "1e-300,1"], "-2.3333333333333335", "1e-300"),
+        ],
+    )
+    def test_overflow_names_nu_and_the_sample(self, capsys, args, nu, x):
+        status, out = run_cli(capsys, ["bessel", "--nu", "1/3", *args])
+        assert status == 2
+        message = f"J_nu(x) does not fit in a float at nu={nu}, x={x}"
+        assert json.loads(out) == {"error": {"type": "OverflowError", "message": message}}
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["fuzz", "--count", "abc"],
@@ -382,6 +399,8 @@ class TestStrictInput:
             ["residue-check", "x.json", "--k"],
             ["verify", "x.json", "--no-such-flag"],
             [],
+            # the series is summed to float precision, so --order is gone
+            ["bessel", "--nu", "1/3", "--m", "2", "--order", "30"],
         ],
     )
     def test_unparsable_command_line_exits_2_with_json(self, capsys, args):

@@ -9,7 +9,7 @@ from hypident.algebra import LaurentSeries, one_minus_z_power
 from hypident.errors import SupportViolation, TruncationTooSmall
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
-from hypident.identity import beta_coefficients, lhs_series, verify
+from hypident.identity import DEFAULT_BUFFER, beta_coefficients, lhs_series, verify
 from hypident.residues import residue_sum_closed_form
 
 from oracles import lhs_coefficients, lhs_value, partial_fraction_zero_sum, poch
@@ -17,6 +17,9 @@ from oracles import lhs_coefficients, lhs_value, partial_fraction_zero_sum, poch
 ZERO_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 UNIT_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 1), n=(0, 0))
 CONFLUENT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3),), m=(3,), n=(0, 0))
+# p = 31, the top rung of the shift ladder: the residue window is k = -16 .. -4,
+# the law's points -16 .. 17 and the top beta is at p - m_min = 15
+P31 = IdentityInstance(a=(Q(-7, 5), Q(2, 9)), b=(Q(3, 4), Q(-5, 11)), m=(16, 16), n=(0, 0))
 
 
 class TestLhsSeries:
@@ -253,12 +256,8 @@ class TestVerify:
         assert calls == [(UNIT_SHIFT, list(range(-1, 12))), (ZERO_SHIFT, list(range(0, 13)))]
 
     def test_top_beta_is_cross_checked(self, monkeypatch):
-        # p = 31: the residue window -16 .. -4 stops below the top beta at
-        # p - m_min = 15, which only the law's points -16 .. 17 reach
-        inst = IdentityInstance(
-            a=(Q(-7, 5), Q(2, 9)), b=(Q(3, 4), Q(-5, 11)), m=(16, 16), n=(0, 0)
-        )
-        p, top = 31, 15
+        # the residue window stops below the top beta, which only the law's points reach
+        inst, p, top = P31, 31, 15
         real = identity.lhs_series
 
         def perturbed(inst, trunc):
@@ -343,3 +342,76 @@ class TestFaultInjection:
             monkeypatch.setattr(identity, "lhs_series", real)
         assert tried > 100
         assert not missed, f"{len(missed)} of {tried} missed, first {missed[0]}"
+
+    # routes 2-4, each wrapped through the module global that verify calls, with 1
+    # added to its value at one k; route 2 takes (inst, k), routes 3 and 4 a kernel
+    ROUTES = {
+        "route 2": ("residue_sum_closed_form", lambda inst, k: k),
+        "route 3": ("sum_finite_residues", lambda kernel: kernel.k),
+        "route 4": ("residue_at_infinity", lambda kernel: kernel.k),
+    }
+
+    @staticmethod
+    def bump(monkeypatch, module, name, at, k_of):
+        real = getattr(module, name)
+
+        def bumped(*args):
+            value = real(*args)
+            return value + 1 if k_of(*args) == at else value
+
+        monkeypatch.setattr(module, name, bumped)
+
+    @staticmethod
+    def failed(report):
+        return {key for key, ok in report.cross_checks.items() if ok is False}
+
+    @pytest.mark.parametrize(
+        "route, where, flips",
+        [
+            ("route 2", "window", {"residue"}),
+            ("route 2", "low order", {"alpha"}),
+            ("route 3", "window", {"residue"}),
+            ("route 4", "window", {"residue"}),
+        ],
+    )
+    def test_route_fault_flips_its_check(self, monkeypatch, route, where, flips):
+        name, k_of = self.ROUTES[route]
+        rng = random.Random(1001)
+        for _ in range(5):
+            inst = random_instance(rng, family="one")
+            derived = inst.derived
+            start = -derived.m_min
+            if where == "window":
+                # the window's top k, above the law's points start .. start + p + 2
+                k = start + DEFAULT_BUFFER // 2
+                assert k > start + derived.p + 2
+            else:
+                k = -derived.n_max
+                assert k < start
+            with monkeypatch.context() as patch:
+                self.bump(patch, identity, name, k, k_of)
+                report = verify(inst)
+            assert report.vanishing_ok
+            assert self.failed(report) == flips, (inst, k)
+
+    def test_route_4_fault_at_a_law_point_flips_lemma1(self, monkeypatch):
+        # only the law builds the kernel at k = 17, above the window.  A failed law
+        # hands verify no residues to compare with the series, so residue stays true
+        self.bump(monkeypatch, asymptotics, "residue_at_infinity", 17, lambda kernel: kernel.k)
+        report = verify(P31)
+        assert report.vanishing_ok
+        assert self.failed(report) == {"lemma1"}
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_law_fault_flips_lemma1_only(self, monkeypatch, index):
+        real = asymptotics._law_values
+
+        def bumped(inst, order, start, count):
+            values = real(inst, order, start, count)
+            values[index] += 1
+            return values
+
+        monkeypatch.setattr(asymptotics, "_law_values", bumped)
+        report = verify(P31)
+        assert report.vanishing_ok
+        assert self.failed(report) == {"lemma1"}
