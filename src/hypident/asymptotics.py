@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, lcm
-from typing import Mapping
+from typing import Sequence
 
 from .algebra import Polynomial, Scalar
 from .errors import CheckFailed
@@ -188,7 +188,7 @@ class Lemma1Report:
 
 
 def check_residue_polynomial(
-    inst: IdentityInstance, at_infinity: Mapping[int, Scalar] | None = None
+    inst: IdentityInstance, at_infinity: Sequence[Scalar] | None = None
 ) -> Lemma1Report:
     """Confirm the degree-p polynomial law for residues at infinity.
 
@@ -197,22 +197,22 @@ def check_residue_polynomial(
     points would over-determine a degree-p polynomial, but the residues are
     not known beforehand to be one, so agreement is exact equality at the
     sampled k and evidence, not proof, for the others.  ``at_infinity``
-    holds the residues already known, by k (``verify`` passes its window's);
-    the kernels for the other points are built here, stepped where they can.
-    Raises CheckFailed at the first discrepant k.
+    lists the residues from k = -m_min up, at least one per point (``verify``
+    hands route 4's); without it the kernels are built here.  Raises
+    ValueError on too few, CheckFailed at the first discrepant k.
     """
     derived = _require_balanced(inst)
-    known = at_infinity or {}
     p, start = derived.p, -derived.m_min
     points = range(start, start + max(p, 0) + 3)
+    if at_infinity is None:
+        at_infinity, kernel = [], None
+        for k in points:
+            kernel = residue_kernel(inst, k, kernel)
+            at_infinity.append(residue_at_infinity(kernel))
+    elif len(at_infinity) < len(points):
+        raise ValueError(f"the law needs {len(points)} residues, got {len(at_infinity)}")
     expected = _law_values(inst, p, start, len(points)) if p >= 0 else [0] * len(points)
-    values, kernel = [], None
-    for k, law in zip(points, expected):
-        kernel = None if k in known else residue_kernel(inst, k, kernel)
-        value = known[k] if kernel is None else residue_at_infinity(kernel)
+    for k, value, law in zip(points, at_infinity, expected):
         if value != law:
-            raise CheckFailed(
-                f"residue at infinity for k={k} is {value}, expected {law} (p={p})"
-            )
-        values.append(value)
-    return Lemma1Report(p=p, points=tuple(points), residue_values=tuple(values))
+            raise CheckFailed(f"residue at infinity for k={k} is {value}, expected {law} (p={p})")
+    return Lemma1Report(p=p, points=tuple(points), residue_values=tuple(at_infinity[: len(points)]))

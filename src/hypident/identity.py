@@ -117,14 +117,14 @@ class BetaTable:
 
 def _certify(
     inst: IdentityInstance, buffer: int
-) -> tuple[LaurentSeries, BetaTable, int, list[str]]:
+) -> tuple[LaurentSeries, BetaTable, list[str]]:
     """The certification step shared by ``beta_coefficients`` and ``verify``.
 
     Picks the support window and truncation K, assembles S(z) through z^K,
     reduces it (S(z) for confluent instances, (1-z)^(p+1) S(z) for balanced
     ones), reads off the coefficient table and collects every nonzero
-    coefficient in the forced-vanishing ranges.  Returns (S, table, K,
-    violations).
+    coefficient in the forced-vanishing ranges.  Returns (S, table,
+    violations); K is ``S.trunc``.
     """
     derived = inst.derived
     if buffer < 1:
@@ -153,7 +153,7 @@ def _certify(
         values={j: reduced.coefficient(j) for j in range(support_low, support_high + 1)},
         theorem=derived.theorem,
     )
-    return series, table, trunc, violations
+    return series, table, violations
 
 
 def beta_coefficients(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> BetaTable:
@@ -163,7 +163,7 @@ def beta_coefficients(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> B
     vanish is nonzero; with exact arithmetic that signals a bug or an
     invalid instance, never a tolerance problem.
     """
-    _, table, _, violations = _certify(inst, buffer)
+    _, table, violations = _certify(inst, buffer)
     if violations:
         raise SupportViolation(violations[0])
     return table
@@ -176,9 +176,9 @@ class VerificationReport:
     ``cross_checks`` maps check name to True/False, or None for a check not
     run: ``verify`` does not run the residue, alpha and polynomial-law checks
     on confluent instances yet, and the law is stated for balanced ones only.
-    ``residue``: routes 2-4 meet the series at k = -m_min .. -m_min +
-    buffer // 2, and route 4 at the law's points up to ``checked_up_to``,
-    which cover the top beta at p - m_min.
+    ``residue``: routes 2-4 agree at k = -m_min .. -m_min + buffer // 2, and
+    route 4 meets the series there and at the law's points up to
+    ``checked_up_to``, whatever the law finds; they cover the top beta.
     """
 
     instance: IdentityInstance
@@ -212,7 +212,7 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
     validation of the instance itself can raise.
     """
     derived = inst.derived
-    series, table, trunc, violations = _certify(inst, buffer)
+    series, table, violations = _certify(inst, buffer)
 
     cross_checks: dict[str, bool | None] = {
         "residue": None,
@@ -220,23 +220,23 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
         "alpha": None,
     }
     if derived.theorem is Theorem.ONE:
-        # one kernel per k of the window, stepped from the one below; the law builds the rest
-        start = -derived.m_min
+        # one kernel per k, stepped from the one below; the law's points may reach past the window
+        start, window = -derived.m_min, buffer // 2 + 1
         kernels = [residue_kernel(inst, start)]
-        for k in range(start + 1, start + buffer // 2 + 1):
+        for k in range(start + 1, start + max(window, max(derived.p, 0) + 3)):
             kernels.append(residue_kernel(inst, k, kernels[-1]))
-        at_infinity = {kernel.k: residue_at_infinity(kernel) for kernel in kernels}
+        at_infinity = [residue_at_infinity(kernel) for kernel in kernels]
         try:
-            law = check_residue_polynomial(inst, at_infinity)
+            check_residue_polynomial(inst, at_infinity)
             cross_checks["lemma1"] = True
-            at_infinity.update(zip(law.points, law.residue_values))
         except CheckFailed:
             cross_checks["lemma1"] = False
-        # route 4 meets the series also at the law's points, up to the top beta
+        # route 4 meets the series at each of its k up to the truncation, the top beta's included
         cross_checks["residue"] = all(
-            sum_finite_residues(kernel) == at_infinity[kernel.k]
-            == residue_sum_closed_form(inst, kernel.k) for kernel in kernels
-        ) and all(value == series.coefficient(k) for k, value in at_infinity.items() if k <= trunc)
+            sum_finite_residues(kernel) == value == residue_sum_closed_form(inst, kernel.k)
+            for kernel, value in zip(kernels[:window], at_infinity)
+        ) and all(value == series.coefficient(k)
+                  for k, value in enumerate(at_infinity, start) if k <= series.trunc)
         cross_checks["alpha"] = all(
             residue_sum_closed_form(inst, k) == series.coefficient(k)
             for k in range(-derived.n_max, start)
@@ -246,7 +246,7 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
         instance=inst,
         derived=derived,
         beta=table,
-        checked_up_to=trunc,
+        checked_up_to=series.trunc,
         vanishing_ok=not violations,
         cross_checks=cross_checks,
     )

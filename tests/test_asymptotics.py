@@ -11,10 +11,12 @@ from hypident.errors import CheckFailed
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance
 from hypident.identity import verify
+from hypident.residues import residue_at_infinity, residue_kernel
 
 from oracles import bernoulli_numbers, compositions, law_g, law_q
 
 CANONICAL = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
+P0 = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 0), n=(0, 0))
 # p = 15 with r = 3, D = 420 and a negative shift
 P15 = IdentityInstance(
     a=(0, Q(1, 3), Q(-2, 5)), b=(Q(1, 4), Q(5, 7), Q(-1, 6)), m=(5, 6, 6), n=(0, 1, -1)
@@ -172,6 +174,20 @@ class TestResiduePolynomialLaw:
             index = report.points.index(k)
             assert report.residue_values[index] == oracle_q(P31, 31, k)
             assert report.polynomial(k) == oracle_q(P31, 31, k)
+
+    @pytest.mark.parametrize("inst", [CANONICAL, P0, P15, P31], ids=["p=-1", "p=0", "p=15", "p=31"])
+    def test_handed_residues(self, inst):
+        # the residues from k = -m_min up give the report the law's own kernels give;
+        # values past the last point are not read, and a wrong one at it raises
+        derived = inst.derived
+        start, count = -derived.m_min, max(derived.p, 0) + 3
+        values = [residue_at_infinity(residue_kernel(inst, k)) for k in range(start, start + count)]
+        own = check_residue_polynomial(inst)
+        assert check_residue_polynomial(inst, values) == own
+        assert check_residue_polynomial(inst, values + [Q(1, 7)]).to_dict() == own.to_dict()
+        k = start + count - 1
+        with pytest.raises(CheckFailed, match=rf"for k={k} is "):
+            check_residue_polynomial(inst, values[:-1] + [values[-1] + 1])
 
     def test_failure_names_the_k(self, monkeypatch):
         # the law's value off by one at k = 1 only: the law check fails

@@ -10,13 +10,14 @@ from hypident.errors import SupportViolation, TruncationTooSmall
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.identity import DEFAULT_BUFFER, beta_coefficients, lhs_series, verify
-from hypident.residues import residue_sum_closed_form
+from hypident.residues import residue_at_infinity, residue_kernel, residue_sum_closed_form
 
 from oracles import lhs_coefficients, lhs_value, partial_fraction_zero_sum, poch
 
 ZERO_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 UNIT_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 1), n=(0, 0))
 CONFLUENT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3),), m=(3,), n=(0, 0))
+P0 = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 0), n=(0, 0))
 # p = 31, the top rung of the shift ladder: the residue window is k = -16 .. -4,
 # the law's points -16 .. 17 and the top beta is at p - m_min = 15
 P31 = IdentityInstance(a=(Q(-7, 5), Q(2, 9)), b=(Q(3, 4), Q(-5, 11)), m=(16, 16), n=(0, 0))
@@ -241,19 +242,45 @@ class TestVerify:
         assert set(data["cross_checks"]) == {"residue", "lemma1", "alpha"}
 
     def test_law_runs_through_its_entry_point(self, monkeypatch):
-        # once per balanced verify, with the window's residues at infinity,
-        # and never for a confluent one
+        # once per balanced verify, handed route 4 at k = -m_min upwards, over the
+        # window and the law's points alike, and never for a confluent one
         calls = []
         real = identity.check_residue_polynomial
 
         def counting(inst, at_infinity=None):
-            calls.append((inst, sorted(at_infinity)))
+            calls.append((inst, list(at_infinity)))
             return real(inst, at_infinity)
 
         monkeypatch.setattr(identity, "check_residue_polynomial", counting)
-        for inst in (UNIT_SHIFT, CONFLUENT, ZERO_SHIFT):
+        for inst in (UNIT_SHIFT, CONFLUENT, ZERO_SHIFT, P31):
             assert verify(inst).cross_checks["lemma1"] in (True, None)
-        assert calls == [(UNIT_SHIFT, list(range(-1, 12))), (ZERO_SHIFT, list(range(0, 13)))]
+        assert [inst for inst, _ in calls] == [UNIT_SHIFT, ZERO_SHIFT, P31]
+        for inst, values in calls:
+            derived = inst.derived
+            assert len(values) == max(DEFAULT_BUFFER // 2 + 1, max(derived.p, 0) + 3)
+            assert values == [
+                residue_at_infinity(residue_kernel(inst, k))
+                for k in range(-derived.m_min, -derived.m_min + len(values))
+            ]
+
+    @pytest.mark.parametrize("inst", [ZERO_SHIFT, P0], ids=["p=-1", "p=0"])
+    def test_law_gets_a_value_per_point(self, monkeypatch, inst):
+        # at buffer 1 and 2 the window holds fewer k than the law's 3 points
+        handed = []
+        real = identity.check_residue_polynomial
+
+        def counting(inst, at_infinity=None):
+            handed.append(len(at_infinity))
+            return real(inst, at_infinity)
+
+        monkeypatch.setattr(identity, "check_residue_polynomial", counting)
+        for buffer in (1, 2):
+            assert verify(inst, buffer).passed
+        assert handed == [3, 3]
+        start = -inst.derived.m_min
+        short = [residue_at_infinity(residue_kernel(inst, k)) for k in range(start, start + 2)]
+        with pytest.raises(ValueError, match="needs 3 residues, got 2"):
+            real(inst, short)
 
     def test_top_beta_is_cross_checked(self, monkeypatch):
         # the residue window stops below the top beta, which only the law's points reach
@@ -286,21 +313,29 @@ class TestVerify:
                 IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(8, 8), n=(0, 0)),
                 range(-8, 10),
             ),
+            # p = 31: the law's points -16 .. 17 reach past the window -16 .. -4
+            (P31, range(-16, 18)),
         ],
     )
     def test_one_kernel_per_k(self, monkeypatch, inst, ks):
-        built = []
-        real = identity.residue_kernel
+        # verify steps every kernel from the one below but the first, and the law builds none
+        built = {identity: [], asymptotics: []}
 
-        def counting(inst, k, below=None):
-            built.append(k)
-            return real(inst, k, below)
+        def counting(module):
+            real = getattr(module, "residue_kernel")
 
-        monkeypatch.setattr(identity, "residue_kernel", counting)
-        monkeypatch.setattr(asymptotics, "residue_kernel", counting)
+            def build(inst, k, below=None):
+                built[module].append((k, below is None))
+                return real(inst, k, below)
+
+            return build
+
+        for module in built:
+            monkeypatch.setattr(module, "residue_kernel", counting(module))
         report = verify(inst)
         assert report.passed
-        assert built == list(ks)
+        assert built[identity] == [(k, k == ks[0]) for k in ks]
+        assert built[asymptotics] == []
 
 
 class TestFaultInjection:
@@ -395,12 +430,12 @@ class TestFaultInjection:
             assert self.failed(report) == flips, (inst, k)
 
     def test_route_4_fault_at_a_law_point_flips_lemma1(self, monkeypatch):
-        # only the law builds the kernel at k = 17, above the window.  A failed law
-        # hands verify no residues to compare with the series, so residue stays true
-        self.bump(monkeypatch, asymptotics, "residue_at_infinity", 17, lambda kernel: kernel.k)
+        # k = 17 lies above the window: verify takes route 4 there once, hands it to
+        # the law and compares it with the series (17 <= trunc = 40) as well
+        self.bump(monkeypatch, identity, "residue_at_infinity", 17, lambda kernel: kernel.k)
         report = verify(P31)
         assert report.vanishing_ok
-        assert self.failed(report) == {"lemma1"}
+        assert self.failed(report) == {"residue", "lemma1"}
 
     @pytest.mark.parametrize("index", [0, -1])
     def test_law_fault_flips_lemma1_only(self, monkeypatch, index):
