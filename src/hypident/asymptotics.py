@@ -16,19 +16,28 @@ The law is evaluated, never expanded: q_p(k) is computed at each sampled k
 in integers, from Bernoulli numbers built from integer tangent numbers.
 With D the lcm of the denominators of a and b (as in ``residues``), every
 Bernoulli argument is X / D with X an integer, and with L_n the lcm of the
-denominators of B_0 .. B_n, L_n D^n B_n(X / D) is an integer.  It is
-computed by Horner at the first k and then, from one k to the next, by
-B_n(x - 1) = B_n(x) - n (x - 1)^(n-1), at O(p r) per point.  So
-L_{j+1} D^(j+1) Q_j(k) is an integer, and a multiple of D because its
-X^(j+1) terms cancel modulo D.  Writing u D^u G_u as that multiple over D,
-divided by e_u = (u+1) L_{u+1}, the recurrence runs on the integers
-v_t = delta_t D^t q_t, where delta_0 = 1 and
+denominators of B_0 .. B_n, L_n D^n B_n(X / D) is an integer: at the first
+k, sum_l C(n, l) L_n B_{n-l} D^(n-l) S_l over the power sums S_l of the
+signed X.  So L_{j+1} D^(j+1) Q_j(k) is an integer, and a multiple of D
+because its X^(j+1) terms cancel modulo D.  Writing u D^u G_u as that
+multiple over D, divided by e_u = (u+1) L_{u+1}, the recurrence runs on the
+integers v_t = delta_t D^t q_t, where delta_0 = 1 and
 delta_t = t lcm_u(e_u delta_{t-u}) clear every denominator the recurrence
-can bring in; the delta_t do not depend on k.  Each point leaves the
-integers once, in a single division.  A check costs O(p^3) integer
-products over its p + 3 points, where expanding q_p as a polynomial cost
-O(p^4) in ``Fraction`` arithmetic.  The polynomial itself, where asked
-for, is the interpolation of these values.
+can bring in.  Each delta_t divides delta_p, so delta_p D^t q_t are
+integers for every t <= p.
+
+The recurrence runs once, at the first k; the series then steps in k.
+From B_n(x - 1) = B_n(x) - n (x - 1)^(n-1), each G_j moves by
+-(1/j) sum_i [(b_i + k)^j - (a_i + k + 1)^j] from k to k + 1, and
+-sum_j (c x)^j / j = log(1 - c x), so the series sum_t q_t x^t gains the
+factor prod_i (1 - (b_i + k) x) / (1 - (a_i + k + 1) x), exactly as
+truncated power series.  In y = x / D its factors are 1 - C y with C an
+integer, so multiplying (t descending) and dividing (t ascending) by them
+keeps delta_p D^t q_t in the integers; each point leaves them once, in a
+single division.  A check costs one O(p^2) recurrence, then O(r p) integer
+products per point, O(r p^2) over its p + 3 points, where expanding q_p
+as a polynomial costs O(p^4) in ``Fraction`` arithmetic.  The polynomial
+itself, where asked for, is the interpolation of these values.
 
 ``check_residue_polynomial`` compares both routes exactly at p + 3
 integer points.  That is evidence for the law, not a proof: agreement at
@@ -83,62 +92,52 @@ def _law_values(inst: IdentityInstance, order: int, start: int, count: int) -> l
         ell.append(lcm(ell[-1], x.denominator))
     d_pow = [d**e for e in range(order + 2)]
 
-    def scaled_bernoulli(n: int, x: int) -> int:
-        """L_n D^n B_n(x / D) = sum_l C(n, l) L_n B_{n-l} D^(n-l) x^l."""
-        acc = 0
-        for l in range(n, -1, -1):
-            c = numbers[n - l]
-            acc = acc * x + comb(n, l) * c.numerator * (ell[n] // c.denominator) * d_pow[n - l]
-        return acc
+    # power_sums[l] = sum sign X^l over D times the Bernoulli arguments of
+    # Q_j at k = start, with their signs
+    args = [(-a_i - start * d, 1) for a_i in a]
+    args += [(d - b_i - start * d, -1) for b_i in b]
+    args += [(d - b_i + m_i * d, 1) for b_i, m_i in zip(b, inst.m)]
+    args += [(d - a_i + n_i * d, -1) for a_i, n_i in zip(a, inst.n)]
+    power_sums = [0] * (order + 2)
+    for x, sign in args:
+        power = sign
+        for l in range(order + 2):
+            power_sums[l] += power
+            power *= x
+    # L_n D^n Q_{n-1}(start) = sum_l C(n, l) L_n B_{n-l} D^(n-l) power_sums[l]
+    # is a multiple of D (module docstring); h[u] is it over D at n = u + 1
+    h = [0]
+    for n in range(2, order + 2):
+        scaled = sum(
+            comb(n, l) * bn.numerator * (ell[n] // bn.denominator) * d_pow[n - l] * power_sums[l]
+            for l, bn in enumerate(numbers[n::-1])
+        )
+        h.append(scaled // d)
 
-    # D times the Bernoulli arguments, with their signs in Q_j: the first
-    # pair moves with k (given here at k = start), the second does not
-    moving = [(-a_i - start * d, 1) for a_i in a]
-    moving += [(d - b_i - start * d, -1) for b_i in b]
-    fixed = [(d - b_i + m_i * d, 1) for b_i, m_i in zip(b, inst.m)]
-    fixed += [(d - a_i + n_i * d, -1) for a_i, n_i in zip(a, inst.n)]
-    # scaled[n] = L_n D^n Q_{n-1}(k) for n = 2 .. order + 1
-    scaled = [0, 0] + [
-        sum(sign * scaled_bernoulli(n, x) for x, sign in moving + fixed)
-        for n in range(2, order + 2)
-    ]
-
-    # u D^u G_u = (-1)^(u+1) (scaled[u+1] / D) / e_u with e_u = (u+1) L_{u+1},
-    # so v_t = delta_t D^t q_t = sum_u weights[t][u] (scaled[u+1] / D) v_{t-u}
+    # u D^u G_u = (-1)^(u+1) h[u] / e_u with e_u = (u+1) L_{u+1}, so
+    # v_t = delta_t D^t q_t = sum_u (-1)^(u+1) delta_t / (t e_u delta_{t-u}) h[u] v_{t-u}
     e = [0] + [(u + 1) * ell[u + 1] for u in range(1, order + 1)]
-    delta, weights = [1], [[]]
+    delta, v = [1], [1]
     for t in range(1, order + 1):
         # a list, not a generator: see the ``hypident.algebra`` docstring
         delta.append(t * lcm(*[e[u] * delta[t - u] for u in range(1, t + 1)]))
-        weights.append(
-            [0] + [(-1) ** (u + 1) * delta[t] // (t * e[u] * delta[t - u]) for u in range(1, t + 1)]
-        )
+        weights = [(-1) ** (u + 1) * delta[t] // (t * e[u] * delta[t - u]) for u in range(1, t + 1)]
+        v.append(sum(w * h[u] * v[t - u] for u, w in enumerate(weights, 1)))
+    # delta_t divides delta_order, so series = delta_order D^t q_t are integers
+    series = [delta[order] // delta[t] * v[t] for t in range(order + 1)]
     denominator = delta[order] * d_pow[order]
 
     values = []
-    for step in range(count):
-        if step:
-            # B_n(x - 1) = B_n(x) - n (x - 1)^(n-1): in X = D x,
-            # L_n D^n B_n((X - D) / D) = L_n D^n B_n(X / D) - L_n n D (X - D)^(n-1)
-            power_sums = [0] * (order + 1)
-            shifted = []
-            for x, sign in moving:
-                x -= d
-                shifted.append((x, sign))
-                power = sign
-                for i in range(order + 1):
-                    power_sums[i] += power
-                    power *= x
-            moving = shifted
-            for n in range(2, order + 2):
-                scaled[n] -= ell[n] * n * d * power_sums[n - 1]
-        # scaled[u + 1] is a multiple of D (module docstring)
-        h = [0] + [scaled[u + 1] // d for u in range(1, order + 1)]
-        v = [1]
-        for t in range(1, order + 1):
-            row = weights[t]
-            v.append(sum(row[u] * h[u] * v[t - u] for u in range(1, t + 1)))
-        values.append(Fraction(v[order], denominator))
+    for k in range(start, start + count):
+        values.append(Fraction(series[order], denominator))
+        # to k + 1 (module docstring): in y = x / D each factor is 1 - c y, c an integer
+        for a_i, b_i in zip(a, b):
+            c = b_i + k * d
+            for t in range(order, 0, -1):
+                series[t] -= c * series[t - 1]
+            c = a_i + (k + 1) * d
+            for t in range(1, order + 1):
+                series[t] += c * series[t - 1]
     return values
 
 

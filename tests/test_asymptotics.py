@@ -76,6 +76,13 @@ class TestTangentNumberBernoulli:
         values = asymptotics._law_values(P31, 31, -3, 2)
         assert values == [oracle_q(P31, 31, -3), oracle_q(P31, 31, -2)]
 
+    @pytest.mark.parametrize("order", [0, 1, 7, 15])
+    def test_stepped_law_values(self, order):
+        # the series steps 39 times from k = -20, below -m_min = -5, at p = 15
+        # and at the lower orders that exp_series_coefficient asks for
+        values = asymptotics._law_values(P15, order, -20, 40)
+        assert values == [oracle_q(P15, order, k) for k in range(-20, 20)]
+
 
 class TestExpSeriesCoefficient:
     def test_order_zero_is_one(self):
@@ -174,6 +181,12 @@ class TestResiduePolynomialLaw:
             index = report.points.index(k)
             assert report.residue_values[index] == oracle_q(P31, 31, k)
             assert report.polynomial(k) == oracle_q(P31, 31, k)
+
+    def test_large_p(self):
+        # p = 119 on the shift ladder's instance: 122 law points, each stepped from the last
+        inst = IdentityInstance(a=P31.a, b=P31.b, m=(60, 60), n=(0, 0))
+        assert inst.derived.p == 119
+        assert verify(inst).cross_checks == {"residue": True, "lemma1": True, "alpha": True}
 
     @pytest.mark.parametrize("inst", [CANONICAL, P0, P15, P31], ids=["p=-1", "p=0", "p=15", "p=31"])
     def test_handed_residues(self, inst):

@@ -23,6 +23,8 @@ PREFACTOR_POLE = {"a": ["0", "1/2"], "b": ["0", "1/4"], "m": [0, 0], "n": [1, 0]
 # the prefactor of term 0 has negative shifts m_1 - n_0 = -2 and
 # n_1 - n_0 + 1 = -2, neither of them at a pole
 NEGATIVE_SHIFTS = {"a": ["1/3", "-2/5"], "b": ["1/4", "1/6"], "m": [5, 1], "n": [3, 0]}
+# p = 15 with r = 3, D = 420 and a negative shift: lemma steps the law over 18 points
+LONG_LAW = {"a": ["0", "1/3", "-2/5"], "b": ["1/4", "5/7", "-1/6"], "m": [5, 6, 6], "n": [0, 1, -1]}
 
 
 def write(tmp_path, name, payload):
@@ -452,6 +454,8 @@ GOLDEN = [
      b'{"error":{"message":"prefactor (1-b[0]+a[0])_(m[0]-n[0]) is undefined: (1)_-1 has zero factor 1 + -1","type":"PrefactorPole"}}\n'),
     (NEGATIVE_SHIFTS, ['coeffs'], 0,
      b'{"beta":{"-1":"15041/480","-2":"7267/1440","-3":"-247/45","0":"-310063/7200","1":"23023/1440"},"support_high":1,"support_low":-3,"theorem":"One"}\n'),
+    (LONG_LAW, ['lemma'], 0,
+     b'{"ok":true,"p":15,"points":[-5,-4,-3,-2,-1,0,1,2,3,4,5,6,7,8,9,10,11,12],"polynomial":["1479626773053625625/7169347584","1674648335449487441413393485787500902113670183/1323106652719192965120000000000000000","69818357828414536890351087150643656624042517391963/20005372589114197632614400000000000000000","1153922926662701435584932000032091306761372154876017/200053725891141976326144000000000000000000","19552013500239989331721120989740101296421043118017/3048437727865020591636480000000000000000","466117964202051405334278306286027207766746626856559/91453131835950617749094400000000000000000","548152097610827061764424438363464079845544757124521/182906263671901235498188800000000000000000","270324189113093455052385977302740201292290551275897/203229181857668039442432000000000000000000","12802868722166866076085449333251135659071934473083/28452085460073525521940480000000000000000","5509026907902374258903921369902329708299026422859/47420142433455875869900800000000000000000","1140524198557543733835100934653295236180608419/50180044903127910973440000000000000000","389551739039589338710632140770771685306980501/117609480241706041344000000000000000000","233060685907138911358462350563149049623321/669067265375038812979200000000000000","696274054930427988644956385794862317996483/27877802723959950540800000000000000000","53296284100315748612573902730248603592419/48786154766929913446400000000000000000","42907095615309140139984921618597006937017/1951446190677196537856000000000000000000"],"residue_values":["0","0","0","0","-2963180237875/27433728","1479626773053625625/7169347584","887403790152766953362195296532993/32672808000000000000000","206794798972427179749869084286166016543/230539333248000000000000000","184960209148158636067965071488152272021/12807740736000000000000000","13654870285030960193403644875709965085723/92974710528000000000000000","113945243456243866262339865711474139741244077/105433321738752000000000000000","6144827399603807470213457029694017058985749753/984044336228352000000000000000","68629744312861400743874957961842630949228564407/2296103451199488000000000000000","213539304223336507061787072844383362845545290148307/1735854209106812928000000000000000","25361536520933528077461137088675829328327523584167847/56704570830822555648000000000000000","55415121425436769000016664888781138646124767057408903/37803047220548370432000000000000000","4677339517525562967402026679560138495244688442420077/1063210703077922918400000000000000","11566502835492289545171150753041717841851770883381813/945076180513709260800000000000000"]}\n'),
 ]
 
 
