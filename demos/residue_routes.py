@@ -17,6 +17,8 @@ from fractions import Fraction as Q
 from hypident import (
     IdentityInstance,
     check_residue_polynomial,
+    kernel_ladder,
+    law_points,
     lhs_series,
     residue_at_infinity,
     residue_at_simple_pole,
@@ -55,7 +57,9 @@ for k in range(0, 7):
     print(f"{k:2d} | " + " | ".join(str(v) for v in row))
 print()
 
-report = check_residue_polynomial(inst)
+# the law is checked on route 4 over one kernel ladder, each kernel stepped from the one below
+ladder = kernel_ladder(inst, len(law_points(inst)))
+report = check_residue_polynomial(inst, [residue_at_infinity(kern) for kern in ladder])
 print(f"residue at infinity as a polynomial in k (degree {report.p}):")
 print("  q(k) =", report.polynomial)
 print("  sampled at k =", list(report.points), "->", [str(v) for v in report.residue_values])

@@ -23,6 +23,7 @@ from .asymptotics import (
     Lemma1Report,
     check_residue_polynomial,
     exp_series_coefficient,
+    law_points,
 )
 from .bessel import BesselReport, bessel_demo, bessel_j
 from .errors import (
@@ -52,6 +53,7 @@ from .identity import (
     BetaTable,
     VerificationReport,
     beta_coefficients,
+    kernel_ladder,
     lhs_series,
     verify,
 )
@@ -100,6 +102,8 @@ __all__ = [
     "expansion_at_infinity",
     "fuzz",
     "hyper_series",
+    "kernel_ladder",
+    "law_points",
     "lhs_series",
     "one_minus_z_power",
     "random_instance",

@@ -56,8 +56,7 @@ from typing import Sequence
 
 from .algebra import Polynomial, Scalar
 from .errors import CheckFailed
-from .hyper import DerivedQuantities, IdentityInstance, Theorem
-from .residues import residue_at_infinity, residue_kernel
+from .hyper import IdentityInstance, Theorem
 
 
 def _bernoulli_numbers(n: int) -> list[Fraction]:
@@ -74,11 +73,13 @@ def _bernoulli_numbers(n: int) -> list[Fraction]:
     return values[: n + 1]
 
 
-def _require_balanced(inst: IdentityInstance) -> DerivedQuantities:
+def law_points(inst: IdentityInstance) -> range:
+    """The k at which the law is checked, -m_min .. -m_min + max(p, 0) + 2;
+    ValueError for a confluent instance."""
     derived = inst.derived
     if derived.theorem is not Theorem.ONE:
         raise ValueError("defined only for balanced instances (s = r)")
-    return derived
+    return range(-derived.m_min, -derived.m_min + max(derived.p, 0) + 3)
 
 
 def _law_values(inst: IdentityInstance, order: int, start: int, count: int) -> list[Fraction]:
@@ -149,7 +150,7 @@ def exp_series_coefficient(inst: IdentityInstance, s_index: int) -> Polynomial:
     a polynomial in k of degree s, with q_0 = 1: the interpolation of its
     exact values at k = 0 .. s.
     """
-    _require_balanced(inst)
+    law_points(inst)  # balanced instances only
     if s_index < 0:
         raise ValueError("order must be non-negative")
     return Polynomial.interpolate(0, _law_values(inst, s_index, 0, s_index + 1))
@@ -186,31 +187,20 @@ class Lemma1Report:
         }
 
 
-def check_residue_polynomial(
-    inst: IdentityInstance, at_infinity: Sequence[Scalar] | None = None
-) -> Lemma1Report:
-    """Confirm the degree-p polynomial law for residues at infinity.
-
-    p = -1: the residue vanishes at every sampled k.  p = 0: it equals 1.
-    p >= 1: it matches q_p at k = -m_min .. -m_min + p + 2.  The p + 3
-    points would over-determine a degree-p polynomial, but the residues are
-    not known beforehand to be one, so agreement is exact equality at the
-    sampled k and evidence, not proof, for the others.  ``at_infinity``
-    lists the residues from k = -m_min up, at least one per point (``verify``
-    hands route 4's); without it the kernels are built here.  Raises
-    ValueError on too few, CheckFailed at the first discrepant k.
+def check_residue_polynomial(inst: IdentityInstance, at_infinity: Sequence[Scalar]) -> Lemma1Report:
+    """Confirm the degree-p polynomial law on ``at_infinity``, route 4's
+    residues from k = -m_min up, which the caller takes on
+    ``identity.kernel_ladder``: at each of ``law_points`` the residue is 0
+    for p = -1, 1 for p = 0 and q_p(k) for p >= 1, evidence for the law but
+    no proof (module docstring).  Values past the last point are not read.
+    Raises ValueError on a confluent instance or too few values, and
+    CheckFailed at the first k where they differ.
     """
-    derived = _require_balanced(inst)
-    p, start = derived.p, -derived.m_min
-    points = range(start, start + max(p, 0) + 3)
-    if at_infinity is None:
-        at_infinity, kernel = [], None
-        for k in points:
-            kernel = residue_kernel(inst, k, kernel)
-            at_infinity.append(residue_at_infinity(kernel))
-    elif len(at_infinity) < len(points):
+    points = law_points(inst)
+    if len(at_infinity) < len(points):
         raise ValueError(f"the law needs {len(points)} residues, got {len(at_infinity)}")
-    expected = _law_values(inst, p, start, len(points)) if p >= 0 else [0] * len(points)
+    p = inst.derived.p
+    expected = _law_values(inst, p, points.start, len(points)) if p >= 0 else [0] * len(points)
     for k, value, law in zip(points, at_infinity, expected):
         if value != law:
             raise CheckFailed(f"residue at infinity for k={k} is {value}, expected {law} (p={p})")

@@ -16,8 +16,11 @@ term's rational prefactor.  Collecting both terms,
 over the certified table.  The floating-point layer evaluates that closed
 form at each sample (the polynomial exactly, then the float factor) and
 compares it with the combination of ``bessel_j`` values, each summed to
-float precision.  The numeric side is a check of the series-to-Bessel
-transcription only; the certificate is the exact layer.
+float precision.  Both sides take nu exactly, in sin(nu pi) and in each
+order: next to its poles 1/Gamma(nu+1) magnifies the rounding of a float
+order, to 1e-9 relative at nu = 10^-6, m = 20.  The numeric side is a
+check of the series-to-Bessel transcription only; the certificate is the
+exact layer.
 """
 
 from __future__ import annotations
@@ -36,25 +39,42 @@ DEFAULT_SAMPLES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 DEFAULT_TOLERANCE = 1e-10
 
 
-def bessel_j(nu: float, x: float) -> float:
+def bessel_j(nu: Scalar | float, x: float) -> float:
     """J_nu(x) for x > 0 from the ascending series (Watson, section 3.1), nu + 1
-    not a non-positive integer.  Past the k with (nu+1+k)(k+1) > x^2/4 every term
-    ratio is below 1 and falls, so the first term there that leaves the float
-    total unchanged ends the sum.  Raises OverflowError, naming nu and x, where a
-    term, (x/2)^nu, Gamma(nu+1) or its reciprocal, or J is not a finite float."""
+    not a non-positive integer.  The order is taken exactly, as ``Fraction(nu)``
+    (exact for a float too), and each nu + 1 + k is formed exactly before it
+    becomes a float, so an order next to a negative integer keeps its distance
+    from the poles; for nu + 1 <= 0, 1/Gamma(nu+1) comes by reflection.  Past
+    the k with (nu+1+k)(k+1) > x^2/4 every term ratio is below 1 and falls, so
+    the first term there that leaves the float total unchanged ends the sum.
+    Raises OverflowError, naming nu and x, where a term, (x/2)^nu, Gamma(nu+1)
+    or Gamma(-nu), or J is not a finite float."""
+    order = Fraction(nu)
     w = -0.25 * x * x
     total, term, k = 0.0, 1.0, 0
-    while math.isfinite(term) and ((nu + 1 + k) * (k + 1) <= -w or total + term != total):
+    while math.isfinite(term):
+        c = float(order + 1 + k) * (k + 1)  # nu + 1 + k formed exactly
+        if c > -w and total + term == total:
+            break
         total += term
-        term *= w / ((nu + 1 + k) * (k + 1))
+        term *= w / c
         k += 1
+    z = order + 1
     try:  # total + term is total at the stop, and not finite where a term was not
-        value = (0.5 * x) ** nu / math.gamma(nu + 1) * (total + term)
-    except (OverflowError, ZeroDivisionError):  # division by zero: Gamma(nu+1) underflowed
+        # 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi for z <= 0
+        reciprocal = 1 / math.gamma(z) if z > 0 else _sin_pi(z) * math.gamma(1 - z) / math.pi
+        value = (0.5 * x) ** float(order) * reciprocal * (total + term)
+    except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise OverflowError(f"J_nu(x) does not fit in a float at nu={nu}, x={x}")
+        raise OverflowError(f"J_nu(x) does not fit in a float at nu={float(order)}, x={x}")
     return value
+
+
+def _sin_pi(q: Fraction) -> float:
+    """sin(pi q) from its exact distance f = q - round(q) to the nearest integer."""
+    n = round(q)
+    return (-1) ** n * math.sin(math.pi * (q - n))
 
 
 @dataclass(frozen=True)
@@ -115,14 +135,13 @@ def bessel_demo(
     inst = IdentityInstance(a=(Fraction(0), nu), b=(), m=(), n=(m_shift, 0))
     exact = verify(inst)
 
-    nu_f = float(nu)
     sign = -1.0 if m_shift % 2 else 1.0
     # 2 sin(nu pi) / (pi x) * (x/2)^(m+1) is sin(nu pi) / pi * (x/2)^m
-    factor = sign * math.sin(nu_f * math.pi) / math.pi
+    factor = sign * _sin_pi(nu) / math.pi
     max_residual = 0.0
     for x in samples:
-        first = sign * bessel_j(-nu_f, x) * bessel_j(nu_f + m_shift, x)
-        second = bessel_j(nu_f, x) * bessel_j(-nu_f - m_shift, x)
+        first = sign * bessel_j(-nu, x) * bessel_j(nu + m_shift, x)
+        second = bessel_j(nu, x) * bessel_j(-nu - m_shift, x)
         half = Fraction(x) / 2
         z = -half * half
         poly = half**m_shift * sum(beta * z**j for j, beta in exact.beta.values.items())

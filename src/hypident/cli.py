@@ -23,7 +23,7 @@ import re
 import sys
 from pathlib import Path
 
-from .asymptotics import check_residue_polynomial
+from .asymptotics import check_residue_polynomial, law_points
 from .bessel import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, bessel_demo
 from .errors import (
     CheckFailed,
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fuzzing import fuzz
 from .hyper import IdentityInstance, parse_rational
-from .identity import DEFAULT_BUFFER, beta_coefficients, verify
+from .identity import DEFAULT_BUFFER, beta_coefficients, kernel_ladder, verify
 from .residues import (
     residue_at_infinity,
     residue_kernel,
@@ -155,8 +155,9 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         return table.to_dict(), 0
 
     if args.command == "lemma":
-        report = check_residue_polynomial(_load_instance(args.input))
-        return report.to_dict(), 0
+        inst = _load_instance(args.input)
+        ladder = kernel_ladder(inst, len(law_points(inst)))
+        return check_residue_polynomial(inst, [*map(residue_at_infinity, ladder)]).to_dict(), 0
 
     if args.command == "residue-check":
         inst = _load_instance(args.input)

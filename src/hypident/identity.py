@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LaurentSeries, one_minus_z_power
-from .asymptotics import check_residue_polynomial
+from .asymptotics import check_residue_polynomial, law_points
 from .errors import CheckFailed, SupportViolation, TruncationTooSmall
 from .hyper import (
     DerivedQuantities,
@@ -32,6 +32,7 @@ from .hyper import (
     rising_quotient,
 )
 from .residues import (
+    ResidueKernel,
     residue_at_infinity,
     residue_kernel,
     residue_sum_closed_form,
@@ -205,6 +206,14 @@ class VerificationReport:
         }
 
 
+def kernel_ladder(inst: IdentityInstance, count: int) -> list[ResidueKernel]:
+    """The kernels at k = -m_min .. -m_min + count - 1, each stepped from the one below but the first."""
+    kernels = [residue_kernel(inst, -inst.derived.m_min)]
+    for _ in range(count - 1):
+        kernels.append(residue_kernel(inst, kernels[-1].k + 1, kernels[-1]))
+    return kernels
+
+
 def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> VerificationReport:
     """Certify the instance's support claim and run all exact cross-checks.
 
@@ -220,11 +229,9 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
         "alpha": None,
     }
     if derived.theorem is Theorem.ONE:
-        # one kernel per k, stepped from the one below; the law's points may reach past the window
+        # route 4 on one kernel ladder over the residue window and the law's points past it
         start, window = -derived.m_min, buffer // 2 + 1
-        kernels = [residue_kernel(inst, start)]
-        for k in range(start + 1, start + max(window, max(derived.p, 0) + 3)):
-            kernels.append(residue_kernel(inst, k, kernels[-1]))
+        kernels = kernel_ladder(inst, max(window, len(law_points(inst))))
         at_infinity = [residue_at_infinity(kernel) for kernel in kernels]
         try:
             check_residue_polynomial(inst, at_infinity)

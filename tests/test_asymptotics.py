@@ -6,11 +6,11 @@ import pytest
 
 from hypident import asymptotics
 from hypident.algebra import Polynomial
-from hypident.asymptotics import check_residue_polynomial, exp_series_coefficient
+from hypident.asymptotics import check_residue_polynomial, exp_series_coefficient, law_points
 from hypident.errors import CheckFailed
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance
-from hypident.identity import verify
+from hypident.identity import kernel_ladder, verify
 from hypident.residues import residue_at_infinity, residue_kernel
 
 from oracles import bernoulli_numbers, compositions, law_g, law_q
@@ -27,6 +27,12 @@ P31 = IdentityInstance(a=(Q(-7, 5), Q(2, 9)), b=(Q(3, 4), Q(-5, 11)), m=(16, 16)
 
 def oracle_q(inst, p, k):
     return law_q(inst.a, inst.b, inst.m, inst.n, p, k)
+
+
+def check_law(inst):
+    """The law on route 4 over the kernel ladder at its points, as the ``lemma`` command runs it."""
+    ladder = kernel_ladder(inst, len(law_points(inst)))
+    return check_residue_polynomial(inst, [residue_at_infinity(kernel) for kernel in ladder])
 
 
 class TestBernoulliCombination:
@@ -135,20 +141,20 @@ class TestExpSeriesCoefficient:
 
 class TestResiduePolynomialLaw:
     def test_vanishing_case(self):
-        report = check_residue_polynomial(CANONICAL)
+        report = check_law(CANONICAL)
         assert report.p == -1
         assert report.polynomial is None
         assert all(v == 0 for v in report.residue_values)
 
     def test_constant_case(self):
         inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 0), n=(0, 0))
-        report = check_residue_polynomial(inst)
+        report = check_law(inst)
         assert report.p == 0
         assert all(v == 1 for v in report.residue_values)
 
     def test_quadratic_case(self):
         inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(2, 1), n=(0, 0))
-        report = check_residue_polynomial(inst)
+        report = check_law(inst)
         assert report.p == 2
         assert report.polynomial is not None
         assert report.polynomial.degree == 2
@@ -158,24 +164,34 @@ class TestResiduePolynomialLaw:
         rng = random.Random(44)
         for _ in range(6):
             inst = random_instance(rng, r_range=(2, 3), shift_range=2, family="one")
-            report = check_residue_polynomial(inst)
+            report = check_law(inst)
             if report.p >= 1:
                 assert report.polynomial.degree == report.p
 
     def test_confluent_rejected(self):
         confluent = IdentityInstance(a=(0, Q(1, 3)), b=(), m=(), n=(0, 0))
-        with pytest.raises(ValueError):
-            check_residue_polynomial(confluent)
+        for call in (law_points, check_law, lambda inst: check_residue_polynomial(inst, [0] * 9)):
+            with pytest.raises(ValueError, match=r"^defined only for balanced instances \(s = r\)$"):
+                call(confluent)
+
+    @pytest.mark.parametrize(
+        "inst, points",
+        [(CANONICAL, range(0, 3)), (P0, range(0, 3)), (P15, range(-5, 13)), (P31, range(-16, 18))],
+        ids=["p=-1", "p=0", "p=15", "p=31"],
+    )
+    def test_law_points(self, inst, points):
+        # -m_min .. -m_min + max(p, 0) + 2
+        assert law_points(inst) == points
 
     def test_against_the_oracle(self):
-        report = check_residue_polynomial(P15)
+        report = check_law(P15)
         assert report.p == 15
         assert report.points == tuple(range(-5, 13))
         for k, value in zip(report.points, report.residue_values):
             assert value == oracle_q(P15, 15, k)
         for k in (-30, -6, 13, 50):
             assert report.polynomial(k) == oracle_q(P15, 15, k)
-        report = check_residue_polynomial(P31)
+        report = check_law(P31)
         assert report.p == 31
         for k in (-16, -3, 17):
             index = report.points.index(k)
@@ -190,16 +206,18 @@ class TestResiduePolynomialLaw:
 
     @pytest.mark.parametrize("inst", [CANONICAL, P0, P15, P31], ids=["p=-1", "p=0", "p=15", "p=31"])
     def test_handed_residues(self, inst):
-        # the residues from k = -m_min up give the report the law's own kernels give;
-        # values past the last point are not read, and a wrong one at it raises
-        derived = inst.derived
-        start, count = -derived.m_min, max(derived.p, 0) + 3
-        values = [residue_at_infinity(residue_kernel(inst, k)) for k in range(start, start + count)]
-        own = check_residue_polynomial(inst)
-        assert check_residue_polynomial(inst, values) == own
-        assert check_residue_polynomial(inst, values + [Q(1, 7)]).to_dict() == own.to_dict()
-        k = start + count - 1
-        with pytest.raises(CheckFailed, match=rf"for k={k} is "):
+        # route 4 built from roots at each of the law's points gives the report the
+        # kernel ladder gives; values past the last point are not read, one short
+        # raises ValueError and a wrong one at the last point CheckFailed
+        points = law_points(inst)
+        values = [residue_at_infinity(residue_kernel(inst, k)) for k in points]
+        report = check_residue_polynomial(inst, values)
+        assert report == check_law(inst)
+        assert report.points == tuple(points)
+        assert check_residue_polynomial(inst, values + [Q(1, 7)]).to_dict() == report.to_dict()
+        with pytest.raises(ValueError, match=rf"needs {len(points)} residues, got {len(points) - 1}"):
+            check_residue_polynomial(inst, values[:-1])
+        with pytest.raises(CheckFailed, match=rf"for k={points[-1]} is "):
             check_residue_polynomial(inst, values[:-1] + [values[-1] + 1])
 
     def test_failure_names_the_k(self, monkeypatch):
@@ -218,4 +236,4 @@ class TestResiduePolynomialLaw:
         assert report.cross_checks == {"residue": True, "lemma1": False, "alpha": True}
         assert not report.passed
         with pytest.raises(CheckFailed, match=r"for k=1 is .*\(p=5\)"):
-            check_residue_polynomial(inst)
+            check_law(inst)

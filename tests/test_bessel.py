@@ -36,6 +36,18 @@ class TestBesselJ:
             expected = float(mpmath.besselj(nu, x))
         assert bessel_j(nu, x) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("nu", [-20.000001, Q(-20000001, 10**6), 20.000001, -1e-6])
+    def test_order_next_to_an_integer(self, nu):
+        # next to its pole 1/Gamma(nu + 1) moves by 1e6 relative per unit of nu,
+        # so rounding nu = -20000001/10^6 to a float put J 1.03e-9 off; the exact
+        # order and the reflection keep it at float precision, float orders too
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            order = mpmath.mpf(Q(nu).numerator) / Q(nu).denominator
+            for x in (0.5, 3.0):
+                expected = float(mpmath.besselj(order, x))
+                assert bessel_j(nu, x) == pytest.approx(expected, rel=1e-13, abs=0), (nu, x)
+
     @pytest.mark.parametrize(
         "nu, x",
         [
@@ -71,6 +83,18 @@ class TestBesselDemo:
     def test_negative_shift(self):
         report = bessel_demo(Q(1, 3), -2)
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "nu, m",
+        [(Q(1, 10**6), 20), (Q(-1, 10**6), -20), (Q(20000001, 10**6), 5), (Q(1000001, 10**6), 7)],
+    )
+    def test_order_next_to_an_integer(self, nu, m):
+        # J and sin(nu pi) both take nu exactly; with float orders the residual
+        # was 1.0e-9, 1.0e-9 and 6.8e-10 at x = 0.5 in the first three.  The
+        # last is next to an odd integer, where sin(nu pi) changes sign
+        report = bessel_demo(nu, m)
+        assert report.passed
+        assert report.max_residual < 1e-13
 
     def test_integer_order_rejected_by_exact_layer(self):
         with pytest.raises(NotDistinctModZ):

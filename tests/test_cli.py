@@ -199,6 +199,13 @@ class TestBesselCommand:
         assert status == 1
         assert json.loads(out)["error"]["type"] == "NumericResidualExceeded"
 
+    def test_order_next_to_an_integer(self, capsys):
+        # the orders reach bessel_j exactly: with float orders this exited 1,
+        # residual 1.03e-9 at x = 0.5
+        status, out = run_cli(capsys, ["bessel", "--nu", "1/1000000", "--m", "20"])
+        assert status == 0
+        assert json.loads(out)["max_residual"] < 1e-13
+
     def test_negative_nu_in_either_form(self, capsys):
         outputs = []
         for args in (["--nu", "-1/3"], ["--nu=-1/3"]):

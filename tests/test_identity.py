@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as Q
 from math import comb, factorial
@@ -6,6 +7,8 @@ import pytest
 
 from hypident import asymptotics, identity
 from hypident.algebra import LaurentSeries, one_minus_z_power
+from hypident.asymptotics import law_points
+from hypident.cli import main
 from hypident.errors import SupportViolation, TruncationTooSmall
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
@@ -247,7 +250,7 @@ class TestVerify:
         calls = []
         real = identity.check_residue_polynomial
 
-        def counting(inst, at_infinity=None):
+        def counting(inst, at_infinity):
             calls.append((inst, list(at_infinity)))
             return real(inst, at_infinity)
 
@@ -269,7 +272,7 @@ class TestVerify:
         handed = []
         real = identity.check_residue_polynomial
 
-        def counting(inst, at_infinity=None):
+        def counting(inst, at_infinity):
             handed.append(len(at_infinity))
             return real(inst, at_infinity)
 
@@ -317,25 +320,30 @@ class TestVerify:
             (P31, range(-16, 18)),
         ],
     )
-    def test_one_kernel_per_k(self, monkeypatch, inst, ks):
-        # verify steps every kernel from the one below but the first, and the law builds none
-        built = {identity: [], asymptotics: []}
+    def test_one_kernel_per_k(self, monkeypatch, tmp_path, capsys, inst, ks):
+        # verify steps every kernel from the one below but the first, through
+        # identity's one ladder; the law module cannot build a kernel at all
+        assert not hasattr(asymptotics, "residue_kernel")
+        assert not hasattr(asymptotics, "residue_at_infinity")
+        built = []
+        real = identity.residue_kernel
 
-        def counting(module):
-            real = getattr(module, "residue_kernel")
+        def build(inst, k, below=None):
+            built.append((k, below is None))
+            return real(inst, k, below)
 
-            def build(inst, k, below=None):
-                built[module].append((k, below is None))
-                return real(inst, k, below)
-
-            return build
-
-        for module in built:
-            monkeypatch.setattr(module, "residue_kernel", counting(module))
+        monkeypatch.setattr(identity, "residue_kernel", build)
         report = verify(inst)
         assert report.passed
-        assert built[identity] == [(k, k == ks[0]) for k in ks]
-        assert built[asymptotics] == []
+        assert built == [(k, k == ks[0]) for k in ks]
+        # the lemma command steps one kernel per law point on the same ladder
+        built.clear()
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst.to_dict()))
+        assert main(["lemma", str(path)]) == 0
+        points = law_points(inst)
+        assert json.loads(capsys.readouterr().out)["points"] == list(points)
+        assert built == [(k, k == points[0]) for k in points]
 
 
 class TestFaultInjection:
