@@ -17,7 +17,6 @@ from fractions import Fraction as Q
 from hypident import (
     IdentityInstance,
     check_residue_polynomial,
-    kernel_ladder,
     law_points,
     lhs_series,
     residue_at_infinity,
@@ -57,9 +56,11 @@ for k in range(0, 7):
     print(f"{k:2d} | " + " | ".join(str(v) for v in row))
 print()
 
-# the law is checked on route 4 over one kernel ladder, each kernel stepped from the one below
-ladder = kernel_ladder(inst, len(law_points(inst)))
-report = check_residue_polynomial(inst, [residue_at_infinity(kern) for kern in ladder])
+# the law is proven against route 4's whole expansion at its first point,
+# k = -m_min, and checked against route 2 at each of its points
+points = law_points(inst)
+expansion = residue_kernel(inst, points.start).expansion
+report = check_residue_polynomial(inst, expansion, [residue_sum_closed_form(inst, k) for k in points])
 print(f"residue at infinity as a polynomial in k (degree {report.p}):")
 print("  q(k) =", report.polynomial)
 print("  sampled at k =", list(report.points), "->", [str(v) for v in report.residue_values])

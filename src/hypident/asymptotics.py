@@ -36,14 +36,13 @@ integer, so multiplying (t descending) and dividing (t ascending) by them
 keeps delta_p D^t q_t in the integers; each point leaves them once, in a
 single division.  A check costs one O(p^2) recurrence, then O(r p) integer
 products per point, O(r p^2) over its p + 3 points, where expanding q_p
-as a polynomial costs O(p^4) in ``Fraction`` arithmetic.  The polynomial
-itself, where asked for, is the interpolation of these values.
+as a polynomial, their interpolation, costs O(p^4) in ``Fraction``s.
 
-``check_residue_polynomial`` compares both routes exactly at p + 3
-integer points.  That is evidence for the law, not a proof: agreement at
-p + 3 points forces equality only for a function already known to be a
-polynomial of degree at most p, and nothing proves that of the sampled
-residues beforehand.
+With x = 1/z the kernel of ``residues`` steps by the same factor, and for
+p >= 0 it is sum_t c_t z^(p - 1 - t) at infinity, residue c_p.  So if q_t
+equals c_t = C_t / D^t, from route 4's expansion in w = D z, for t <= p at
+k = -m_min, it does at every k >= -m_min: ``check_residue_polynomial``
+proves the law by that one comparison, delta_p D^t q_t = delta_p C_t.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from math import comb, factorial, lcm
 from typing import Sequence
 
@@ -82,9 +82,13 @@ def law_points(inst: IdentityInstance) -> range:
     return range(-derived.m_min, -derived.m_min + max(derived.p, 0) + 3)
 
 
-def _law_values(inst: IdentityInstance, order: int, start: int, count: int) -> list[Fraction]:
-    """q_order(k) at k = start .. start + count - 1, for order >= 0, in
-    integers scaled as the module docstring describes."""
+def _law_values(
+    inst: IdentityInstance, order: int, start: int, count: int
+) -> tuple[list[int], int, list[Fraction]]:
+    """(series, delta, values): series[t] = delta D^t q_t(start) for t <= order, integers
+    (module docstring), and q_order(k) at k = start .. start + count - 1, 0 for order -1."""
+    if order < 0:
+        return [], 1, [0] * count
     derived = inst.derived
     d, a, b = derived.scale, derived.a_int, derived.b_int
     numbers = _bernoulli_numbers(order + 1)
@@ -125,21 +129,25 @@ def _law_values(inst: IdentityInstance, order: int, start: int, count: int) -> l
         weights = [(-1) ** (u + 1) * delta[t] // (t * e[u] * delta[t - u]) for u in range(1, t + 1)]
         v.append(sum(w * h[u] * v[t - u] for u, w in enumerate(weights, 1)))
     # delta_t divides delta_order, so series = delta_order D^t q_t are integers
-    series = [delta[order] // delta[t] * v[t] for t in range(order + 1)]
+    first = [delta[order] // delta[t] * v[t] for t in range(order + 1)]
     denominator = delta[order] * d_pow[order]
 
-    values = []
+    series, values = first[:], []
     for k in range(start, start + count):
         values.append(Fraction(series[order], denominator))
-        # to k + 1 (module docstring): in y = x / D each factor is 1 - c y, c an integer
-        for a_i, b_i in zip(a, b):
-            c = b_i + k * d
-            for t in range(order, 0, -1):
-                series[t] -= c * series[t - 1]
-            c = a_i + (k + 1) * d
-            for t in range(1, order + 1):
-                series[t] += c * series[t - 1]
-    return values
+        _step(series, d, a, b, k)
+    return first, delta[order], values
+
+
+def _step(series: list[int], d: int, a: Sequence[int], b: Sequence[int], k: int) -> None:
+    """The scaled series from k to k + 1, in place: each factor is 1 - c y, c an integer."""
+    for a_i, b_i in zip(a, b):
+        c = b_i + k * d
+        for t in range(len(series) - 1, 0, -1):
+            series[t] -= c * series[t - 1]
+        c = a_i + (k + 1) * d
+        for t in range(1, len(series)):
+            series[t] += c * series[t - 1]
 
 
 def exp_series_coefficient(inst: IdentityInstance, s_index: int) -> Polynomial:
@@ -153,12 +161,12 @@ def exp_series_coefficient(inst: IdentityInstance, s_index: int) -> Polynomial:
     law_points(inst)  # balanced instances only
     if s_index < 0:
         raise ValueError("order must be non-negative")
-    return Polynomial.interpolate(0, _law_values(inst, s_index, 0, s_index + 1))
+    return Polynomial.interpolate(0, _law_values(inst, s_index, 0, s_index + 1)[2])
 
 
 @dataclass(frozen=True)
 class Lemma1Report:
-    """Outcome of the polynomial-law check on residues at infinity."""
+    """Outcome of the polynomial-law check: the law's values at ``points``."""
 
     p: int
     points: tuple[int, ...]
@@ -166,9 +174,7 @@ class Lemma1Report:
 
     @cached_property
     def polynomial(self) -> Polynomial | None:
-        """q_p when p >= 1, else None.  A report exists only when the
-        residues matched q_p at every point, so q_p is their interpolation
-        at the first p + 1 points."""
+        """q_p when p >= 1, else None: the law's values interpolated at the first p + 1 points."""
         if self.p < 1:
             return None
         return Polynomial.interpolate(self.points[0], self.residue_values[: self.p + 1])
@@ -187,21 +193,22 @@ class Lemma1Report:
         }
 
 
-def check_residue_polynomial(inst: IdentityInstance, at_infinity: Sequence[Scalar]) -> Lemma1Report:
-    """Confirm the degree-p polynomial law on ``at_infinity``, route 4's
-    residues from k = -m_min up, which the caller takes on
-    ``identity.kernel_ladder``: at each of ``law_points`` the residue is 0
-    for p = -1, 1 for p = 0 and q_p(k) for p >= 1, evidence for the law but
-    no proof (module docstring).  Values past the last point are not read.
-    Raises ValueError on a confluent instance or too few values, and
-    CheckFailed at the first k where they differ.
-    """
+def check_residue_polynomial(
+    inst: IdentityInstance, expansion: Sequence[int], at_points: Sequence[Scalar]
+) -> Lemma1Report:
+    """Prove the law for residues at infinity at every k >= -m_min, 0 for p = -1, 1 for
+    p = 0 and q_p(k) for p >= 1: its series must equal ``expansion``, route 4's C_0 .. C_p
+    at k = -m_min (module docstring), and its values ``at_points``, independent values from
+    k = -m_min up, at most one per law point, which check the stepping the proof trusts.
+    ValueError on a confluent instance or an expansion of the wrong length; CheckFailed
+    at the first t or k where the two differ."""
     points = law_points(inst)
-    if len(at_infinity) < len(points):
-        raise ValueError(f"the law needs {len(points)} residues, got {len(at_infinity)}")
     p = inst.derived.p
-    expected = _law_values(inst, p, points.start, len(points)) if p >= 0 else [0] * len(points)
-    for k, value, law in zip(points, at_infinity, expected):
-        if value != law:
-            raise CheckFailed(f"residue at infinity for k={k} is {value}, expected {law} (p={p})")
-    return Lemma1Report(p=p, points=tuple(points), residue_values=tuple(at_infinity[: len(points)]))
+    first, delta, values = _law_values(inst, p, points.start, len(points))
+    for t, (law, route_4) in enumerate(zip(first, expansion, strict=True)):
+        if law != delta * route_4:
+            raise CheckFailed(f"law's series at k={points.start}, order t={t}: not route 4's (p={p})")
+    for k, (value, law) in enumerate(zip_longest(at_points, values), points.start):
+        if value is not None and value != law:
+            raise CheckFailed(f"residue for k={k} is {value}, the law gives {law} (p={p})")
+    return Lemma1Report(p=p, points=tuple(points), residue_values=tuple(values))

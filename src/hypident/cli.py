@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fuzzing import fuzz
 from .hyper import IdentityInstance, parse_rational
-from .identity import DEFAULT_BUFFER, beta_coefficients, kernel_ladder, verify
+from .identity import DEFAULT_BUFFER, beta_coefficients, verify
 from .residues import (
     residue_at_infinity,
     residue_kernel,
@@ -156,8 +156,10 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
 
     if args.command == "lemma":
         inst = _load_instance(args.input)
-        ladder = kernel_ladder(inst, len(law_points(inst)))
-        return check_residue_polynomial(inst, [*map(residue_at_infinity, ladder)]).to_dict(), 0
+        points = law_points(inst)
+        expansion = residue_kernel(inst, points.start).expansion
+        at_points = [residue_sum_closed_form(inst, k) for k in points]
+        return check_residue_polynomial(inst, expansion, at_points).to_dict(), 0
 
     if args.command == "residue-check":
         inst = _load_instance(args.input)

@@ -175,11 +175,13 @@ class VerificationReport:
     """Everything ``verify`` established about one instance.
 
     ``cross_checks`` maps check name to True/False, or None for a check not
-    run: ``verify`` does not run the residue, alpha and polynomial-law checks
-    on confluent instances yet, and the law is stated for balanced ones only.
-    ``residue``: routes 2-4 agree at k = -m_min .. -m_min + buffer // 2, and
-    route 4 meets the series there and at the law's points up to
-    ``checked_up_to``, whatever the law finds; they cover the top beta.
+    run: none runs on confluent instances yet, and the law is stated for
+    balanced ones only.  ``residue``: routes 2-4 agree with the series over
+    the window k = -m_min .. -m_min + buffer // 2, the only kernels built.
+    ``lemma1``: the law equals route 4's expansion at k = -m_min, which
+    proves it at every k, and the series at its points up to
+    ``checked_up_to``, so it covers the top beta above the window; points
+    above the truncation (a small ``buffer``) rest on the proof alone.
     """
 
     instance: IdentityInstance
@@ -229,24 +231,22 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
         "alpha": None,
     }
     if derived.theorem is Theorem.ONE:
-        # route 4 on one kernel ladder over the residue window and the law's points past it
-        start, window = -derived.m_min, buffer // 2 + 1
-        kernels = kernel_ladder(inst, max(window, len(law_points(inst))))
-        at_infinity = [residue_at_infinity(kernel) for kernel in kernels]
+        # the kernels of the residue window; the law reads route 4's whole expansion at the first
+        kernels = kernel_ladder(inst, buffer // 2 + 1)
+        at_points = [series.coefficient(k) for k in law_points(inst) if k <= series.trunc]
         try:
-            check_residue_polynomial(inst, at_infinity)
+            check_residue_polynomial(inst, kernels[0].expansion, at_points)
             cross_checks["lemma1"] = True
         except CheckFailed:
             cross_checks["lemma1"] = False
-        # route 4 meets the series at each of its k up to the truncation, the top beta's included
         cross_checks["residue"] = all(
-            sum_finite_residues(kernel) == value == residue_sum_closed_form(inst, kernel.k)
-            for kernel, value in zip(kernels[:window], at_infinity)
-        ) and all(value == series.coefficient(k)
-                  for k, value in enumerate(at_infinity, start) if k <= series.trunc)
+            sum_finite_residues(kernel) == residue_at_infinity(kernel)
+            == residue_sum_closed_form(inst, kernel.k) == series.coefficient(kernel.k)
+            for kernel in kernels
+        )
         cross_checks["alpha"] = all(
             residue_sum_closed_form(inst, k) == series.coefficient(k)
-            for k in range(-derived.n_max, start)
+            for k in range(-derived.n_max, -derived.m_min)
         )
 
     return VerificationReport(

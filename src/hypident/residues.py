@@ -24,7 +24,8 @@ division of a residue leaves them.  Since dz = dw / D, both the residue at
 a pole and the coefficient of 1/z at infinity return to z through the one
 factor D^(deg den - deg num - 1).  The gap deg num - deg den is
 M - N - r - (r - s) k in both families; the kernel takes it from the
-instance as ``offset``, and route 4 expands to depth offset + 2.
+instance as ``offset``, and route 4 expands to depth offset + 2.  The
+polynomial law of ``asymptotics`` reads that whole expansion at k = -m_min.
 The closed form scales each Pochhammer factor the same way: (X/D)_q is an
 integer product over D^q, and a quotient of such products is one
 ``rising_quotient``, as is the series route's prefactor.
@@ -110,6 +111,11 @@ class ResidueKernel:
             _unscale_polynomial(self.scaled.num, self.scale),
             _unscale_polynomial(self.scaled.den, self.scale),
         )
+
+    @cached_property
+    def expansion(self) -> list[int]:
+        """Route 4's C_0 .. C_{offset+1} at infinity in w, empty when offset < -1."""
+        return expansion_at_infinity(self.scaled, self.offset + 2) if self.offset >= -1 else []
 
     def _to_z(self, value: Scalar) -> Scalar:
         """A residue of the w-form kernel as the same residue in z."""
@@ -234,11 +240,6 @@ def sum_finite_residues(kernel: ResidueKernel) -> Scalar:
 
 
 def residue_at_infinity(kernel: ResidueKernel) -> Scalar:
-    """Coefficient of 1/z in the kernel's expansion at infinity.
-
-    For a rational function this equals the sum of all finite residues,
-    which is exactly the consistency the verifier checks.
-    """
-    if kernel.offset < -1:
-        return 0
-    return kernel._to_z(expansion_at_infinity(kernel.scaled, kernel.offset + 2)[-1])
+    """Coefficient of 1/z in the kernel's expansion at infinity, the last of
+    ``expansion`` back in z: the sum of the finite residues, as ``verify`` checks."""
+    return kernel._to_z(kernel.expansion[-1]) if kernel.expansion else 0

@@ -138,9 +138,11 @@ def _balanced_with_target_p(rng, p_target):
 
 
 def check_law(inst):
-    """The law on route 4 over the kernel ladder at its points, as the ``lemma`` command runs it."""
-    ladder = kernel_ladder(inst, len(law_points(inst)))
-    return check_residue_polynomial(inst, [residue_at_infinity(kernel) for kernel in ladder])
+    """The law on route 4's expansion at its first point and route 2 at each
+    point, as the ``lemma`` command runs it."""
+    points = law_points(inst)
+    expansion = residue_kernel(inst, points.start).expansion
+    return check_residue_polynomial(inst, expansion, [residue_sum_closed_form(inst, k) for k in points])
 
 
 def test_criterion_4_residue_polynomial_law():
@@ -152,6 +154,9 @@ def test_criterion_4_residue_polynomial_law():
             report = check_law(inst)  # CheckFailed on mismatch
             assert report.p == p_target
             assert len(report.points) == max(p_target, 0) + 3
+            # the law's values are route 4's at every point
+            ladder = kernel_ladder(inst, len(report.points))
+            assert list(report.residue_values) == [residue_at_infinity(kernel) for kernel in ladder]
             if p_target == -1:
                 assert all(v == 0 for v in report.residue_values)
             elif p_target == 0:

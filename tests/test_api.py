@@ -35,7 +35,7 @@ def test_oracles_import_nothing_from_the_package():
 @pytest.mark.parametrize(
     "module, forbidden",
     [
-        # the law compares the residues it is handed and cannot build a kernel
+        # the law compares the expansion and values it is handed and cannot build a kernel
         ("asymptotics", {".residues", ".identity"}),
         # the kernel routes know nothing of the law or of the certificate
         ("residues", {".asymptotics", ".identity"}),

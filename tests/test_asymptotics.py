@@ -11,7 +11,7 @@ from hypident.errors import CheckFailed
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance
 from hypident.identity import kernel_ladder, verify
-from hypident.residues import residue_at_infinity, residue_kernel
+from hypident.residues import residue_at_infinity, residue_kernel, residue_sum_closed_form
 
 from oracles import bernoulli_numbers, compositions, law_g, law_q
 
@@ -30,9 +30,11 @@ def oracle_q(inst, p, k):
 
 
 def check_law(inst):
-    """The law on route 4 over the kernel ladder at its points, as the ``lemma`` command runs it."""
-    ladder = kernel_ladder(inst, len(law_points(inst)))
-    return check_residue_polynomial(inst, [residue_at_infinity(kernel) for kernel in ladder])
+    """The law on route 4's expansion at its first point and route 2 at each point,
+    as the ``lemma`` command runs it."""
+    points = law_points(inst)
+    expansion = residue_kernel(inst, points.start).expansion
+    return check_residue_polynomial(inst, expansion, [residue_sum_closed_form(inst, k) for k in points])
 
 
 class TestBernoulliCombination:
@@ -79,15 +81,18 @@ class TestTangentNumberBernoulli:
 
     def test_law_values_past_the_window(self):
         # verify's window for P31 is k = -16 .. -4, so the law alone reads -3 and -2
-        values = asymptotics._law_values(P31, 31, -3, 2)
+        values = asymptotics._law_values(P31, 31, -3, 2)[2]
         assert values == [oracle_q(P31, 31, -3), oracle_q(P31, 31, -2)]
 
     @pytest.mark.parametrize("order", [0, 1, 7, 15])
     def test_stepped_law_values(self, order):
         # the series steps 39 times from k = -20, below -m_min = -5, at p = 15
         # and at the lower orders that exp_series_coefficient asks for
-        values = asymptotics._law_values(P15, order, -20, 40)
+        series, delta, values = asymptotics._law_values(P15, order, -20, 40)
         assert values == [oracle_q(P15, order, k) for k in range(-20, 20)]
+        # the start series, scaled by delta D^t, at the first point only
+        d = P15.derived.scale
+        assert series == [delta * d**t * oracle_q(P15, t, -20) for t in range(order + 1)]
 
 
 class TestExpSeriesCoefficient:
@@ -170,7 +175,7 @@ class TestResiduePolynomialLaw:
 
     def test_confluent_rejected(self):
         confluent = IdentityInstance(a=(0, Q(1, 3)), b=(), m=(), n=(0, 0))
-        for call in (law_points, check_law, lambda inst: check_residue_polynomial(inst, [0] * 9)):
+        for call in (law_points, check_law, lambda inst: check_residue_polynomial(inst, [], [])):
             with pytest.raises(ValueError, match=r"^defined only for balanced instances \(s = r\)$"):
                 call(confluent)
 
@@ -206,19 +211,30 @@ class TestResiduePolynomialLaw:
 
     @pytest.mark.parametrize("inst", [CANONICAL, P0, P15, P31], ids=["p=-1", "p=0", "p=15", "p=31"])
     def test_handed_residues(self, inst):
-        # route 4 built from roots at each of the law's points gives the report the
-        # kernel ladder gives; values past the last point are not read, one short
-        # raises ValueError and a wrong one at the last point CheckFailed
+        # the law's values are route 4's on a kernel ladder; fewer handed values
+        # check fewer points, an expansion of the wrong length raises ValueError,
+        # and a wrong order t or a wrong value at the last point CheckFailed
         points = law_points(inst)
-        values = [residue_at_infinity(residue_kernel(inst, k)) for k in points]
-        report = check_residue_polynomial(inst, values)
-        assert report == check_law(inst)
+        ladder = kernel_ladder(inst, len(points))
+        report = check_law(inst)
         assert report.points == tuple(points)
-        assert check_residue_polynomial(inst, values + [Q(1, 7)]).to_dict() == report.to_dict()
-        with pytest.raises(ValueError, match=rf"needs {len(points)} residues, got {len(points) - 1}"):
-            check_residue_polynomial(inst, values[:-1])
-        with pytest.raises(CheckFailed, match=rf"for k={points[-1]} is "):
-            check_residue_polynomial(inst, values[:-1] + [values[-1] + 1])
+        assert list(report.residue_values) == [residue_at_infinity(kernel) for kernel in ladder]
+        expansion = ladder[0].expansion
+        assert len(expansion) == max(inst.derived.p + 1, 0)
+        values = list(report.residue_values)
+        assert check_residue_polynomial(inst, expansion, values[:1]) == report
+        assert check_residue_polynomial(inst, expansion, []) == report
+        with pytest.raises(ValueError, match="argument 2 is longer"):
+            check_residue_polynomial(inst, expansion + [1], values)
+        if expansion:
+            with pytest.raises(ValueError, match="argument 2 is shorter"):
+                check_residue_polynomial(inst, expansion[:-1], values)
+        with pytest.raises(CheckFailed, match=rf"residue for k={points[-1]} is "):
+            check_residue_polynomial(inst, expansion, values[:-1] + [values[-1] + 1])
+        for t in range(len(expansion)):
+            wrong = expansion[:t] + [expansion[t] + 1] + expansion[t + 1 :]
+            with pytest.raises(CheckFailed, match=rf"^law's series at k={points.start}, order t={t}: "):
+                check_residue_polynomial(inst, wrong, values)
 
     def test_failure_names_the_k(self, monkeypatch):
         # the law's value off by one at k = 1 only: the law check fails
@@ -227,9 +243,9 @@ class TestResiduePolynomialLaw:
         real = asymptotics._law_values
 
         def perturbed(inst, order, start, count):
-            values = real(inst, order, start, count)
+            series, delta, values = real(inst, order, start, count)
             values[1 - start] += 1
-            return values
+            return series, delta, values
 
         monkeypatch.setattr(asymptotics, "_law_values", perturbed)
         report = verify(inst)

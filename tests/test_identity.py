@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from hypident import asymptotics, identity
+from hypident import asymptotics, cli, identity
 from hypident.algebra import LaurentSeries, one_minus_z_power
 from hypident.asymptotics import law_points
 from hypident.cli import main
@@ -13,7 +13,7 @@ from hypident.errors import SupportViolation, TruncationTooSmall
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.identity import DEFAULT_BUFFER, beta_coefficients, lhs_series, verify
-from hypident.residues import residue_at_infinity, residue_kernel, residue_sum_closed_form
+from hypident.residues import ResidueKernel, residue_kernel, residue_sum_closed_form
 
 from oracles import lhs_coefficients, lhs_value, partial_fraction_zero_sum, poch
 
@@ -245,48 +245,47 @@ class TestVerify:
         assert set(data["cross_checks"]) == {"residue", "lemma1", "alpha"}
 
     def test_law_runs_through_its_entry_point(self, monkeypatch):
-        # once per balanced verify, handed route 4 at k = -m_min upwards, over the
-        # window and the law's points alike, and never for a confluent one
+        # once per balanced verify and never for a confluent one, handed route 4's
+        # expansion at k = -m_min and the series at each law point up to the truncation
         calls = []
         real = identity.check_residue_polynomial
 
-        def counting(inst, at_infinity):
-            calls.append((inst, list(at_infinity)))
-            return real(inst, at_infinity)
+        def counting(inst, expansion, at_points):
+            calls.append((inst, list(expansion), list(at_points)))
+            return real(inst, expansion, at_points)
 
         monkeypatch.setattr(identity, "check_residue_polynomial", counting)
         for inst in (UNIT_SHIFT, CONFLUENT, ZERO_SHIFT, P31):
             assert verify(inst).cross_checks["lemma1"] in (True, None)
-        assert [inst for inst, _ in calls] == [UNIT_SHIFT, ZERO_SHIFT, P31]
-        for inst, values in calls:
-            derived = inst.derived
-            assert len(values) == max(DEFAULT_BUFFER // 2 + 1, max(derived.p, 0) + 3)
-            assert values == [
-                residue_at_infinity(residue_kernel(inst, k))
-                for k in range(-derived.m_min, -derived.m_min + len(values))
-            ]
+        assert [inst for inst, _, _ in calls] == [UNIT_SHIFT, ZERO_SHIFT, P31]
+        monkeypatch.undo()
+        for inst, expansion, at_points in calls:
+            kernel = residue_kernel(inst, -inst.derived.m_min)
+            assert expansion == kernel.expansion and len(expansion) == max(inst.derived.p + 1, 0)
+            series = lhs_series(inst, verify(inst).checked_up_to)
+            assert at_points == [series.coefficient(k) for k in law_points(inst)]
 
     @pytest.mark.parametrize("inst", [ZERO_SHIFT, P0], ids=["p=-1", "p=0"])
     def test_law_gets_a_value_per_point(self, monkeypatch, inst):
-        # at buffer 1 and 2 the window holds fewer k than the law's 3 points
+        # at buffer 1 the truncation is 1 and the law's last point, 2, lies above
+        # it: that point rests on the proof alone, and the report still holds it
         handed = []
         real = identity.check_residue_polynomial
 
-        def counting(inst, at_infinity):
-            handed.append(len(at_infinity))
-            return real(inst, at_infinity)
+        def counting(inst, expansion, at_points):
+            handed.append(len(at_points))
+            report = real(inst, expansion, at_points)
+            assert report.points == (0, 1, 2) and len(report.residue_values) == 3
+            return report
 
         monkeypatch.setattr(identity, "check_residue_polynomial", counting)
         for buffer in (1, 2):
             assert verify(inst, buffer).passed
-        assert handed == [3, 3]
-        start = -inst.derived.m_min
-        short = [residue_at_infinity(residue_kernel(inst, k)) for k in range(start, start + 2)]
-        with pytest.raises(ValueError, match="needs 3 residues, got 2"):
-            real(inst, short)
+        assert handed == [2, 3]
 
     def test_top_beta_is_cross_checked(self, monkeypatch):
-        # the residue window stops below the top beta, which only the law's points reach
+        # the residue window stops below the top beta, which only the law's points reach:
+        # lemma1 compares the law with the series there and flips, residue does not
         inst, p, top = P31, 31, 15
         real = identity.lhs_series
 
@@ -304,7 +303,7 @@ class TestVerify:
             report = verify(inst, buffer)
             assert report.vanishing_ok
             assert report.beta.values == {**table.values, top: table.values[top] + 1}
-            assert report.cross_checks == {"residue": False, "lemma1": True, "alpha": True}
+            assert report.cross_checks == {"residue": True, "lemma1": False, "alpha": True}
 
     @pytest.mark.parametrize(
         "inst, ks",
@@ -314,15 +313,16 @@ class TestVerify:
             # p = 15: the law's points -8 .. 9 reach past the window -8 .. 4
             (
                 IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(8, 8), n=(0, 0)),
-                range(-8, 10),
+                range(-8, 5),
             ),
             # p = 31: the law's points -16 .. 17 reach past the window -16 .. -4
-            (P31, range(-16, 18)),
+            (P31, range(-16, -3)),
         ],
     )
     def test_one_kernel_per_k(self, monkeypatch, tmp_path, capsys, inst, ks):
-        # verify steps every kernel from the one below but the first, through
-        # identity's one ladder; the law module cannot build a kernel at all
+        # verify builds the residue window only, each kernel stepped from the one
+        # below but the first, through identity's one ladder; the law module
+        # cannot build a kernel at all
         assert not hasattr(asymptotics, "residue_kernel")
         assert not hasattr(asymptotics, "residue_at_infinity")
         built = []
@@ -333,17 +333,18 @@ class TestVerify:
             return real(inst, k, below)
 
         monkeypatch.setattr(identity, "residue_kernel", build)
+        monkeypatch.setattr(cli, "residue_kernel", build)
         report = verify(inst)
         assert report.passed
         assert built == [(k, k == ks[0]) for k in ks]
-        # the lemma command steps one kernel per law point on the same ladder
+        # the lemma command builds the one kernel at the law's first point
         built.clear()
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(inst.to_dict()))
         assert main(["lemma", str(path)]) == 0
         points = law_points(inst)
         assert json.loads(capsys.readouterr().out)["points"] == list(points)
-        assert built == [(k, k == points[0]) for k in points]
+        assert built == [(ks[0], True)]
 
 
 class TestFaultInjection:
@@ -438,23 +439,65 @@ class TestFaultInjection:
             assert self.failed(report) == flips, (inst, k)
 
     def test_route_4_fault_at_a_law_point_flips_lemma1(self, monkeypatch):
-        # k = 17 lies above the window: verify takes route 4 there once, hands it to
-        # the law and compares it with the series (17 <= trunc = 40) as well
-        self.bump(monkeypatch, identity, "residue_at_infinity", 17, lambda kernel: kernel.k)
-        report = verify(P31)
-        assert report.vanishing_ok
-        assert self.failed(report) == {"residue", "lemma1"}
+        # route 4's expansion at the law's first point, k = -16, off by 1 at order t:
+        # below t = p only the law reads it, and at t = p it is the residue as well
+        real = ResidueKernel.expansion.func
+        for t, flips in ((0, {"lemma1"}), (17, {"lemma1"}), (31, {"residue", "lemma1"})):
+
+            def bumped(kernel, t=t):
+                values = real(kernel)
+                if kernel.k == -16:
+                    values[t] += 1
+                return values
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ResidueKernel, "expansion", property(bumped))
+                report = verify(P31)
+            assert report.vanishing_ok
+            assert self.failed(report) == flips, t
 
     @pytest.mark.parametrize("index", [0, -1])
     def test_law_fault_flips_lemma1_only(self, monkeypatch, index):
         real = asymptotics._law_values
 
         def bumped(inst, order, start, count):
-            values = real(inst, order, start, count)
+            series, delta, values = real(inst, order, start, count)
             values[index] += 1
-            return values
+            return series, delta, values
 
         monkeypatch.setattr(asymptotics, "_law_values", bumped)
+        report = verify(P31)
+        assert report.vanishing_ok
+        assert self.failed(report) == {"lemma1"}
+
+    @pytest.mark.parametrize("t", [0, 15, 30])
+    def test_start_series_fault_flips_lemma1(self, monkeypatch, t):
+        # one order t < p of the law's series at k = -m_min off by 1
+        real = asymptotics._law_values
+
+        def bumped(inst, order, start, count):
+            series, delta, values = real(inst, order, start, count)
+            series[t] += 1
+            return series, delta, values
+
+        monkeypatch.setattr(asymptotics, "_law_values", bumped)
+        report = verify(P31)
+        assert report.vanishing_ok
+        assert self.failed(report) == {"lemma1"}
+
+    def test_law_step_fault_flips_lemma1(self, monkeypatch):
+        # the step from k to k + 1 taken as the one from k - 1 to k
+        real = asymptotics._step
+        monkeypatch.setattr(asymptotics, "_step", lambda series, d, a, b, k: real(series, d, a, b, k - 1))
+        report = verify(P31)
+        assert report.vanishing_ok
+        assert self.failed(report) == {"lemma1"}
+
+    def test_law_skipping_its_last_point_flips_lemma1(self, monkeypatch):
+        real = asymptotics._law_values
+        monkeypatch.setattr(
+            asymptotics, "_law_values", lambda inst, order, start, count: real(inst, order, start, count - 1)
+        )
         report = verify(P31)
         assert report.vanishing_ok
         assert self.failed(report) == {"lemma1"}
