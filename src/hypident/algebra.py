@@ -7,8 +7,9 @@ the lcm of two denominators; its coefficients are read back as exact
 `fractions.Fraction`s.  It is the one ring here: a polynomial is only
 built (from roots, or by interpolation) and evaluated.  A degree is an
 int, -1 for the zero polynomial, as an empty series has ``high = low - 1``.
-Polynomial coefficients stay `int` while every input is an integer and
-become `Fraction` otherwise, so integer polynomials run on plain ints.
+Polynomial coefficients stay `int` while every input is an integer (an
+interpolated one wherever it is integral) and become `Fraction` otherwise,
+so integer polynomials run on plain ints.
 Every division is exact (``exact_div``); no floating point enters this
 module.  The truncation order of a Laurent series is a hard certificate
 boundary: coefficients at exponents <= trunc are exactly known, anything
@@ -110,19 +111,21 @@ class Polynomial:
     def interpolate(cls, start: int, values: Sequence[Scalar]) -> Polynomial:
         """The polynomial of degree < len(values) through the points
         (start + i, values[i]), by Newton's forward differences:
-        f(start + t) = sum_j Delta^j f(start) C(t, j), expanded by Horner."""
+        f(start + t) = sum_j Delta^j f(start) C(t, j), expanded by Horner on
+        the integers den * values, with one exact division per coefficient."""
+        den, row = clear_denominators(values)
         diffs = []
-        row = list(values)
         while row:
             diffs.append(row[0])
             row = [y - x for x, y in zip(row, row[1:])]
-        out: list[Scalar] = []
+        out: list[int] = []
+        weight = 1
         for j in range(len(diffs) - 1, -1, -1):
-            # out <- out * (z - start - j) / (j + 1) + Delta^j f(start)
-            c = -start - j
-            out = [exact_div(lo + c * hi, j + 1) for lo, hi in zip([0, *out], [*out, 0])]
-            out[0] += diffs[j]
-        return cls(tuple(out))
+            # out <- out * (z - start - j) + (n! / j!) Delta^j, ending at n! den f
+            weight *= j + 1
+            out = [lo - (start + j) * hi for lo, hi in zip([0, *out], [*out, 0])]
+            out[0] += weight * diffs[j]
+        return cls(tuple([exact_div(c, den * weight) for c in out]))
 
     # -- structure ----------------------------------------------------
 

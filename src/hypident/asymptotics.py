@@ -15,16 +15,16 @@ and exponentiating gives q_0 = 1 and s q_s = sum_{u=1}^{s} u G_u q_{s-u}.
 The law is evaluated, never expanded: q_p(k) is computed at each sampled k
 in integers, from Bernoulli numbers built from integer tangent numbers.
 With D the lcm of the denominators of a and b (as in ``residues``), every
-Bernoulli argument is X / D with X an integer, and with L_n the lcm of the
-denominators of B_0 .. B_n, L_n D^n B_n(X / D) is an integer: at the first
-k, sum_l C(n, l) L_n B_{n-l} D^(n-l) S_l over the power sums S_l of the
-signed X.  So L_{j+1} D^(j+1) Q_j(k) is an integer, and a multiple of D
-because its X^(j+1) terms cancel modulo D.  Writing u D^u G_u as that
-multiple over D, divided by e_u = (u+1) L_{u+1}, the recurrence runs on the
-integers v_t = delta_t D^t q_t, where delta_0 = 1 and
-delta_t = t lcm_u(e_u delta_{t-u}) clear every denominator the recurrence
-can bring in.  Each delta_t divides delta_p, so delta_p D^t q_t are
-integers for every t <= p.
+Bernoulli argument is X / D with X an integer, and with L the lcm of the
+denominators of B_0 .. B_{p+1}, h_u = L D^(u+1) Q_u(k) is an integer: at the
+first k, sum_l C(n, l) L B_{n-l} D^(n-l) S_l at n = u + 1, over the power
+sums S_l of the signed X.  With M = lcm(1 .. p + 1) the recurrence on
+v_t = D^t q_t is t D L M v_t = sum_u (-1)^(u+1) (M / (u+1)) h_u v_{t-u}, and
+each v_t is an integer: at k = -m_min it is C_t, route 4's coefficient at
+infinity of a ratio of monic integer polynomials in w = D z (below; the
+Bernoulli expansion of a ratio of Gamma functions, Tricomi & Erdelyi 1951).
+So each order is one exact division, and a remainder means the law's
+series is not route 4's.
 
 The recurrence runs once, at the first k; the series then steps in k.
 From B_n(x - 1) = B_n(x) - n (x - 1)^(n-1), each G_j moves by
@@ -33,16 +33,16 @@ From B_n(x - 1) = B_n(x) - n (x - 1)^(n-1), each G_j moves by
 factor prod_i (1 - (b_i + k) x) / (1 - (a_i + k + 1) x), exactly as
 truncated power series.  In y = x / D its factors are 1 - C y with C an
 integer, so multiplying (t descending) and dividing (t ascending) by them
-keeps delta_p D^t q_t in the integers; each point leaves them once, in a
+keeps D^t q_t in the integers at every k; each point leaves them once, in a
 single division.  A check costs one O(p^2) recurrence, then O(r p) integer
-products per point, O(r p^2) over its p + 3 points, where expanding q_p
-as a polynomial, their interpolation, costs O(p^4) in ``Fraction``s.
+products per point, O(r p^2) over its p + 3 points; interpolating q_p as
+a polynomial through them takes O(p^2) operations on integers.
 
 With x = 1/z the kernel of ``residues`` steps by the same factor, and for
 p >= 0 it is sum_t c_t z^(p - 1 - t) at infinity, residue c_p.  So if q_t
 equals c_t = C_t / D^t, from route 4's expansion in w = D z, for t <= p at
 k = -m_min, it does at every k >= -m_min: ``check_residue_polynomial``
-proves the law by that one comparison, delta_p D^t q_t = delta_p C_t.
+proves the law by that one comparison of integers, D^t q_t = C_t.
 """
 
 from __future__ import annotations
@@ -84,17 +84,17 @@ def law_points(inst: IdentityInstance) -> range:
 
 def _law_values(
     inst: IdentityInstance, order: int, start: int, count: int
-) -> tuple[list[int], int, list[Fraction]]:
-    """(series, delta, values): series[t] = delta D^t q_t(start) for t <= order, integers
-    (module docstring), and q_order(k) at k = start .. start + count - 1, 0 for order -1."""
+) -> tuple[list[int], list[Fraction]]:
+    """(series, values): series[t] = D^t q_t(start) for t <= order, integers (module
+    docstring), and q_order(k) at k = start .. start + count - 1, 0 for order -1.
+    CheckFailed at the first t where D^t q_t(start) is not an integer."""
     if order < 0:
-        return [], 1, [0] * count
+        return [], [0] * count
     derived = inst.derived
     d, a, b = derived.scale, derived.a_int, derived.b_int
     numbers = _bernoulli_numbers(order + 1)
-    ell = [1]  # ell[n] = L_n, the lcm of the denominators of B_0 .. B_n
-    for x in numbers[1:]:
-        ell.append(lcm(ell[-1], x.denominator))
+    ell = lcm(*[x.denominator for x in numbers])  # L and M of the module docstring
+    em = lcm(*range(1, order + 2))
     d_pow = [d**e for e in range(order + 2)]
 
     # power_sums[l] = sum sign X^l over D times the Bernoulli arguments of
@@ -109,38 +109,33 @@ def _law_values(
         for l in range(order + 2):
             power_sums[l] += power
             power *= x
-    # L_n D^n Q_{n-1}(start) = sum_l C(n, l) L_n B_{n-l} D^(n-l) power_sums[l]
-    # is a multiple of D (module docstring); h[u] is it over D at n = u + 1
-    h = [0]
+    # w[u] = (-1)^(u+1) (M / (u+1)) h_u, with h_u = L D^(u+1) Q_u(start)
+    # = sum_l C(n, l) L B_{n-l} D^(n-l) power_sums[l] at n = u + 1
+    w = [0]
     for n in range(2, order + 2):
-        scaled = sum(
-            comb(n, l) * bn.numerator * (ell[n] // bn.denominator) * d_pow[n - l] * power_sums[l]
+        h = sum(
+            comb(n, l) * bn.numerator * (ell // bn.denominator) * d_pow[n - l] * power_sums[l]
             for l, bn in enumerate(numbers[n::-1])
+            if bn
         )
-        h.append(scaled // d)
+        w.append((-1) ** n * (em // n) * h)
 
-    # u D^u G_u = (-1)^(u+1) h[u] / e_u with e_u = (u+1) L_{u+1}, so
-    # v_t = delta_t D^t q_t = sum_u (-1)^(u+1) delta_t / (t e_u delta_{t-u}) h[u] v_{t-u}
-    e = [0] + [(u + 1) * ell[u + 1] for u in range(1, order + 1)]
-    delta, v = [1], [1]
+    first = [1]
     for t in range(1, order + 1):
-        # a list, not a generator: see the ``hypident.algebra`` docstring
-        delta.append(t * lcm(*[e[u] * delta[t - u] for u in range(1, t + 1)]))
-        weights = [(-1) ** (u + 1) * delta[t] // (t * e[u] * delta[t - u]) for u in range(1, t + 1)]
-        v.append(sum(w * h[u] * v[t - u] for u, w in enumerate(weights, 1)))
-    # delta_t divides delta_order, so series = delta_order D^t q_t are integers
-    first = [delta[order] // delta[t] * v[t] for t in range(order + 1)]
-    denominator = delta[order] * d_pow[order]
+        v, rest = divmod(sum(w[u] * first[t - u] for u in range(1, t + 1)), t * d * ell * em)
+        if rest:
+            raise CheckFailed(f"law's series at k={start}, order t={t}: not an integer")
+        first.append(v)
 
     series, values = first[:], []
     for k in range(start, start + count):
-        values.append(Fraction(series[order], denominator))
+        values.append(Fraction(series[order], d_pow[order]))
         _step(series, d, a, b, k)
-    return first, delta[order], values
+    return first, values
 
 
 def _step(series: list[int], d: int, a: Sequence[int], b: Sequence[int], k: int) -> None:
-    """The scaled series from k to k + 1, in place: each factor is 1 - c y, c an integer."""
+    """The series from k to k + 1, in place: each factor is 1 - c y, c an integer."""
     for a_i, b_i in zip(a, b):
         c = b_i + k * d
         for t in range(len(series) - 1, 0, -1):
@@ -161,7 +156,7 @@ def exp_series_coefficient(inst: IdentityInstance, s_index: int) -> Polynomial:
     law_points(inst)  # balanced instances only
     if s_index < 0:
         raise ValueError("order must be non-negative")
-    return Polynomial.interpolate(0, _law_values(inst, s_index, 0, s_index + 1)[2])
+    return Polynomial.interpolate(0, _law_values(inst, s_index, 0, s_index + 1)[1])
 
 
 @dataclass(frozen=True)
@@ -201,12 +196,12 @@ def check_residue_polynomial(
     at k = -m_min (module docstring), and its values ``at_points``, independent values from
     k = -m_min up, at most one per law point, which check the stepping the proof trusts.
     ValueError on a confluent instance or an expansion of the wrong length; CheckFailed
-    at the first t or k where the two differ."""
+    at the first t or k where the two differ (a t whose series is not an integer, too)."""
     points = law_points(inst)
     p = inst.derived.p
-    first, delta, values = _law_values(inst, p, points.start, len(points))
+    first, values = _law_values(inst, p, points.start, len(points))
     for t, (law, route_4) in enumerate(zip(first, expansion, strict=True)):
-        if law != delta * route_4:
+        if law != route_4:
             raise CheckFailed(f"law's series at k={points.start}, order t={t}: not route 4's (p={p})")
     for k, (value, law) in enumerate(zip_longest(at_points, values), points.start):
         if value is not None and value != law:

@@ -81,18 +81,18 @@ class TestTangentNumberBernoulli:
 
     def test_law_values_past_the_window(self):
         # verify's window for P31 is k = -16 .. -4, so the law alone reads -3 and -2
-        values = asymptotics._law_values(P31, 31, -3, 2)[2]
+        values = asymptotics._law_values(P31, 31, -3, 2)[1]
         assert values == [oracle_q(P31, 31, -3), oracle_q(P31, 31, -2)]
 
     @pytest.mark.parametrize("order", [0, 1, 7, 15])
     def test_stepped_law_values(self, order):
         # the series steps 39 times from k = -20, below -m_min = -5, at p = 15
         # and at the lower orders that exp_series_coefficient asks for
-        series, delta, values = asymptotics._law_values(P15, order, -20, 40)
+        series, values = asymptotics._law_values(P15, order, -20, 40)
         assert values == [oracle_q(P15, order, k) for k in range(-20, 20)]
-        # the start series, scaled by delta D^t, at the first point only
+        # the start series D^t q_t, integers with no scale factor, at the first point only
         d = P15.derived.scale
-        assert series == [delta * d**t * oracle_q(P15, t, -20) for t in range(order + 1)]
+        assert series == [d**t * oracle_q(P15, t, -20) for t in range(order + 1)]
 
 
 class TestExpSeriesCoefficient:
@@ -243,9 +243,9 @@ class TestResiduePolynomialLaw:
         real = asymptotics._law_values
 
         def perturbed(inst, order, start, count):
-            series, delta, values = real(inst, order, start, count)
+            series, values = real(inst, order, start, count)
             values[1 - start] += 1
-            return series, delta, values
+            return series, values
 
         monkeypatch.setattr(asymptotics, "_law_values", perturbed)
         report = verify(inst)

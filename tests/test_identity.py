@@ -9,13 +9,13 @@ from hypident import asymptotics, cli, identity
 from hypident.algebra import LaurentSeries, one_minus_z_power
 from hypident.asymptotics import law_points
 from hypident.cli import main
-from hypident.errors import SupportViolation, TruncationTooSmall
+from hypident.errors import CheckFailed, SupportViolation, TruncationTooSmall
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.identity import DEFAULT_BUFFER, beta_coefficients, lhs_series, verify
 from hypident.residues import ResidueKernel, residue_kernel, residue_sum_closed_form
 
-from oracles import lhs_coefficients, lhs_value, partial_fraction_zero_sum, poch
+from oracles import bernoulli_numbers, law_g, lhs_coefficients, lhs_value, partial_fraction_zero_sum, poch
 
 ZERO_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 UNIT_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 1), n=(0, 0))
@@ -461,9 +461,9 @@ class TestFaultInjection:
         real = asymptotics._law_values
 
         def bumped(inst, order, start, count):
-            series, delta, values = real(inst, order, start, count)
+            series, values = real(inst, order, start, count)
             values[index] += 1
-            return series, delta, values
+            return series, values
 
         monkeypatch.setattr(asymptotics, "_law_values", bumped)
         report = verify(P31)
@@ -476,14 +476,40 @@ class TestFaultInjection:
         real = asymptotics._law_values
 
         def bumped(inst, order, start, count):
-            series, delta, values = real(inst, order, start, count)
+            series, values = real(inst, order, start, count)
             series[t] += 1
-            return series, delta, values
+            return series, values
 
         monkeypatch.setattr(asymptotics, "_law_values", bumped)
         report = verify(P31)
         assert report.vanishing_ok
         assert self.failed(report) == {"lemma1"}
+
+    def test_bernoulli_fault_flips_lemma1_only(self, monkeypatch):
+        # B_2 off by 1: the law's series leaves the integers at the first order t
+        # where the oracle's D^t q_t, from the same wrong numbers, does
+        real = asymptotics._bernoulli_numbers
+
+        def bumped(n):
+            numbers = real(n)
+            numbers[2] += 1
+            return numbers
+
+        monkeypatch.setattr(asymptotics, "_bernoulli_numbers", bumped)
+        report = verify(P31)
+        assert report.vanishing_ok
+        assert self.failed(report) == {"lemma1"}
+
+        start, p, d = -P31.derived.m_min, P31.derived.p, P31.derived.scale
+        numbers = bernoulli_numbers(p + 1)
+        numbers[2] += 1
+        g = [None] + [law_g(P31.a, P31.b, P31.m, P31.n, j, start, numbers) for j in range(1, p + 1)]
+        q, t = [Q(1)], 0
+        while (d**t * q[t]).denominator == 1:
+            t += 1
+            q.append(sum(u * g[u] * q[t - u] for u in range(1, t + 1)) / t)
+        with pytest.raises(CheckFailed, match=rf"^law's series at k={start}, order t={t}: not an integer$"):
+            asymptotics._law_values(P31, p, start, 1)
 
     def test_law_step_fault_flips_lemma1(self, monkeypatch):
         # the step from k to k + 1 taken as the one from k - 1 to k

@@ -15,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from hypident import asymptotics  # noqa: E402
 from hypident.asymptotics import check_residue_polynomial, law_points  # noqa: E402
 from hypident.errors import ValidationError  # noqa: E402
 from hypident.hyper import IdentityInstance, validate  # noqa: E402
@@ -71,6 +72,9 @@ def test_the_law_is_route_4_at_every_point(inst):
     at_points = [residue_sum_closed_form(inst, k) for k in points]
     report = check_residue_polynomial(inst, expansion, at_points)
     assert list(report.residue_values) == [residue_at_infinity(kernel) for kernel in ladder]
+    # and the law's series, started at each k, is route 4's expansion there, unscaled
+    for kernel in ladder:
+        assert asymptotics._law_values(inst, inst.derived.p, kernel.k, 1)[0] == kernel.expansion
     d = inst.derived.scale
     assert [Fraction(c, d**t) for t, c in enumerate(expansion)] == [
         law_q(inst.a, inst.b, inst.m, inst.n, t, points.start) for t in range(inst.derived.p + 1)
