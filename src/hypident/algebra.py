@@ -2,9 +2,9 @@
 rational functions over arbitrary-precision rationals.
 
 A Laurent series keeps integer numerators over one common positive
-denominator, so a product is an integer convolution and a sum works over
-the lcm of two denominators; its coefficients are read back as exact
-`fractions.Fraction`s.  It is the one ring here: a polynomial is only
+denominator, so a product is an integer convolution (``convolve``) and a
+sum works over the lcm of two denominators; its coefficients are read back
+as exact `fractions.Fraction`s.  It is the one ring here: a polynomial is only
 built (from roots, or by interpolation) and evaluated.  A degree is an
 int, -1 for the zero polynomial, as an empty series has ``high = low - 1``.
 Polynomial coefficients stay `int` while every input is an integer (an
@@ -57,6 +57,19 @@ def exact_div(x: Scalar, y: Scalar) -> Scalar:
         q, rem = divmod(x, y)
         return q if not rem else Fraction(x, y)
     return x / y
+
+
+def convolve(a: Sequence[int], b: Sequence[int], width: int) -> list[int]:
+    """The first ``width`` coefficients of the product of the integer series
+    a and b, both from the same power: entry e is sum_i a[i] b[e - i]."""
+    a, rev = a[:width], b[:width][::-1]
+    out = []
+    for e in range(width):
+        # a[i] * b[e - i] over the indices both operands store
+        i0, i1 = max(0, e - len(rev) + 1), min(e, len(a) - 1)
+        start = len(rev) - 1 - e
+        out.append(sum(map(mul, a[i0 : i1 + 1], rev[start + i0 : start + i1 + 1])))
+    return out
 
 
 def _format_terms(terms: Iterable[tuple[int, Scalar]]) -> str:
@@ -225,6 +238,8 @@ class LaurentSeries:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: LaurentSeries) -> LaurentSeries:
+        """The sum over the lcm of the two denominators.  The package never
+        adds series; the fault-injection tests perturb S(z) with it."""
         trunc = min(self.trunc, other.trunc)
         low = min(self.low, other.low)
         if low > trunc:
@@ -243,36 +258,8 @@ class LaurentSeries:
         # caps the result truncation by both operands' certified windows.
         trunc = min(self.trunc + other.low, other.trunc + self.low)
         low = self.low + other.low
-        if low > trunc or self.is_zero or other.is_zero:
-            return LaurentSeries.zero(trunc)
-        width = trunc - low + 1
-        a, b = self.nums[:width], other.nums[:width]
-        rev = b[::-1]
-        out = []
-        for e in range(width):
-            # a[i] * b[e - i] over the indices both operands store
-            i0, i1 = max(0, e - len(b) + 1), min(e, len(a) - 1)
-            start = len(b) - 1 - e
-            out.append(sum(map(mul, a[i0 : i1 + 1], rev[start + i0 : start + i1 + 1])))
-        return LaurentSeries(low, tuple(out), trunc, self.den * other.den)
-
-    def scale(self, c: Scalar) -> LaurentSeries:
-        c = as_fraction(c)
-        nums = [c.numerator * x for x in self.nums]
-        return LaurentSeries(self.low, nums, self.trunc, self.den * c.denominator)
-
-    def shift(self, t: int) -> LaurentSeries:
-        """Multiply by z**t."""
-        return LaurentSeries(self.low + t, self.nums, self.trunc + t, self.den)
-
-    def substitute_neg_z(self) -> LaurentSeries:
-        """The series of f(-z): coefficient at z^e picks up (-1)^e."""
-        return LaurentSeries(
-            self.low,
-            [c if (self.low + i) % 2 == 0 else -c for i, c in enumerate(self.nums)],
-            self.trunc,
-            self.den,
-        )
+        out = convolve(self.nums, other.nums, trunc - low + 1)
+        return LaurentSeries(low, out, trunc, self.den * other.den)
 
     def __str__(self) -> str:
         return f"{_format_terms(self.items())} + O(z^{self.trunc + 1})"

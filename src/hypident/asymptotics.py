@@ -16,10 +16,12 @@ The law is evaluated, never expanded: q_p(k) is computed at each sampled k
 in integers, from Bernoulli numbers built from integer tangent numbers.
 With D the lcm of the denominators of a and b (as in ``residues``), every
 Bernoulli argument is X / D with X an integer, and with L the lcm of the
-denominators of B_0 .. B_{p+1}, h_u = L D^(u+1) Q_u(k) is an integer: at the
-first k, sum_l C(n, l) L B_{n-l} D^(n-l) S_l at n = u + 1, over the power
-sums S_l of the signed X.  With M = lcm(1 .. p + 1) the recurrence on
-v_t = D^t q_t is t D L M v_t = sum_u (-1)^(u+1) (M / (u+1)) h_u v_{t-u}, and
+denominators of B_0 .. B_p, h_u = L D^(u+1) Q_u(k) is an integer: at the
+first k, sum_{l=1}^{n} C(n, l) L B_{n-l} D^(n-l) S_l at n = u + 1, over the
+power sums S_l of the signed X.  The l = 0 term would take B_n, but S_0 is
+the sum of the signs, r - s + s - r = 0, so B_{p+1} is never needed.  With
+M = lcm(1 .. p + 1) the recurrence on v_t = D^t q_t is
+t D L M v_t = sum_u (-1)^(u+1) (M / (u+1)) h_u v_{t-u}, and
 each v_t is an integer: at k = -m_min it is C_t, route 4's coefficient at
 infinity of a ratio of monic integer polynomials in w = D z (below; the
 Bernoulli expansion of a ratio of Gamma functions, Tricomi & Erdelyi 1951).
@@ -92,7 +94,7 @@ def _law_values(
         return [], [0] * count
     derived = inst.derived
     d, a, b = derived.scale, derived.a_int, derived.b_int
-    numbers = _bernoulli_numbers(order + 1)
+    numbers = _bernoulli_numbers(order)
     ell = lcm(*[x.denominator for x in numbers])  # L and M of the module docstring
     em = lcm(*range(1, order + 2))
     d_pow = [d**e for e in range(order + 2)]
@@ -110,12 +112,12 @@ def _law_values(
             power_sums[l] += power
             power *= x
     # w[u] = (-1)^(u+1) (M / (u+1)) h_u, with h_u = L D^(u+1) Q_u(start)
-    # = sum_l C(n, l) L B_{n-l} D^(n-l) power_sums[l] at n = u + 1
+    # = sum_{l>=1} C(n, l) L B_{n-l} D^(n-l) power_sums[l] at n = u + 1
     w = [0]
     for n in range(2, order + 2):
         h = sum(
             comb(n, l) * bn.numerator * (ell // bn.denominator) * d_pow[n - l] * power_sums[l]
-            for l, bn in enumerate(numbers[n::-1])
+            for l, bn in enumerate(numbers[n - 1 :: -1], 1)
             if bn
         )
         w.append((-1) ** n * (em // n) * h)

@@ -45,8 +45,8 @@ def rising(x: int, q: int, scale: int) -> tuple[int, int]:
     (x/scale)_q = top / (bottom * scale**q).  For q < 0, top is 1 and
     bottom is 0 exactly at the poles, x/scale in 1 .. -q."""
     if q >= 0:
-        return prod(x + t * scale for t in range(q)), 1
-    return 1, prod(x + t * scale for t in range(q, 0))
+        return prod(range(x, x + q * scale, scale)), 1
+    return 1, prod(range(x + q * scale, x, scale))
 
 
 def rising_quotient(
@@ -69,15 +69,15 @@ def rising_quotient(
 
 
 def hyper_series(
-    scale: int, upper: Sequence[int], lower: Sequence[int], trunc: int
+    scale: int, upper: Sequence[int], lower: Sequence[int], trunc: int, sign: int = 1
 ) -> LaurentSeries:
-    """Formal hypergeometric series with coefficients
-    prod_u (u)_k / (prod_w (w)_k * k!) at z^k, truncated at ``trunc``, for
-    the parameters u = U / D over the integers U in ``upper`` and w = W / D
-    over the W in ``lower``, with D = ``scale``.
+    """Formal hypergeometric series in σz, with coefficients
+    σ^k prod_u (u)_k / (prod_w (w)_k * k!) at z^k through z^trunc, for the
+    parameters u = U / D over the integers U in ``upper`` and w = W / D over
+    the W in ``lower``, D = ``scale`` and the argument sign σ = ``sign``.
 
-    The term ratio c_{t+1} / c_t = prod(u + t) / (prod(w + t) (t + 1)) is
-    P(t) / Q(t) for the integers P(t) = prod(U + D t) D^max(0, #lower - #upper)
+    The term ratio c_{t+1} / c_t = σ prod(u + t) / (prod(w + t) (t + 1)) is
+    P(t) / Q(t) for the integers P(t) = σ prod(U + D t) D^max(0, #lower - #upper)
     and Q(t) = prod(W + D t) (t + 1) D^max(0, #upper - #lower).  So c_k is
     the integer prod_{t<k} P(t) prod_{k<=t<trunc} Q(t) over the common
     denominator prod_{t<trunc} Q(t): one suffix pass over Q and one running
@@ -90,7 +90,7 @@ def hyper_series(
             )
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
-    lift_p = scale ** max(0, len(lower) - len(upper))
+    lift_p = sign * scale ** max(0, len(lower) - len(upper))
     lift_q = scale ** max(0, len(upper) - len(lower))
     nums = [0] * (trunc + 1)
     suffix = 1

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .algebra import LaurentSeries, one_minus_z_power
+from .algebra import LaurentSeries, convolve, one_minus_z_power
 from .asymptotics import check_residue_polynomial, law_points
 from .errors import CheckFailed, SupportViolation, TruncationTooSmall
 from .hyper import (
@@ -46,10 +47,14 @@ def lhs_series(inst: IdentityInstance, trunc: int) -> LaurentSeries:
     """The identity's left-hand side as an exact series through z^trunc.
 
     For confluent instances the second series carries argument sign
-    (-1)^(r-s), folded into its coefficients, and term i carries the
-    multiplier (-1)^((r-s) n_i).  A constant multiplier instead of the
-    n_i-dependent one breaks the support bound whenever r - s is odd and
-    the n_i parities are mixed, so the per-term form is the one certified.
+    (-1)^(r-s), which ``hyper_series`` takes into its term ratio, and term i
+    carries the multiplier (-1)^((r-s) n_i).  A constant multiplier instead
+    of the n_i-dependent one breaks the support bound whenever r - s is odd
+    and the n_i parities are mixed, so the per-term form is the one certified.
+
+    Each term's convolution goes, times its prefactor's numerator, into one
+    integer list at offset n_max - n_i over the lcm of the terms'
+    denominators, so S(z) divides out its content once.
     """
     derived = inst.derived
     if trunc < -derived.n_max:
@@ -58,7 +63,7 @@ def lhs_series(inst: IdentityInstance, trunc: int) -> LaurentSeries:
         )
     diff = derived.r - derived.s
     scale, a, b = derived.scale, derived.a_int, derived.b_int
-    total = LaurentSeries.zero(trunc)
+    terms = []  # (offset, numerators, denominator, prefactor numerator)
     for i, (a_i, n_i) in enumerate(zip(a, inst.n)):
         if trunc + n_i < 0:
             continue  # term starts above the window
@@ -73,18 +78,23 @@ def lhs_series(inst: IdentityInstance, trunc: int) -> LaurentSeries:
             scale, [scale - x for x, _ in ups], [scale - y for y, _ in downs], trunc + n_i
         )
         second = hyper_series(
-            scale,
-            [x + q * scale for x, q in ups],
-            [y + q * scale for y, q in downs],
-            trunc + n_i,
+            scale, [x + q * scale for x, q in ups], [y + q * scale for y, q in downs],
+            trunc + n_i, (-1) ** diff,
         )
-        if diff % 2:
-            second = second.substitute_neg_z()
         prefactor = rising_quotient(scale, ups, downs)
         if (diff * n_i) % 2:
             prefactor = -prefactor
-        total = total + (first * second).shift(-n_i).scale(prefactor)
-    return total
+        # both series start at c_0 = 1, so the product's entry j is at z^(j - n_i)
+        product = convolve(first.nums, second.nums, trunc + n_i + 1)
+        term_den = first.den * second.den * prefactor.denominator
+        terms.append((derived.n_max - n_i, product, term_den, prefactor.numerator))
+    den = lcm(*[term_den for _, _, term_den, _ in terms])
+    out = [0] * (trunc + derived.n_max + 1)
+    for offset, product, term_den, numerator in terms:
+        factor = numerator * (den // term_den)
+        for j, c in enumerate(product, offset):
+            out[j] += factor * c
+    return LaurentSeries(-derived.n_max, out, trunc, den)
 
 
 @dataclass(frozen=True)

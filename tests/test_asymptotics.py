@@ -84,6 +84,22 @@ class TestTangentNumberBernoulli:
         values = asymptotics._law_values(P31, 31, -3, 2)[1]
         assert values == [oracle_q(P31, 31, -3), oracle_q(P31, 31, -2)]
 
+    def test_law_needs_bernoulli_numbers_through_p(self, monkeypatch):
+        # the l = 0 term of each h_u multiplies the sum of the argument signs,
+        # which is 0, so B_(p+1) is never read
+        real, asked = asymptotics._bernoulli_numbers, []
+
+        def recorded(n):
+            asked.append(n)
+            return real(n)
+
+        monkeypatch.setattr(asymptotics, "_bernoulli_numbers", recorded)
+        start, d = -P31.derived.m_min, P31.derived.scale
+        series, values = asymptotics._law_values(P31, 31, start, 1)
+        assert asked == [31]
+        assert series == [d**t * oracle_q(P31, t, start) for t in range(32)]
+        assert values == [oracle_q(P31, 31, start)]
+
     @pytest.mark.parametrize("order", [0, 1, 7, 15])
     def test_stepped_law_values(self, order):
         # the series steps 39 times from k = -20, below -m_min = -5, at p = 15

@@ -33,12 +33,12 @@ def poch_of(x, k):
     return rising_quotient(x.denominator, [(x.numerator, k)], [])
 
 
-def series_of(upper, lower, trunc, lift=1):
+def series_of(upper, lower, trunc, lift=1, sign=1):
     """hyper_series over rational parameters, on lift times the lcm of
     their denominators."""
     scale, ints = clear_denominators([*upper, *lower])
     ints = [lift * x for x in ints]
-    return hyper_series(lift * scale, ints[: len(upper)], ints[len(upper) :], trunc)
+    return hyper_series(lift * scale, ints[: len(upper)], ints[len(upper) :], trunc, sign)
 
 
 class TestPochhammer:
@@ -160,7 +160,8 @@ class TestHyperSeries:
     def test_against_the_oracle(self):
         # upper and lower counts differ in both directions (the D power moves
         # between P and Q), and a third of the upper lists terminate; a
-        # scale above the parameters' own lcm gives the same series
+        # scale above the parameters' own lcm gives the same series, and
+        # argument sign -1 multiplies coefficient k by (-1)^k
         rng = random.Random(25)
         for _ in range(60):
             upper = [
@@ -175,10 +176,12 @@ class TestHyperSeries:
             ]
             trunc = rng.randint(0, 14)
             s = series_of(upper, lower, trunc)
-            assert s.trunc == trunc and s.den > 0
+            flipped = series_of(upper, lower, trunc, sign=-1)
+            assert s.trunc == flipped.trunc == trunc and s.den > 0
             for k in range(trunc + 1):
                 expected = series_coefficient(upper, lower, k)
                 assert s.coefficient(k) == expected, (upper, lower, k)
+                assert flipped.coefficient(k) == (-1) ** k * expected, (upper, lower, k)
             assert series_of(upper, lower, trunc, lift=rng.choice([2, 5, 7])) == s
 
     def test_bad_lower_parameter(self):
