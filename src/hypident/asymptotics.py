@@ -49,14 +49,13 @@ proves the law by that one comparison of integers, D^t q_t = C_t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 from math import comb, factorial, lcm
 from typing import Sequence
 
-from .algebra import Polynomial, Scalar
+from .algebra import Polynomial, Scalar, record
 from .errors import CheckFailed
 from .hyper import IdentityInstance, Theorem
 
@@ -161,7 +160,7 @@ def exp_series_coefficient(inst: IdentityInstance, s_index: int) -> Polynomial:
     return Polynomial.interpolate(0, _law_values(inst, s_index, 0, s_index + 1)[1])
 
 
-@dataclass(frozen=True)
+@record
 class Lemma1Report:
     """Outcome of the polynomial-law check: the law's values at ``points``."""
 

@@ -26,11 +26,10 @@ exact layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Scalar
+from .algebra import Scalar, record
 from .errors import NumericResidualExceeded
 from .hyper import IdentityInstance
 from .identity import VerificationReport, verify
@@ -77,7 +76,7 @@ def _sin_pi(q: Fraction) -> float:
     return (-1) ** n * math.sin(math.pi * (q - n))
 
 
-@dataclass(frozen=True)
+@record
 class BesselReport:
     """Combined exact/numeric outcome of the Bessel demonstration."""
 

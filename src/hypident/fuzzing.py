@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import record
 from .errors import ValidationError
 from .hyper import IdentityInstance, validate
 from .identity import DEFAULT_BUFFER, verify
@@ -69,7 +69,7 @@ def random_instance(
     )
 
 
-@dataclass(frozen=True)
+@record
 class FuzzReport:
     count: int
     seed: int

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import prod
 from typing import Mapping, Sequence
 
-from .algebra import LaurentSeries, as_fraction, clear_denominators
+from .algebra import LaurentSeries, as_fraction, clear_denominators, record
 from .errors import BadLowerParameter, DimensionMismatch, NotDistinctModZ, PrefactorPole
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # "p/q" or "p", the sign on p only
@@ -130,7 +129,7 @@ def _entries(name: str, values: Sequence, kinds: tuple[type, ...]) -> tuple:
     return values
 
 
-@dataclass(frozen=True)
+@record
 class IdentityInstance:
     """Parameter vectors a (length r), b (length s) and integer shift
     vectors n (length r), m (length s) of one identity instance."""
@@ -228,7 +227,7 @@ class IdentityInstance:
         }
 
 
-@dataclass(frozen=True)
+@record
 class DerivedQuantities:
     """Shift totals and the support parameter p of a validated instance, and
     its parameters as the integers D a_i, D b_l over D (``scale``), the lcm

@@ -18,11 +18,10 @@ the Bernoulli polynomial law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import LaurentSeries, convolve, one_minus_z_power
+from .algebra import LaurentSeries, convolve, one_minus_z_power, record
 from .asymptotics import check_residue_polynomial, law_points
 from .errors import CheckFailed, SupportViolation, TruncationTooSmall
 from .hyper import (
@@ -97,7 +96,7 @@ def lhs_series(inst: IdentityInstance, trunc: int) -> LaurentSeries:
     return LaurentSeries(-derived.n_max, out, trunc, den)
 
 
-@dataclass(frozen=True)
+@record
 class BetaTable:
     """Certified right-hand-side coefficients with their support interval.
 
@@ -180,7 +179,7 @@ def beta_coefficients(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> B
     return table
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     """Everything ``verify`` established about one instance.
 

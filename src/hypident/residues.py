@@ -60,7 +60,6 @@ over (-1)^lo lo! (K - lo)!.  This route never reads a ``ResidueKernel``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
@@ -73,6 +72,7 @@ from .algebra import (
     Scalar,
     exact_div,
     expansion_at_infinity,
+    record,
 )
 from .errors import KBelowRange, NotSimplePole
 from .hyper import IdentityInstance, rising_quotient
@@ -93,7 +93,7 @@ def _unscale_polynomial(poly: Polynomial, scale: int) -> Polynomial:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ResidueKernel:
     """One member of the kernel family, expanded in w = scale * z: ``poles``
     are the roots of ``scaled.den`` in w, and ``offset`` is deg num - deg den."""
@@ -130,7 +130,7 @@ def residue_kernel(inst: IdentityInstance, k: int, below: ResidueKernel | None =
     stepped from ``below``, this instance's kernel at k - 1, when given.
 
     Requires k >= -m_min so every numerator rising factorial stays a
-    polynomial; smaller k raises KBelowRange.
+    polynomial; smaller k raises KBelowRange, and a ``below`` at another k ValueError.
     """
     derived = inst.derived
     if k < -derived.m_min:
@@ -148,7 +148,8 @@ def residue_kernel(inst: IdentityInstance, k: int, below: ResidueKernel | None =
         num = Polynomial.from_roots(num_roots)
         den = Polynomial.from_roots([pole.w for pole in poles])
     else:
-        assert below.k == k - 1, "a kernel steps only from the one at k - 1"
+        if below.k != k - 1:
+            raise ValueError(f"a kernel steps only from the one at k - 1, not from k={below.k}")
         # each string of roots moves at its k end (module docstring)
         num = below.scaled.num
         for a_l, n_l in zip(a, inst.n):
@@ -166,8 +167,8 @@ def _divide_root(poly: Polynomial, root: int) -> Polynomial:
     out = [0]
     for c in reversed(poly.coeffs):
         out.append(out[-1] * root + c)
-    assert out.pop() == 0, "a stepped kernel lost a root its numerator lacks"
-    return Polynomial(tuple(out[:0:-1]))
+    assert out[-1] == 0, "a stepped kernel lost a root its numerator lacks"
+    return Polynomial(tuple(out[-2:0:-1]))
 
 
 def _residue_parts(f: RationalFunction, points: list[Scalar]) -> list[tuple[Scalar, Scalar]]:

@@ -57,6 +57,12 @@ class TestPolynomial:
         assert p.coeffs == (Q(1),)
         assert Polynomial(()).is_zero
 
+    def test_value_semantics(self):
+        p = Polynomial.from_roots([-1])
+        q = Polynomial.interpolate(0, [1, 2])
+        assert p == q == Polynomial(coeffs=[1, 1, 0]) and hash(p) == hash(q)
+        assert p != Polynomial((1, 2)) and p != ((1, 1),)
+
     def test_zero_degree_sentinel(self):
         assert Polynomial(()).degree == -1
         assert Polynomial((1,)).degree == 0
@@ -99,11 +105,13 @@ class TestLaurentSeries:
             LaurentSeries(0, (-4, 8, 0), 5, -12),
             LaurentSeries(0, (4, -8), 5, 12),
             LaurentSeries(-1, (0, 2, -4), 5, 6),
+            LaurentSeries(low=0, nums=(-1, 2), trunc=5, den=-3),
+            LaurentSeries(0, (1,), 5, 3) + LaurentSeries(1, (-2,), den=3, trunc=5),
         ]
         for s in forms:
             assert (s.nums, s.den) == ((1, -2), 3)
             assert all(type(c) is int for c in s.nums)
-            assert s == forms[0]
+            assert s == forms[0] and hash(s) == hash(forms[0])
         assert LaurentSeries(0, (2, 4), 5, -1) != LaurentSeries(0, (2, 4), 5, 1)
         with pytest.raises(ZeroDivisionError):
             LaurentSeries(0, (1,), 5, 0)
@@ -128,6 +136,18 @@ class TestLaurentSeries:
             assert (a + b) + b * MINUS_ONE == a + LaurentSeries.zero(t)
             # rebuilt from its Fraction coefficients it is the same value
             assert series(a.low, coeffs(a), a.trunc) == a
+
+    def test_construction_arguments(self):
+        assert LaurentSeries(0, (3,), 5) == LaurentSeries(0, (3,), trunc=5, den=1)
+        # a missing field, one too many, one given twice, an unknown one
+        for args, kwargs in [
+            ((0, (1,)), {}),
+            ((0, (1,), 5, 1, 2), {}),
+            ((0, (1,), 5), {"nums": (2,)}),
+            ((0, (1,), 5), {"scale": 2}),
+        ]:
+            with pytest.raises(TypeError):
+                LaurentSeries(*args, **kwargs)
 
     def test_sum_across_denominators(self):
         half = series(-1, (Q(1, 2), Q(1, 4)), 3)

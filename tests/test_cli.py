@@ -164,6 +164,22 @@ class TestFuzzCommand:
         _, out2 = run_cli(capsys, ["fuzz", "--count", "3", "--seed", "2"])
         assert json.loads(out1)["passed"] == json.loads(out2)["passed"] == 3
 
+    def test_optimised_interpreter_prints_the_same_bytes(self):
+        # -O strips every assert; draws 11, 29 and 32 of this batch have a
+        # negative n, so they step a kernel through a root division
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "hypident", "fuzz", "--count", "40", "--seed", "3"],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            for flags in ([], ["-O"])
+        ]
+        assert [run.returncode for run in runs] == [0, 0]
+        assert runs[1].stdout == runs[0].stdout and runs[1].stderr == b""
+
     def test_raising_draw_is_recorded_and_the_batch_goes_on(self, capsys, monkeypatch):
         real = fuzzing.verify
         calls = []

@@ -275,6 +275,15 @@ class TestValidate:
                 validate(inst)
         assert "derived" not in vars(inst)
 
+    def test_equality_and_hash_ignore_the_cached_derived(self):
+        inst = IdentityInstance((0, Q(1, 2)), (Q(1, 3),), (3,), (0, 0))
+        same = IdentityInstance.from_dict({"a": ["0", "1/2"], "b": ["1/3"], "m": [3], "n": [0, 0]})
+        before = hash(inst)
+        assert inst == same and hash(same) == before
+        validate(inst)
+        assert "derived" in vars(inst) and "derived" not in vars(same)
+        assert inst == same and hash(inst) == hash(same) == before
+
 
 class TestInstanceSerialization:
     def test_roundtrip(self):

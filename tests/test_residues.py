@@ -381,7 +381,7 @@ class TestSteppedKernel:
 
     def test_steps_only_from_the_kernel_below(self):
         kernel = residue_kernel(SHIFTED, 2)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="k - 1"):
             residue_kernel(SHIFTED, 2, kernel)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="k - 1"):
             residue_kernel(SHIFTED, 4, kernel)
