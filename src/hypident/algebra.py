@@ -64,15 +64,12 @@ def exact_div(x: Scalar, y: Scalar) -> Scalar:
 
 def convolve(a: Sequence[int], b: Sequence[int], width: int) -> list[int]:
     """The first ``width`` coefficients of the product of the integer series
-    a and b, both from the same power: entry e is sum_i a[i] b[e - i]."""
-    a, rev = a[:width], b[:width][::-1]
-    out = []
-    for e in range(width):
-        # a[i] * b[e - i] over the indices both operands store
-        i0, i1 = max(0, e - len(rev) + 1), min(e, len(a) - 1)
-        start = len(rev) - 1 - e
-        out.append(sum(map(mul, a[i0 : i1 + 1], rev[start + i0 : start + i1 + 1])))
-    return out
+    a and b, both from the same power: entry e is sum_i a[i] b[e - i], one
+    ``map`` over a and a slice of b padded with zeros to ``width`` and
+    reversed once.  A short b costs zero products, so pass the shorter as a."""
+    a = a[:width]
+    rev = [*b[:width], *[0] * (width - len(b))][::-1]
+    return [sum(map(mul, a, rev[width - 1 - e :])) for e in range(width)]
 
 
 def record(cls: RecordType) -> RecordType:

@@ -22,7 +22,7 @@ import enum
 import re
 from functools import cached_property
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from typing import Mapping, Sequence
 
 from .algebra import LaurentSeries, as_fraction, clear_denominators, record
@@ -77,10 +77,11 @@ def hyper_series(
 
     The term ratio c_{t+1} / c_t = σ prod(u + t) / (prod(w + t) (t + 1)) is
     P(t) / Q(t) for the integers P(t) = σ prod(U + D t) D^max(0, #lower - #upper)
-    and Q(t) = prod(W + D t) (t + 1) D^max(0, #upper - #lower).  So c_k is
-    the integer prod_{t<k} P(t) prod_{k<=t<trunc} Q(t) over the common
-    denominator prod_{t<trunc} Q(t): one suffix pass over Q and one running
-    prefix over P, with no Fraction per term.
+    and Q(t) = prod(W + D t) (t + 1) D^max(0, #upper - #lower).  With p(t) and
+    q(t) those over their own gcd (|Q(t)| where P(t) = 0), c_k is the integer
+    prod_{t<k} p(t) prod_{k<=t<trunc} q(t) over prod_{t<trunc} q(t): one
+    suffix pass over q that keeps each p(t), one running prefix over those,
+    and no Fraction per term.
     """
     for w in lower:
         if w % scale == 0 and w <= 0:
@@ -91,24 +92,23 @@ def hyper_series(
         raise ValueError("truncation must be non-negative")
     lift_p = sign * scale ** max(0, len(lower) - len(upper))
     lift_q = scale ** max(0, len(upper) - len(lower))
-    nums = [0] * (trunc + 1)
-    suffix = 1
+    nums = [0] * trunc + [1]  # first the suffix products, nums[0] the denominator
+    steps = [0] * (trunc + 1)  # p(k - 1) at index k
     for k in range(trunc, 0, -1):
-        nums[k] = suffix
         t = scale * (k - 1)
-        q = k * lift_q
+        p, q = lift_p, k * lift_q
+        for u in upper:
+            p *= u + t
         for w in lower:
             q *= w + t
-        suffix *= q
-    nums[0] = suffix
+        g = gcd(p, q)
+        steps[k] = p // g
+        nums[k - 1] = nums[k] * (q // g)
     prefix = 1
     for k in range(1, trunc + 1):
-        t = scale * (k - 1)
-        prefix *= lift_p
-        for u in upper:
-            prefix *= u + t
+        prefix *= steps[k]
         nums[k] *= prefix
-    return LaurentSeries(0, tuple(nums), trunc, suffix)
+    return LaurentSeries(0, nums, trunc, nums[0])
 
 
 class Theorem(enum.Enum):

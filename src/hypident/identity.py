@@ -148,7 +148,7 @@ def _certify(
     series = lhs_series(inst, trunc)
     reduced = series
     if derived.theorem is Theorem.ONE:
-        # the factor needs its own truncation high enough not to cap the product
+        # the short factor first (see ``convolve``), truncated where it cannot cap the product
         reduced = one_minus_z_power(derived.p + 1, trunc + derived.n_max) * series
     # vanishing is read off the integer numerators; only a nonzero one
     # outside the support becomes a Fraction, for its message

@@ -197,10 +197,10 @@ def residue_at_simple_pole(f: RationalFunction, z0: Scalar) -> Scalar:
 
 
 def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:
-    """Route 2 at index k: the closed-form residues, summed string by string."""
+    """Route 2 at index k: the closed-form residues, the strings' sums over one lcm."""
     derived = inst.derived
     scale, a, b = derived.scale, derived.a_int, derived.b_int
-    total = 0
+    strings = []  # (numerator, denominator) of each string's sum
     for i, n_i in enumerate(inst.n):
         top = k + n_i
         # Y_l and X_l at j = 0 with their shifts; a factor of shift 0 is 1
@@ -218,8 +218,9 @@ def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:
         # term lo: the pairs moved to j = lo, over (-1)^lo lo! (top - lo)!
         start = rising_quotient(
             scale, [(y - lo * scale, q) for y, q in ups], [(x - lo * scale, q) for x, q in downs]
-        ) / ((-1) ** lo * factorial(lo) * factorial(top - lo))
-        term, den, acc = start.numerator, start.denominator, start.numerator
+        )
+        term = acc = (-1) ** lo * start.numerator
+        den = start.denominator * factorial(lo) * factorial(top - lo)
         for j in range(lo + 1, hi + 1):
             # the ratio of term j to term j - 1
             up, down, shift = j - 1 - top, j, (j - 1) * scale
@@ -228,8 +229,9 @@ def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:
             for x, q in downs:
                 up, down = up * (x - shift + (q - 1) * scale), down * (x - shift - scale)
             term, den, acc = term * up, den * down, acc * down + term * up
-        total += Fraction(acc, den)
-    return total
+        strings.append((acc, den))
+    common = lcm(*[den for _, den in strings])
+    return exact_div(sum([acc * (common // den) for acc, den in strings]), common)
 
 
 def sum_finite_residues(kernel: ResidueKernel) -> Scalar:

@@ -9,6 +9,7 @@ from hypident.algebra import (
     Polynomial,
     RationalFunction,
     clear_denominators,
+    convolve as integer_convolve,
     expansion_at_infinity,
     one_minus_z_power,
 )
@@ -246,6 +247,27 @@ class TestLaurentSeries:
 )
 def test_str(value, text):
     assert str(value) == text
+
+
+class TestConvolve:
+    def test_against_the_oracle(self):
+        """``algebra.convolve`` on its own: the first ``width`` entries of the
+        oracle's product, whatever the operands' lengths and order."""
+        row = (3, -1, 4, 1, -5)
+        # an empty operand; width <= 0, which a product with a zero series
+        # passes; operands both shorter than width, both longer, and ragged
+        cases = [((), row, 4), (row, row, 0), (row, row, -3), (row, (2, 7), 9),
+                 (row, row, 3), (row, (2, 7), 4)]
+        rng = random.Random(25)
+        for _ in range(300):
+            a = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 13)))
+            b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 13))]
+            cases.append((a, b, rng.randint(-2, 10)))
+        for a, b, width in cases:
+            for x, y in ((a, b), (b, a)):
+                product = convolve(dict(enumerate(x)), dict(enumerate(y)))
+                expected = [product.get(e, 0) for e in range(width)]
+                assert integer_convolve(x, y, width) == expected, (x, y, width)
 
 
 class TestOneMinusZPower:
