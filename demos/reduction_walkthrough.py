@@ -11,7 +11,6 @@ from hypident import (
     IdentityInstance,
     beta_coefficients,
     lhs_series,
-    one_minus_z_power,
     validate,
     verify,
 )
@@ -30,7 +29,7 @@ print(" ", series)
 print()
 
 # ...but (1-z)^(p+1) S(z) is a Laurent polynomial on [-n_max, p - m_min].
-reduced = one_minus_z_power(derived.p + 1, 12 + derived.n_max) * series
+reduced = series.times_one_minus_z(derived.p + 1)
 print(f"(1-z)^{derived.p + 1} * S(z):")
 print(" ", reduced)
 print()

@@ -17,7 +17,6 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     expansion_at_infinity,
-    one_minus_z_power,
 )
 from .asymptotics import (
     Lemma1Report,
@@ -105,7 +104,6 @@ __all__ = [
     "kernel_ladder",
     "law_points",
     "lhs_series",
-    "one_minus_z_power",
     "random_instance",
     "residue_at_infinity",
     "residue_at_simple_pole",

@@ -2,11 +2,12 @@
 rational functions over arbitrary-precision rationals.
 
 A Laurent series keeps integer numerators over one common positive
-denominator, so a product is an integer convolution (``convolve``) and a
-sum works over the lcm of two denominators; its coefficients are read back
-as exact `fractions.Fraction`s.  It is the one ring here: a polynomial is only
-built (from roots, or by interpolation) and evaluated.  A degree is an
-int, -1 for the zero polynomial, as an empty series has ``high = low - 1``.
+denominator, read back as exact `fractions.Fraction`s; its one operation is
+the balanced reduction's factor (1 - z)^power, taken as running differences
+of the numerators.  Products of integer series are ``convolve``.  A
+polynomial is only built (from roots, or by interpolation) and evaluated.
+A degree is an int, -1 for the zero polynomial, as an empty series has
+``high = low - 1``.
 Polynomial coefficients stay `int` while every input is an integer (an
 interpolated one wherever it is integral) and become `Fraction` otherwise,
 so integer polynomials run on plain ints.
@@ -31,7 +32,7 @@ memory over a long run).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import Iterable, Iterator, Sequence, TypeVar, Union
 
@@ -212,7 +213,9 @@ class LaurentSeries:
     into that form); a nonzero Fraction numerator raises TypeError.
     Construction canonicalises: ``den`` is made positive, zero numerators
     are stripped at both ends and the content gcd(den, *nums) is divided
-    out, so two equal series compare equal however they were built.
+    out, so two equal series compare equal however they were built.  The
+    one arithmetic is ``times_one_minus_z``, the balanced reduction; S(z)'s
+    products are ``convolve``d on the numerators before a series is built.
     """
 
     low: int
@@ -242,12 +245,6 @@ class LaurentSeries:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "low", low)
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, trunc: int) -> LaurentSeries:
-        return cls(trunc + 1, (), trunc)
-
     # -- access -------------------------------------------------------
 
     @property
@@ -268,47 +265,22 @@ class LaurentSeries:
         for i, c in enumerate(self.nums):
             yield self.low + i, Fraction(c, self.den)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: LaurentSeries) -> LaurentSeries:
-        """The sum over the lcm of the two denominators.  The package never
-        adds series; the fault-injection tests perturb S(z) with it."""
-        trunc = min(self.trunc, other.trunc)
-        low = min(self.low, other.low)
-        if low > trunc:
-            return LaurentSeries.zero(trunc)
-        den = lcm(self.den, other.den)
-        out = [0] * (trunc - low + 1)
-        for part in (self, other):
-            factor = den // part.den
-            offset = part.low - low
-            for i, c in enumerate(part.nums[: max(0, trunc - part.low + 1)]):
-                out[offset + i] += factor * c
-        return LaurentSeries(low, tuple(out), trunc, den)
-
-    def __mul__(self, other: LaurentSeries) -> LaurentSeries:
-        # Every returned coefficient must be a complete convolution, which
-        # caps the result truncation by both operands' certified windows.
-        trunc = min(self.trunc + other.low, other.trunc + self.low)
-        low = self.low + other.low
-        out = convolve(self.nums, other.nums, trunc - low + 1)
-        return LaurentSeries(low, out, trunc, self.den * other.den)
+    def times_one_minus_z(self, power: int) -> LaurentSeries:
+        """(1 - z)**power times the series, through the same ``trunc``: the
+        numerators, padded with zeros up to ``trunc``, take ``power`` passes
+        of running differences over the same ``den``."""
+        if power < 0:
+            raise ValueError("power must be non-negative")
+        nums = [*self.nums, *[0] * (self.trunc - self.high)]
+        for _ in range(power):
+            for j in range(len(nums) - 1, 0, -1):
+                nums[j] -= nums[j - 1]
+        return LaurentSeries(self.low, nums, self.trunc, self.den)
 
     def __str__(self) -> str:
         return f"{_format_terms(self.items())} + O(z^{self.trunc + 1})"
-
-
-def one_minus_z_power(exponent: int, trunc: int) -> LaurentSeries:
-    """(1 - z)**exponent as a series with binomial coefficients."""
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    top = min(exponent, trunc)
-    nums = [(-1) ** i * comb(exponent, i) for i in range(top + 1)]
-    return LaurentSeries(0, nums, trunc)
 
 
 @record

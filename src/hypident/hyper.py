@@ -207,6 +207,8 @@ class IdentityInstance:
     @classmethod
     def from_dict(cls, data: Mapping) -> IdentityInstance:
         """Parse the JSON object, keys a, b, m and n only: rationals as ints or "p/q", "p"."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"instance JSON must be an object, got {type(data).__name__}")
         try:
             a, b, m, n = data["a"], data.get("b", []), data.get("m", []), data["n"]
             if unknown := sorted(set(data) - {"a", "b", "m", "n"}):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .algebra import LaurentSeries, convolve, one_minus_z_power, record
+from .algebra import LaurentSeries, convolve, record
 from .asymptotics import check_residue_polynomial, law_points
 from .errors import CheckFailed, SupportViolation, TruncationTooSmall
 from .hyper import (
@@ -148,8 +148,7 @@ def _certify(
     series = lhs_series(inst, trunc)
     reduced = series
     if derived.theorem is Theorem.ONE:
-        # the short factor first (see ``convolve``), truncated where it cannot cap the product
-        reduced = one_minus_z_power(derived.p + 1, trunc + derived.n_max) * series
+        reduced = series.times_one_minus_z(derived.p + 1)
     # vanishing is read off the integer numerators; only a nonzero one
     # outside the support becomes a Fraction, for its message
     violations = []

@@ -67,6 +67,19 @@ class TestVerifyCommand:
         assert status == 2
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize(
+        "text, kind", [("[1, 2]", "list"), ("null", "NoneType"), ("3", "int"), ('"abc"', "str")]
+    )
+    def test_top_level_value_not_an_object_exits_2(self, tmp_path, capsys, text, kind):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        status, out = run_cli(capsys, ["verify", str(path)])
+        assert status == 2
+        assert json.loads(out)["error"] == {
+            "type": "ValueError",
+            "message": f"instance JSON must be an object, got {kind}",
+        }
+
     def test_pretty_changes_formatting_only(self, tmp_path, capsys):
         path = write(tmp_path, "inst.json", ZERO_SHIFT)
         _, plain = run_cli(capsys, ["verify", path])

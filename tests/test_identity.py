@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 
 from hypident import asymptotics, cli, identity
-from hypident.algebra import LaurentSeries, one_minus_z_power
+from hypident.algebra import LaurentSeries, clear_denominators
 from hypident.asymptotics import law_points
 from hypident.cli import main
 from hypident.errors import CheckFailed, SupportViolation, TruncationTooSmall
@@ -24,6 +24,16 @@ P0 = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 0), n=(0, 0))
 # p = 31, the top rung of the shift ladder: the residue window is k = -16 .. -4,
 # the law's points -16 .. 17 and the top beta is at p - m_min = 15
 P31 = IdentityInstance(a=(Q(-7, 5), Q(2, 9)), b=(Q(3, 4), Q(-5, 11)), m=(16, 16), n=(0, 0))
+
+
+def bumped(series, low, values):
+    """``series`` plus values[i] z^(low + i), every value at or below its trunc,
+    rebuilt from its coefficients: the fault the tests inject into S(z)."""
+    bump = dict(enumerate(values, low))
+    start = min(series.low, low)
+    coeffs = [series.coefficient(e) + bump.get(e, 0) for e in range(start, series.trunc + 1)]
+    den, nums = clear_denominators(coeffs)
+    return LaurentSeries(start, nums, series.trunc, den)
 
 
 class TestLhsSeries:
@@ -74,7 +84,8 @@ class TestLhsSeries:
     def test_unit_shift_collapses_to_geometric_square(self):
         # S(z) = beta_0 / (1-z)^2 exactly: (1-z)^2 S has a single coefficient
         series = lhs_series(UNIT_SHIFT, 25)
-        reduced = one_minus_z_power(2, 25) * series
+        reduced = series.times_one_minus_z(2)
+        assert reduced.trunc == 25
         assert reduced.coefficient(0) == Q(23, 12)
         assert all(reduced.coefficient(e) == 0 for e in range(1, reduced.trunc + 1))
 
@@ -203,8 +214,9 @@ class TestBetaCoefficients:
         table = beta_coefficients(inst)
         trunc = verify(inst).checked_up_to
         for e in (table.support_low - 1, table.support_high + 1, trunc):
-            bump = LaurentSeries(e, (1,), trunc, 7)
-            monkeypatch.setattr(identity, "lhs_series", lambda i, t: real(i, t) + bump)
+            monkeypatch.setattr(
+                identity, "lhs_series", lambda i, t: bumped(real(i, t), e, [Q(1, 7)])
+            )
             with pytest.raises(SupportViolation, match=rf"^coefficient 1/7 at z\^{e} "):
                 beta_coefficients(inst)
             assert verify(inst).vanishing_ok is False
@@ -292,7 +304,7 @@ class TestVerify:
         def perturbed(inst, trunc):
             # plus z^top / (1 - z)^(p + 1): the top beta moves by 1, the support stays
             bump = [comb(t + p, p) for t in range(trunc - top + 1)]
-            return real(inst, trunc) + LaurentSeries(top, bump, trunc)
+            return bumped(real(inst, trunc), top, bump)
 
         # with buffer 1 the law's top point lies above the truncation
         for buffer in (25, 1):
@@ -370,7 +382,7 @@ class TestFaultInjection:
         bump_at = []
 
         def perturbed(inst, trunc):
-            return real(inst, trunc) + LaurentSeries(bump_at[-1], (1,), trunc)
+            return bumped(real(inst, trunc), bump_at[-1], [1])
 
         rng = random.Random(seed)
         missed, tried = [], 0

@@ -1,4 +1,5 @@
-"""Property-based tests on instances drawn beyond ``fuzz``'s range.
+"""Property-based tests on instances drawn beyond ``fuzz``'s range, and
+one on the balanced reduction's series arithmetic.
 
 Denominators run up to 60 and shifts to +-4, s runs over 0 .. r, and some
 b_l land on a_i plus an integer, where route 2 has zero stretches; the
@@ -8,21 +9,23 @@ the same examples on every run.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hypident import asymptotics  # noqa: E402
+from hypident.algebra import LaurentSeries  # noqa: E402
 from hypident.asymptotics import check_residue_polynomial, law_points  # noqa: E402
 from hypident.errors import ValidationError  # noqa: E402
 from hypident.hyper import IdentityInstance, validate  # noqa: E402
 from hypident.identity import beta_coefficients, kernel_ladder, verify  # noqa: E402
 from hypident.residues import residue_at_infinity, residue_sum_closed_form  # noqa: E402
 
-from oracles import law_q  # noqa: E402
+from oracles import convolve, law_q  # noqa: E402
 
 SETTINGS = settings(
     derandomize=True,
@@ -138,3 +141,27 @@ def test_the_draws_reach_every_family():
 
     record()
     assert seen == {"s=0", "0<s<r", "s=r", "integer gap", "denominator > 12"}
+
+
+@SETTINGS
+@given(
+    power=st.integers(0, 8),
+    low=st.integers(-4, 4),
+    nums=st.lists(st.integers(-40, 40), max_size=8),
+    den=st.integers(-12, 12).filter(bool),
+    pad=st.integers(0, 4),
+)
+# the ends of each range, a negative denominator, and a trunc above high
+@example(power=8, low=-4, nums=[3, 0, -5], den=-6, pad=4)
+@example(power=0, low=4, nums=[1, 2], den=-1, pad=0)
+@example(power=3, low=0, nums=[], den=5, pad=2)
+def test_times_one_minus_z_against_the_convolution_oracle(power, low, nums, den, pad):
+    # (1 - z)^power times the series is the oracle's product with the binomial
+    # row, cut at the series' trunc; the zeros above its high take part
+    series = LaurentSeries(low, nums, low + len(nums) - 1 + pad, den)
+    product = series.times_one_minus_z(power)
+    row = {i: (-1) ** i * comb(power, i) for i in range(power + 1)}
+    expected = convolve({e: Fraction(c, den) for e, c in enumerate(nums, low)}, row)
+    assert product.trunc == series.trunc
+    for e in range(low - 2, series.trunc + 1):
+        assert product.coefficient(e) == expected.get(e, 0)
