@@ -299,23 +299,22 @@ class RationalFunction:
 
 
 def expansion_at_infinity(f: RationalFunction, depth: int) -> list[Scalar]:
-    """The first ``depth`` coefficients of f at infinity.
+    """The first ``depth`` coefficients of f at infinity, for a monic denominator
+    (ValueError otherwise).
 
     f(z) = C_top z^top + C_{top-1} z^{top-1} + ... with top = deg num - deg den,
-    computed by exact power-series division of the reversed-coefficient
-    polynomials (substituting w = 1/z).  The coefficient of z^{-1} sits at
-    list index top + 1 whenever depth > top + 1.  Each step divides by the
-    leading coefficient of the denominator, so a monic integer denominator
-    over an integer numerator keeps every coefficient an int.
+    by power-series division of the reversed-coefficient polynomials
+    (substituting w = 1/z); the coefficient of z^{-1} sits at list index
+    top + 1 whenever depth > top + 1.  The reversed denominator starts with 1,
+    so each coefficient is the numerator's less one dot product with the
+    coefficients before it, and no step divides: integer polynomials give ints.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    revn = f.num.coeffs[::-1]
-    revd = f.den.coeffs[::-1]
+    if f.den.coeffs[-1] != 1:
+        raise ValueError(f"denominator must be monic, leading coefficient {f.den.coeffs[-1]}")
+    tail = f.den.coeffs[-2::-1]
     out: list[Scalar] = []
-    for t in range(depth):
-        acc = revn[t] if t < len(revn) else 0
-        for u in range(max(0, t - len(revd) + 1), t):
-            acc -= out[u] * revd[t - u]
-        out.append(exact_div(acc, revd[0]))
+    for c in [*f.num.coeffs[::-1], *[0] * depth][:depth]:
+        out.append(c - sum(map(mul, reversed(out), tail)))
     return out

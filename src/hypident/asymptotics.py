@@ -19,14 +19,17 @@ Bernoulli argument is X / D with X an integer, and with L the lcm of the
 denominators of B_0 .. B_p, h_u = L D^(u+1) Q_u(k) is an integer: at the
 first k, sum_{l=1}^{n} C(n, l) L B_{n-l} D^(n-l) S_l at n = u + 1, over the
 power sums S_l of the signed X.  The l = 0 term would take B_n, but S_0 is
-the sum of the signs, r - s + s - r = 0, so B_{p+1} is never needed.  With
-M = lcm(1 .. p + 1) the recurrence on v_t = D^t q_t is
-t D L M v_t = sum_u (-1)^(u+1) (M / (u+1)) h_u v_{t-u}, and
-each v_t is an integer: at k = -m_min it is C_t, route 4's coefficient at
-infinity of a ratio of monic integer polynomials in w = D z (below; the
-Bernoulli expansion of a ratio of Gamma functions, Tricomi & Erdelyi 1951).
-So each order is one exact division, and a remainder means the law's
-series is not route 4's.
+the sum of the signs, r - s + s - r = 0, so B_{p+1} is never needed.  As
+B_n(x) - B_n(x + m) = -n sum_{0<=t<m} (x + t)^(n-1) for integers m >= 0 (swap
+x and x + m for m < 0), and Q_u pairs a_i with n_i and b_i with m_i, the
+integer D^u Q_u / (u + 1) is a signed sum of u-th powers of D (x + t), so
+g_u = u D^u G_u = (-1)^(u+1) h_u / (L D (u + 1)) and the recurrence on
+v_t = D^t q_t is t v_t = sum_u g_u v_{t-u}.  Each v_t is an integer: at
+k = -m_min it is C_t, route 4's coefficient at infinity of a ratio of monic
+integer polynomials in w = D z (below; the Bernoulli expansion of a ratio
+of Gamma functions, Tricomi & Erdelyi 1951).  So each order is one exact
+division, and a remainder means a wrong Bernoulli number (in g_u) or a
+law's series that is not route 4's (in v_t).
 
 The recurrence runs once, at the first k; the series then steps in k.
 From B_n(x - 1) = B_n(x) - n (x - 1)^(n-1), each G_j moves by
@@ -34,7 +37,7 @@ From B_n(x - 1) = B_n(x) - n (x - 1)^(n-1), each G_j moves by
 -sum_j (c x)^j / j = log(1 - c x), so the series sum_t q_t x^t gains the
 factor prod_i (1 - (b_i + k) x) / (1 - (a_i + k + 1) x), exactly as
 truncated power series.  In y = x / D its factors are 1 - C y with C an
-integer, so multiplying (t descending) and dividing (t ascending) by them
+integer, so multiplying and dividing by them, one pass per i with t ascending,
 keeps D^t q_t in the integers at every k; each point leaves them once, in a
 single division.  A check costs one O(p^2) recurrence, then O(r p) integer
 products per point, O(r p^2) over its p + 3 points; interpolating q_p as
@@ -53,6 +56,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Sequence
 
 from .algebra import Polynomial, Scalar, record
@@ -88,15 +92,14 @@ def _law_values(
 ) -> tuple[list[int], list[Fraction]]:
     """(series, values): series[t] = D^t q_t(start) for t <= order, integers (module
     docstring), and q_order(k) at k = start .. start + count - 1, 0 for order -1.
-    CheckFailed at the first t where D^t q_t(start) is not an integer."""
+    CheckFailed at the first u with g_u, else the first t with D^t q_t(start), not an integer."""
     if order < 0:
         return [], [0] * count
     derived = inst.derived
     d, a, b = derived.scale, derived.a_int, derived.b_int
     numbers = _bernoulli_numbers(order)
-    ell = lcm(*[x.denominator for x in numbers])  # L and M of the module docstring
-    em = lcm(*range(1, order + 2))
-    d_pow = [d**e for e in range(order + 2)]
+    ell = lcm(*[x.denominator for x in numbers])  # L of the module docstring
+    row = [x.numerator * (ell // x.denominator) * d**j for j, x in enumerate(numbers)]  # L B_j D^j
 
     # power_sums[l] = sum sign X^l over D times the Bernoulli arguments of
     # Q_j at k = start, with their signs
@@ -110,40 +113,39 @@ def _law_values(
         for l in range(order + 2):
             power_sums[l] += power
             power *= x
-    # w[u] = (-1)^(u+1) (M / (u+1)) h_u, with h_u = L D^(u+1) Q_u(start)
-    # = sum_{l>=1} C(n, l) L B_{n-l} D^(n-l) power_sums[l] at n = u + 1
-    w = [0]
+    # g[u - 1] = (-1)^(u+1) h_u / (L D (u+1)), with h_u = L D^(u+1) Q_u(start)
+    # = sum_{l>=1} C(n, l) row[n-l] power_sums[l] at n = u + 1 (module docstring)
+    g = []
     for n in range(2, order + 2):
-        h = sum(
-            comb(n, l) * bn.numerator * (ell // bn.denominator) * d_pow[n - l] * power_sums[l]
-            for l, bn in enumerate(numbers[n - 1 :: -1], 1)
-            if bn
-        )
-        w.append((-1) ** n * (em // n) * h)
+        h = sum([comb(n, l) * c * power_sums[l] for l, c in enumerate(row[n - 1 :: -1], 1) if c])
+        g_u, rest = divmod((-1) ** n * h, ell * d * n)
+        if rest:
+            raise CheckFailed(f"law's log series at k={start}, order u={n - 1}: not an integer")
+        g.append(g_u)
 
     first = [1]
     for t in range(1, order + 1):
-        v, rest = divmod(sum(w[u] * first[t - u] for u in range(1, t + 1)), t * d * ell * em)
+        v, rest = divmod(sum(map(mul, g, reversed(first))), t)
         if rest:
             raise CheckFailed(f"law's series at k={start}, order t={t}: not an integer")
         first.append(v)
 
-    series, values = first[:], []
+    series, values, top = first[:], [], d**order
     for k in range(start, start + count):
-        values.append(Fraction(series[order], d_pow[order]))
-        _step(series, d, a, b, k)
+        if k > start:
+            _step(series, d, a, b, k - 1)
+        values.append(Fraction(series[order], top))
     return first, values
 
 
 def _step(series: list[int], d: int, a: Sequence[int], b: Sequence[int], k: int) -> None:
-    """The series from k to k + 1, in place: each factor is 1 - c y, c an integer."""
+    """The series from k to k + 1, in place: for each i one pass multiplies it by
+    1 - c y and divides it by 1 - e y (c, e integers), new_t = x_t - c x_(t-1) + e new_(t-1)."""
     for a_i, b_i in zip(a, b):
-        c = b_i + k * d
-        for t in range(len(series) - 1, 0, -1):
-            series[t] -= c * series[t - 1]
-        c = a_i + (k + 1) * d
-        for t in range(1, len(series)):
-            series[t] += c * series[t - 1]
+        c, e, below, new = b_i + k * d, a_i + (k + 1) * d, 0, 0
+        for t, x in enumerate(series):
+            series[t] = new = x - c * below + e * new
+            below = x
 
 
 def exp_series_coefficient(inst: IdentityInstance, s_index: int) -> Polynomial:

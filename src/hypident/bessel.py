@@ -159,7 +159,7 @@ def bessel_demo(
     return BesselReport(
         nu=nu,
         m_shift=m_shift,
-        samples=tuple(float(x) for x in samples),
+        samples=tuple([float(x) for x in samples]),
         tolerance=tolerance,
         max_residual=max_residual,
         exact=exact,

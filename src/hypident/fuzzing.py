@@ -54,10 +54,10 @@ def random_instance(
             s = rng.randint(0, r - 1)
         else:
             s = rng.randint(0, r)
-        a = tuple(random_rational(rng, shift_range) for _ in range(r))
-        b = tuple(random_rational(rng, shift_range) for _ in range(s))
-        m = tuple(rng.randint(-shift_range, shift_range) for _ in range(s))
-        n = tuple(rng.randint(-shift_range, shift_range) for _ in range(r))
+        a = tuple([random_rational(rng, shift_range) for _ in range(r)])
+        b = tuple([random_rational(rng, shift_range) for _ in range(s)])
+        m = tuple([rng.randint(-shift_range, shift_range) for _ in range(s)])
+        n = tuple([rng.randint(-shift_range, shift_range) for _ in range(r)])
         inst = IdentityInstance(a=a, b=b, m=m, n=n)
         try:
             validate(inst)

@@ -175,7 +175,8 @@ class IdentityInstance:
         for i in range(r):
             for l in range(s):
                 x, q = scale - b[l] + a[i], self.m[l] - self.n[i]
-                if rising(x, q, scale)[1] == 0:
+                # (x/scale)_q for q < 0 is 1 / prod (x/scale - t), t = 1 .. -q
+                if q < 0 and x % scale == 0 and 1 <= x // scale <= -q:
                     value = Fraction(x, scale)
                     raise PrefactorPole(
                         f"prefactor (1-b[{l}]+a[{i}])_(m[{l}]-n[{i}]) is undefined: "

@@ -190,6 +190,10 @@ class VerificationReport:
     proves it at every k, and the series at its points up to
     ``checked_up_to``, so it covers the top beta above the window; points
     above the truncation (a small ``buffer``) rest on the proof alone.
+    ``alpha``: route 2 equals the series at k = -n_max .. -m_min - 1.  Where
+    m_min >= n_max + buffer // 2 + 1 (the shift ladder from m = (13, 13) on), no
+    window kernel has a pole and alpha's range is empty: ``residue`` and ``alpha``
+    then compare zeros by construction, and only ``lemma1`` checks anything.
     """
 
     instance: IdentityInstance
@@ -233,11 +237,7 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
     derived = inst.derived
     series, table, violations = _certify(inst, buffer)
 
-    cross_checks: dict[str, bool | None] = {
-        "residue": None,
-        "lemma1": None,
-        "alpha": None,
-    }
+    cross_checks: dict[str, bool | None] = {"residue": None, "lemma1": None, "alpha": None}
     if derived.theorem is Theorem.ONE:
         # the kernels of the residue window; the law reads route 4's whole expansion at the first
         kernels = kernel_ladder(inst, buffer // 2 + 1)

@@ -88,9 +88,7 @@ def _unscale_polynomial(poly: Polynomial, scale: int) -> Polynomial:
     """The monic polynomial in z whose roots are those of the monic ``poly``
     in w = scale * z, divided by scale."""
     top = len(poly.coeffs) - 1
-    return Polynomial(
-        tuple(Fraction(c, scale ** (top - e)) for e, c in enumerate(poly.coeffs))
-    )
+    return Polynomial(tuple([Fraction(c, scale ** (top - e)) for e, c in enumerate(poly.coeffs)]))
 
 
 @record
@@ -114,7 +112,7 @@ class ResidueKernel:
 
     @cached_property
     def expansion(self) -> list[int]:
-        """Route 4's C_0 .. C_{offset+1} at infinity in w, empty when offset < -1."""
+        """Route 4's C_0 .. C_{offset+1} at infinity in w (its den is monic), empty if offset < -1."""
         return expansion_at_infinity(self.scaled, self.offset + 2) if self.offset >= -1 else []
 
     def _to_z(self, value: Scalar) -> Scalar:

@@ -198,6 +198,26 @@ def kernel_pole_residue(a, b, m, n, k: int, z0) -> Fraction:
     return out
 
 
+def expansion_at_infinity(num, den, depth: int) -> list[Fraction]:
+    """The first ``depth`` coefficients of num(z) / den(z) at infinity, from
+    z^(deg num - deg den) down, by long division continued into negative
+    powers of z: each step divides the remainder's top term by den's leading
+    coefficient and subtracts that multiple of den.  ``num`` and ``den``
+    list coefficients from z^0 up, den's last one nonzero."""
+    num = list(num)
+    while num and num[-1] == 0:
+        num.pop()
+    rest = {e: Fraction(c) for e, c in enumerate(num)}
+    top = len(num) - len(den)
+    out = []
+    for e in range(top, top - depth, -1):
+        c = rest.pop(e + len(den) - 1, Fraction(0)) / den[-1]
+        for i, d in enumerate(den[:-1]):
+            rest[e + i] = rest.get(e + i, 0) - c * d
+        out.append(c)
+    return out
+
+
 def bernoulli_numbers(n: int) -> list[Fraction]:
     """B_0 .. B_n with B_1 = -1/2, by the Akiyama-Tanigawa algorithm (which
     yields B_1 = +1/2; its sign is flipped at the end)."""

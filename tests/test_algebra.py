@@ -270,6 +270,17 @@ class TestExpansionAtInfinity:
         with pytest.raises(ValueError):
             expansion_at_infinity(f, 0)
 
+    @pytest.mark.parametrize("lead", [2, -1, Q(1, 2)])
+    def test_non_monic_denominator_rejected(self, lead):
+        f = RationalFunction(Polynomial((1,)), Polynomial((0, 3, lead)))
+        with pytest.raises(ValueError, match=rf"^denominator must be monic, leading coefficient {lead}$"):
+            expansion_at_infinity(f, 3)
+
+    def test_monic_rational_denominator(self):
+        # the z-form kernel is monic with Fraction coefficients: 1/(z - 1/2)
+        f = RationalFunction(Polynomial((1,)), Polynomial((Q(-1, 2), 1)))
+        assert expansion_at_infinity(f, 4) == [1, Q(1, 2), Q(1, 4), Q(1, 8)]
+
 
 class TestRationalFunction:
     def test_zero_denominator_rejected(self):

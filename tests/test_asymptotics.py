@@ -23,6 +23,8 @@ P15 = IdentityInstance(
 )
 # p = 31, the top rung of the shift ladder
 P31 = IdentityInstance(a=(Q(-7, 5), Q(2, 9)), b=(Q(3, 4), Q(-5, 11)), m=(16, 16), n=(0, 0))
+# p = 11 with n_i of both signs and an odd D = 315
+MIXED = IdentityInstance(a=(Q(1, 7), Q(-2, 3)), b=(Q(5, 9), Q(1, 5)), m=(6, 5), n=(-3, 2))
 
 
 def oracle_q(inst, p, k):
@@ -109,6 +111,44 @@ class TestTangentNumberBernoulli:
         # the start series D^t q_t, integers with no scale factor, at the first point only
         d = P15.derived.scale
         assert series == [d**t * oracle_q(P15, t, -20) for t in range(order + 1)]
+
+
+class TestLogSeriesContent:
+    # the telescoping of the module docstring: D^u Q_u / (u + 1) is an integer,
+    # so g_u = u D^u G_u is one, and the law's recurrence divides by t alone
+
+    @pytest.mark.parametrize("inst", [P15, P31, MIXED], ids=["p=15", "p=31", "mixed n"])
+    def test_g_is_an_integer(self, inst):
+        derived = inst.derived
+        d, p = derived.scale, derived.p
+        numbers = bernoulli_numbers(p + 1)
+        for k in (-derived.m_min, -derived.m_min + 3):
+            for u in range(1, p + 1):
+                g = u * d**u * law_g(inst.a, inst.b, inst.m, inst.n, u, k, numbers)
+                assert g.denominator == 1, (k, u, g)
+
+    def test_bernoulli_fault_in_the_log_series(self, monkeypatch):
+        # B_4 off by 1 on the odd D of MIXED: g_u leaves the integers at the
+        # first u where the oracle's u D^u G_u, from the same wrong numbers, does
+        real = asymptotics._bernoulli_numbers
+
+        def bumped(n):
+            numbers = real(n)
+            numbers[4] += 1
+            return numbers
+
+        monkeypatch.setattr(asymptotics, "_bernoulli_numbers", bumped)
+        start, p, d = -MIXED.derived.m_min, MIXED.derived.p, MIXED.derived.scale
+        numbers = bernoulli_numbers(p + 1)
+        numbers[4] += 1
+        u = 1
+        while (u * d**u * law_g(MIXED.a, MIXED.b, MIXED.m, MIXED.n, u, start, numbers)).denominator == 1:
+            u += 1
+        assert u <= p
+        with pytest.raises(CheckFailed, match=rf"^law's log series at k={start}, order u={u}: not an integer$"):
+            asymptotics._law_values(MIXED, p, start, 1)
+        report = verify(MIXED)
+        assert report.cross_checks == {"residue": True, "lemma1": False, "alpha": True}
 
 
 class TestExpSeriesCoefficient:

@@ -1,5 +1,6 @@
 """Property-based tests on instances drawn beyond ``fuzz``'s range, and
-one on the balanced reduction's series arithmetic.
+on the balanced reduction's series arithmetic, route 4's expansion at
+infinity and validation's prefactor-pole test.
 
 Denominators run up to 60 and shifts to +-4, s runs over 0 .. r, and some
 b_l land on a_i plus an integer, where route 2 has zero stretches; the
@@ -18,13 +19,20 @@ from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E4
 from hypothesis import strategies as st  # noqa: E402
 
 from hypident import asymptotics  # noqa: E402
-from hypident.algebra import LaurentSeries  # noqa: E402
+from hypident.algebra import (  # noqa: E402
+    LaurentSeries,
+    Polynomial,
+    RationalFunction,
+    clear_denominators,
+    expansion_at_infinity,
+)
 from hypident.asymptotics import check_residue_polynomial, law_points  # noqa: E402
-from hypident.errors import ValidationError  # noqa: E402
-from hypident.hyper import IdentityInstance, validate  # noqa: E402
+from hypident.errors import PrefactorPole, ValidationError  # noqa: E402
+from hypident.hyper import IdentityInstance, rising, validate  # noqa: E402
 from hypident.identity import beta_coefficients, kernel_ladder, verify  # noqa: E402
 from hypident.residues import residue_at_infinity, residue_sum_closed_form  # noqa: E402
 
+import oracles  # noqa: E402
 from oracles import convolve, law_q  # noqa: E402
 
 SETTINGS = settings(
@@ -165,3 +173,63 @@ def test_times_one_minus_z_against_the_convolution_oracle(power, low, nums, den,
     assert product.trunc == series.trunc
     for e in range(low - 2, series.trunc + 1):
         assert product.coefficient(e) == expected.get(e, 0)
+
+
+def prefactor_instance(x, q, a_1, n):
+    # r = 2, s = 1: the pair (0, 0) has 1 - b_0 + a_0 = x and the shift q
+    return IdentityInstance(a=(Fraction(0), a_1), b=(1 - x,), m=(q + n[0],), n=n)
+
+
+# x, an integer t or t plus a fraction of denominator up to 12, lands on the
+# poles of the pair (0, 0), x in 1 .. -q, in about one draw in ten
+PREFACTOR_INSTANCES = st.builds(
+    prefactor_instance,
+    st.builds(
+        lambda t, rem: t + rem, st.integers(-1, 6), st.just(0) | st.fractions(0, 1, max_denominator=12)
+    ),
+    st.integers(-6, 1),
+    PARAMETERS.filter(lambda c: c.denominator > 1),
+    st.tuples(SHIFTS, SHIFTS),
+)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(PREFACTOR_INSTANCES)
+# both ends of the poles 1 .. -q, one past each end, and q = 0
+@example(prefactor_instance(Fraction(1), -3, Fraction(1, 2), (0, 0)))
+@example(prefactor_instance(Fraction(3), -3, Fraction(1, 2), (1, -2)))
+@example(prefactor_instance(Fraction(4), -3, Fraction(1, 2), (0, 0)))
+@example(prefactor_instance(Fraction(0), -3, Fraction(1, 2), (0, 0)))
+@example(prefactor_instance(Fraction(1), 0, Fraction(1, 3), (0, 0)))
+def test_prefactor_pole_is_a_zero_factor_of_rising(inst):
+    # validation rejects exactly the pairs whose (1 - b_l + a_i)_(m_l - n_i),
+    # as ``rising`` multiplies it out, has a zero factor below the bar
+    scale, ints = clear_denominators(inst.a + inst.b)
+    a, b = ints[: inst.r], ints[inst.r :]
+    pole = any(
+        rising(scale - b_l + a_i, m_l - n_i, scale)[1] == 0
+        for a_i, n_i in zip(a, inst.n)
+        for b_l, m_l in zip(b, inst.m)
+    )
+    if pole:
+        with pytest.raises(PrefactorPole):
+            validate(inst)
+    else:
+        validate(inst)
+
+
+@SETTINGS
+@given(
+    num=st.lists(st.integers(-50, 50), max_size=8),
+    below=st.lists(st.integers(-50, 50), max_size=6),
+    depth=st.integers(1, 14),
+)
+# den = 1, and a depth past deg num
+@example(num=[3, -2], below=[], depth=6)
+@example(num=[0, 0, 7], below=[-4, 0, 9, 1, -1, 2], depth=14)
+def test_expansion_at_infinity_against_long_division(num, below, depth):
+    # a monic integer denominator of degree 0 .. 6: below lists its lower coefficients
+    f = RationalFunction(Polynomial(tuple(num)), Polynomial((*below, 1)))
+    out = expansion_at_infinity(f, depth)
+    assert out == oracles.expansion_at_infinity(num, [*below, 1], depth)
+    assert all(type(c) is int for c in out)

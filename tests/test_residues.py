@@ -254,8 +254,10 @@ class TestExactness:
     def test_int_inputs_never_give_floats(self):
         f = RationalFunction(Polynomial((3, 1)), Polynomial.from_roots([1, 2, 5]))
         values = [residue_at_simple_pole(f, 1), residue_at_simple_pole(f, 2)]
-        for g in (f, RationalFunction(Polynomial((1, 0, 0, 1)), Polynomial((2, 3)))):
+        for g in (f, RationalFunction(Polynomial((1, 0, 0, 1)), Polynomial((2, 1)))):
             values.extend(expansion_at_infinity(g, 5))
+        with pytest.raises(ValueError, match="^denominator must be monic, leading coefficient 3$"):
+            expansion_at_infinity(RationalFunction(Polynomial((1, 0, 0, 1)), Polynomial((2, 3))), 5)
         for inst in (CANONICAL, SHIFTED, OFFSET_ZERO, LARGE_LCM):
             m_min = validate(inst).m_min
             for k in range(-m_min, -m_min + 4):
