@@ -8,13 +8,14 @@ of the numerators.  Products of integer series are ``convolve``.  A
 polynomial is only built (from roots, or by interpolation) and evaluated.
 A degree is an int, -1 for the zero polynomial, as an empty series has
 ``high = low - 1``.
-Polynomial coefficients stay `int` while every input is an integer (an
-interpolated one wherever it is integral) and become `Fraction` otherwise,
-so integer polynomials run on plain ints.
-Every division is exact (``exact_div``); no floating point enters this
-module.  The truncation order of a Laurent series is a hard certificate
-boundary: coefficients at exponents <= trunc are exactly known, anything
-above is unknown and reading it raises instead of silently returning 0.
+Polynomial coefficients stay `int` while every input is an integer and
+become `Fraction` otherwise, so integer polynomials run on plain ints.  A
+value leaves the integers as one ``Fraction(top, bottom)``, an integral
+one included, as each of ``Polynomial.interpolate``'s coefficients does;
+no floating point enters this module.  The truncation order of a Laurent
+series is a hard certificate boundary: coefficients at exponents <= trunc
+are exactly known, anything above is unknown and reading it raises
+instead of silently returning 0.
 All values are immutable after construction, so they can be shared freely
 between threads and concurrently running verification jobs.  The package's
 records use ``record``, not the standard library's data classes: importing
@@ -42,25 +43,11 @@ Scalar = Union[int, Fraction]
 RecordType = TypeVar("RecordType", bound=type)
 
 
-def as_fraction(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def clear_denominators(values: Sequence[Scalar]) -> tuple[int, list[int]]:
     """D, the lcm of the denominators of ``values``, with the integers
-    D * x for each x in ``values``."""
-    fracs = [as_fraction(x) for x in values]
-    scale = lcm(*[x.denominator for x in fracs])
-    return scale, [x.numerator * (scale // x.denominator) for x in fracs]
-
-
-def exact_div(x: Scalar, y: Scalar) -> Scalar:
-    """x / y in the rationals: an int when both are ints and y divides x,
-    a Fraction otherwise, never a float."""
-    if isinstance(x, int) and isinstance(y, int):
-        q, rem = divmod(x, y)
-        return q if not rem else Fraction(x, y)
-    return x / y
+    D * x for each x in ``values`` (an int is its own numerator over 1)."""
+    scale = lcm(*[x.denominator for x in values])
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
 def convolve(a: Sequence[int], b: Sequence[int], width: int) -> list[int]:
@@ -163,7 +150,7 @@ class Polynomial:
         """The polynomial of degree < len(values) through the points
         (start + i, values[i]), by Newton's forward differences:
         f(start + t) = sum_j Delta^j f(start) C(t, j), expanded by Horner on
-        the integers den * values, with one exact division per coefficient."""
+        the integers den * values, each coefficient one Fraction over den n!."""
         den, row = clear_denominators(values)
         diffs = []
         while row:
@@ -176,7 +163,7 @@ class Polynomial:
             weight *= j + 1
             out = [lo - (start + j) * hi for lo, hi in zip([0, *out], [*out, 0])]
             out[0] += weight * diffs[j]
-        return cls(tuple([exact_div(c, den * weight) for c in out]))
+        return cls(tuple([Fraction(c, den * weight) for c in out]))
 
     # -- structure ----------------------------------------------------
 

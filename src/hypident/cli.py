@@ -3,15 +3,16 @@
 Instance files are JSON objects {"a": [...], "b": [...], "m": [...],
 "n": [...]} with rationals written as ints or strings "p/q", "p"; r and s are
 inferred from the vector lengths; ``bessel --nu`` takes the same strings.
-Every command prints a single JSON payload on stdout.  Exit codes: 0 all
+Every command prints a single JSON payload on stdout, of any size: the
+interpreter's cap on int digits bounds the input only.  Exit codes: 0 all
 checks pass, 1 a check failed, 2 input or validation error (with an
-{"error": ...} payload), a ``bessel`` value too large for a float and a
-command line that does not parse included: the latter's
-UsageError payload is always compact, as --pretty was never read.  Output
-is deterministic: identical input, flags, and seed produce byte-identical
-bytes; --pretty toggles indentation only.  A reader that closes stdout
-early ends the run quietly with status 141, as a shell reports a process
-stopped by SIGPIPE.
+{"error": ...} payload), a ``bessel`` value too large for a float, a run
+out of memory and a command line that does not parse included: the
+latter's UsageError payload is always compact, as --pretty was never
+read.  Output is deterministic: identical input, flags, and seed produce
+byte-identical bytes; --pretty toggles indentation only.  A reader that
+closes stdout early ends the run quietly with status 141, as a shell
+reports a process stopped by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -146,23 +147,28 @@ def _load_instance(path: str) -> IdentityInstance:
 
 
 def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
+    inst = _load_instance(args.input) if "input" in args else None
+    nu = parse_rational(args.nu) if "nu" in args else None
+    # the input is parsed under the interpreter's cap on int digits
+    # (Python 3.10.7 on); the output, printed as text, may exceed it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
     if args.command == "verify":
-        report = verify(_load_instance(args.input), args.buffer)
+        report = verify(inst, args.buffer)
         return report.to_dict(), 0 if report.passed else 1
 
     if args.command == "coeffs":
-        table = beta_coefficients(_load_instance(args.input), args.buffer)
+        table = beta_coefficients(inst, args.buffer)
         return table.to_dict(), 0
 
     if args.command == "lemma":
-        inst = _load_instance(args.input)
         points = law_points(inst)
         expansion = residue_kernel(inst, points.start).expansion
         at_points = [residue_sum_closed_form(inst, k) for k in points]
         return check_residue_polynomial(inst, expansion, at_points).to_dict(), 0
 
     if args.command == "residue-check":
-        inst = _load_instance(args.input)
         kernel = residue_kernel(inst, args.k)
         finite = sum_finite_residues(kernel)
         at_infinity = residue_at_infinity(kernel)
@@ -188,7 +194,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         return report.to_dict(), 0 if report.failed == 0 else 1
 
     if args.command == "bessel":
-        report = bessel_demo(parse_rational(args.nu), args.m_shift, args.samples, args.tolerance)
+        report = bessel_demo(nu, args.m_shift, args.samples, args.tolerance)
         return report.to_dict(), 0 if report.passed else 1
 
 
@@ -207,7 +213,7 @@ def run(args: argparse.Namespace) -> int:
     except _CHECK_FAILURES as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
         return 1
-    except (HypidentError, OSError, OverflowError, ValueError, ZeroDivisionError) as exc:
+    except (HypidentError, MemoryError, OSError, OverflowError, ValueError, ZeroDivisionError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
         return 2
     _emit(payload, args.pretty)
@@ -215,6 +221,8 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # run lifts the cap on int digits for its output; a caller gets its own back
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -228,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
         # devnull, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -19,13 +19,15 @@ a_i + Z or b_l + Z, so in (1/D) Z, and becomes the integer D times itself:
 numerator and denominator are monic polynomials in w with integer
 coefficients, Ntilde(w) = D^{deg num} num(w/D) and likewise for the
 denominator.  Horner evaluation at an integer pole and series division
-by a monic denominator then stay in the integers, and only the final
-division of a residue leaves them.  Since dz = dw / D, both the residue at
-a pole and the coefficient of 1/z at infinity return to z through the one
-factor D^(deg den - deg num - 1).  The gap deg num - deg den is
-M - N - r - (r - s) k in both families; the kernel takes it from the
-instance as ``offset``, and route 4 expands to depth offset + 2.  The
-polynomial law of ``asymptotics`` reads that whole expansion at k = -m_min.
+by a monic denominator then stay in the integers.  Since dz = dw / D, both
+the residue at a pole and the coefficient of 1/z at infinity return to z
+through the one factor D^(deg den - deg num - 1): routes 3 and 4 hand their
+integer numerator and denominator to ``ResidueKernel._to_z``, which folds
+that factor in and leaves the integers as one Fraction; route 2 ends in one
+Fraction too.  The gap deg num - deg den is M - N - r - (r - s) k in both
+families; the kernel takes it from the instance as ``offset``, and route 4
+expands to depth offset + 2.  The polynomial law of ``asymptotics`` reads
+that whole expansion at k = -m_min.
 The closed form scales each Pochhammer factor the same way: (X/D)_q is an
 integer product over D^q, and a quotient of such products is one
 ``rising_quotient``, as is the series route's prefactor.
@@ -39,7 +41,7 @@ denominator gains D a_i + k D where k + n_i >= 0, the numerator gains
 D b_l + (k - 1) D (m_l + k >= 1 as k - 1 >= -m_min) and loses D a_l + k D
 where n_l + k <= -1.  The finite-residue route takes num(w0) and den'(w0)
 from one Horner pass, and sums num(w0) / den'(w0) over the lcm L of the
-den'(w0) as one integer sum and one division.  The closed-form route sums
+den'(w0) as one integer sum over L.  The closed-form route sums
 the residues (-1)^j prod_l (1 - b_l + a_i - j)_{m_l+k} / (j! (K - j)!
 prod_{l != i} (a_i - a_l - j)_{n_l+k+1}) at z = a_i + k - j, stepping each
 pole string in j: (y - 1)_q / (y)_q is (y - 1)/(y + q - 1) for q of
@@ -66,14 +68,7 @@ from itertools import zip_longest
 from math import factorial, lcm
 from typing import NamedTuple
 
-from .algebra import (
-    Polynomial,
-    RationalFunction,
-    Scalar,
-    exact_div,
-    expansion_at_infinity,
-    record,
-)
+from .algebra import Polynomial, RationalFunction, Scalar, expansion_at_infinity, record
 from .errors import KBelowRange, NotSimplePole
 from .hyper import IdentityInstance, rising_quotient
 
@@ -115,12 +110,10 @@ class ResidueKernel:
         """Route 4's C_0 .. C_{offset+1} at infinity in w (its den is monic), empty if offset < -1."""
         return expansion_at_infinity(self.scaled, self.offset + 2) if self.offset >= -1 else []
 
-    def _to_z(self, value: Scalar) -> Scalar:
-        """A residue of the w-form kernel as the same residue in z."""
-        exponent = -self.offset - 1
-        if exponent >= 0:
-            return value * self.scale**exponent
-        return exact_div(value, self.scale**-exponent)
+    def _to_z(self, top: int, bottom: int = 1) -> Fraction:
+        """The residue top / bottom of the w-form kernel as the same residue in z, one Fraction."""
+        e = -self.offset - 1  # the power of scale that takes it back to z
+        return Fraction(top * self.scale ** max(e, 0), bottom * self.scale ** max(-e, 0))
 
 
 def residue_kernel(inst: IdentityInstance, k: int, below: ResidueKernel | None = None) -> ResidueKernel:
@@ -189,12 +182,12 @@ def _residue_parts(f: RationalFunction, points: list[Scalar]) -> list[tuple[Scal
     return out
 
 
-def residue_at_simple_pole(f: RationalFunction, z0: Scalar) -> Scalar:
+def residue_at_simple_pole(f: RationalFunction, z0: Scalar) -> Fraction:
     """Residue of f at a simple denominator root z0, num(z0) / den'(z0); else NotSimplePole."""
-    return exact_div(*_residue_parts(f, [z0])[0])
+    return Fraction(*_residue_parts(f, [z0])[0])
 
 
-def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:
+def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Fraction:
     """Route 2 at index k: the closed-form residues, the strings' sums over one lcm."""
     derived = inst.derived
     scale, a, b = derived.scale, derived.a_int, derived.b_int
@@ -229,18 +222,18 @@ def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Scalar:
             term, den, acc = term * up, den * down, acc * down + term * up
         strings.append((acc, den))
     common = lcm(*[den for _, den in strings])
-    return exact_div(sum([acc * (common // den) for acc, den in strings]), common)
+    return Fraction(sum([acc * (common // den) for acc, den in strings]), common)
 
 
-def sum_finite_residues(kernel: ResidueKernel) -> Scalar:
+def sum_finite_residues(kernel: ResidueKernel) -> Fraction:
     """Sum of residues over the kernel's enumerated (simple) poles, each
     num(w0) / den'(w0) at its integer pole w0, over the lcm of the den'(w0)."""
     parts = _residue_parts(kernel.scaled, [pole.w for pole in kernel.poles])
     common = lcm(*[slope for _, slope in parts])
-    return kernel._to_z(exact_div(sum([top * (common // slope) for top, slope in parts]), common))
+    return kernel._to_z(sum([top * (common // slope) for top, slope in parts]), common)
 
 
-def residue_at_infinity(kernel: ResidueKernel) -> Scalar:
+def residue_at_infinity(kernel: ResidueKernel) -> Fraction:
     """Coefficient of 1/z in the kernel's expansion at infinity, the last of
     ``expansion`` back in z: the sum of the finite residues, as ``verify`` checks."""
-    return kernel._to_z(kernel.expansion[-1]) if kernel.expansion else 0
+    return kernel._to_z(kernel.expansion[-1] if kernel.expansion else 0)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,13 @@ PREFACTOR_POLE = {"a": ["0", "1/2"], "b": ["0", "1/4"], "m": [0, 0], "n": [1, 0]
 NEGATIVE_SHIFTS = {"a": ["1/3", "-2/5"], "b": ["1/4", "1/6"], "m": [5, 1], "n": [3, 0]}
 # p = 15 with r = 3, D = 420 and a negative shift: lemma steps the law over 18 points
 LONG_LAW = {"a": ["0", "1/3", "-2/5"], "b": ["1/4", "5/7", "-1/6"], "m": [5, 6, 6], "n": [0, 1, -1]}
+# p = 199: lemma prints integers of up to 1085 digits
+P199 = {"a": ["-7/5", "2/9"], "b": ["3/4", "-5/11"], "m": [100, 100], "n": [0, 0]}
+
+# Python 3.10.7 and later cap the digits of an int read from or printed as text
+capped_int_text = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no cap on int digits in this interpreter"
+)
 
 
 def write(tmp_path, name, payload):
@@ -54,6 +62,16 @@ class TestVerifyCommand:
         status, out = run_cli(capsys, ["verify", path])
         assert status == 2
         assert json.loads(out)["error"]["type"] == "NotDistinctModZ"
+
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # as verify --buffer 1000000000 does where memory is bounded
+        def exhausted(inst, buffer):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "verify", exhausted)
+        status, out = run_cli(capsys, ["verify", write(tmp_path, "inst.json", ZERO_SHIFT)])
+        assert status == 2
+        assert json.loads(out) == {"error": {"type": "MemoryError", "message": ""}}
 
     def test_missing_file_exits_2(self, capsys):
         status, out = run_cli(capsys, ["verify", "/nonexistent/inst.json"])
@@ -127,6 +145,30 @@ class TestLemmaCommand:
         error = json.loads(out)["error"]
         assert error["type"] == "CheckFailed"
         assert error["message"].startswith("residue for k=4 is ")
+
+
+class TestIntDigitCap:
+    @capped_int_text
+    def test_output_past_the_cap_prints(self, tmp_path, capsys):
+        path = write(tmp_path, "inst.json", P199)
+        status, expected = run_cli(capsys, ["lemma", path])
+        assert status == 0 and max(map(len, re.findall(r"[0-9]+", expected))) > 640
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run_cli(capsys, ["lemma", path]) == (0, expected)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @capped_int_text
+    def test_input_keeps_the_cap(self, tmp_path, capsys):
+        huge = "1" * 5000 + "/7"
+        path = write(tmp_path, "inst.json", {**ZERO_SHIFT, "a": [huge, "1/3"]})
+        for args in (["verify", path], ["bessel", "--nu", huge, "--m", "1"]):
+            status, out = run_cli(capsys, args)
+            assert status == 2
+            assert "Exceeds the limit" in json.loads(out)["error"]["message"]
 
 
 class TestResidueCheckCommand:

@@ -253,11 +253,18 @@ def is_exact(value) -> bool:
 class TestExactness:
     def test_int_inputs_never_give_floats(self):
         f = RationalFunction(Polynomial((3, 1)), Polynomial.from_roots([1, 2, 5]))
-        values = [residue_at_simple_pole(f, 1), residue_at_simple_pole(f, 2)]
+        expansion = []
         for g in (f, RationalFunction(Polynomial((1, 0, 0, 1)), Polynomial((2, 1)))):
-            values.extend(expansion_at_infinity(g, 5))
+            expansion.extend(expansion_at_infinity(g, 5))
         with pytest.raises(ValueError, match="^denominator must be monic, leading coefficient 3$"):
             expansion_at_infinity(RationalFunction(Polynomial((1, 0, 0, 1)), Polynomial((2, 3))), 5)
+        assert all(is_exact(v) for v in expansion), expansion
+        # a value that leaves the integers is one Fraction, an integral one too
+        values = [residue_at_simple_pole(f, 1), residue_at_simple_pole(f, 2)]
+        assert values == [1, Q(-5, 3)]
+        q = Polynomial.interpolate(0, [1, 2, 4])
+        assert q.coeffs == (1, Q(1, 2), Q(1, 2))
+        values += q.coeffs
         for inst in (CANONICAL, SHIFTED, OFFSET_ZERO, LARGE_LCM):
             m_min = validate(inst).m_min
             for k in range(-m_min, -m_min + 4):
@@ -267,7 +274,15 @@ class TestExactness:
                     residue_at_infinity(kernel),
                     residue_sum_closed_form(inst, k),
                 ]
-        assert all(is_exact(v) for v in values), [v for v in values if not is_exact(v)]
+        # no poles at NO_POLES k = 0, no expansion (offset < -1) at CONFLUENT k = 3
+        no_poles, no_expansion = residue_kernel(NO_POLES, 0), residue_kernel(CONFLUENT, 3)
+        assert no_poles.poles == () and no_expansion.expansion == []
+        zeros = [route(kernel) for kernel in (no_poles, no_expansion)
+                 for route in (sum_finite_residues, residue_at_infinity)]
+        zeros += [residue_sum_closed_form(NO_POLES, 0), residue_sum_closed_form(CONFLUENT, 3)]
+        assert zeros == [0] * 6
+        values += zeros
+        assert all(type(v) is Q for v in values), [v for v in values if type(v) is not Q]
 
     def test_not_simple_pole_on_int_polynomials(self):
         f = RationalFunction(Polynomial((1,)), Polynomial.from_roots([1, 1, 3]))
