@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
-from typing import Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 from .errors import TruncationError
 
@@ -171,10 +171,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     # -- evaluation ---------------------------------------------------
 
     def __call__(self, x: Scalar) -> Scalar:
@@ -193,7 +189,7 @@ class LaurentSeries:
     kept as integer numerators over one common denominator.
 
     The coefficient of z**(low + i) is ``nums[i] / den``, read as a
-    Fraction through ``coefficient`` and ``items``.  Coefficients at
+    Fraction through ``coefficient``.  Coefficients at
     exponents in (low + len(nums) - 1, trunc] are exactly zero; exponents
     above ``trunc`` are unknown and querying them raises TruncationError.
     ``nums`` and ``den`` are ints (``clear_denominators`` turns rationals
@@ -248,10 +244,6 @@ class LaurentSeries:
             return Fraction(self.nums[e - self.low], self.den)
         return Fraction(0)
 
-    def items(self) -> Iterator[tuple[int, Fraction]]:
-        for i, c in enumerate(self.nums):
-            yield self.low + i, Fraction(c, self.den)
-
     # -- arithmetic ---------------------------------------------------
 
     def times_one_minus_z(self, power: int) -> LaurentSeries:
@@ -267,7 +259,8 @@ class LaurentSeries:
         return LaurentSeries(self.low, nums, self.trunc, self.den)
 
     def __str__(self) -> str:
-        return f"{_format_terms(self.items())} + O(z^{self.trunc + 1})"
+        terms = [(e, Fraction(c, self.den)) for e, c in enumerate(self.nums, self.low)]
+        return f"{_format_terms(terms)} + O(z^{self.trunc + 1})"
 
 
 @record
@@ -278,7 +271,7 @@ class RationalFunction:
     den: Polynomial
 
     def __post_init__(self) -> None:
-        if self.den.is_zero:
+        if not self.den.coeffs:
             raise ZeroDivisionError("rational function with zero denominator")
 
     def __str__(self) -> str:

@@ -149,10 +149,9 @@ def _load_instance(path: str) -> IdentityInstance:
 def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
     inst = _load_instance(args.input) if "input" in args else None
     nu = parse_rational(args.nu) if "nu" in args else None
-    # the input is parsed under the interpreter's cap on int digits
-    # (Python 3.10.7 on); the output, printed as text, may exceed it
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # the input is parsed under the interpreter's cap on int digits; the
+    # output, printed as text, may exceed it
+    sys.set_int_max_str_digits(0)
 
     if args.command == "verify":
         report = verify(inst, args.buffer)
@@ -222,7 +221,7 @@ def run(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     # run lifts the cap on int digits for its output; a caller gets its own back
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    limit = sys.get_int_max_str_digits()
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -237,8 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -112,25 +112,13 @@ def fuzz(
         try:
             report = verify(inst, buffer)
         except Exception as exc:  # a fuzzer reports every crash and keeps going
-            failures.append(
-                {
-                    "index": index,
-                    "instance": inst.to_dict(),
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                }
-            )
-            continue
-        if report.passed:
-            passed += 1
+            outcome = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         else:
-            failures.append(
-                {
-                    "index": index,
-                    "instance": inst.to_dict(),
-                    "vanishing_ok": report.vanishing_ok,
-                    "cross_checks": dict(report.cross_checks),
-                }
-            )
+            if report.passed:
+                passed += 1
+                continue
+            outcome = {"vanishing_ok": report.vanishing_ok, "cross_checks": dict(report.cross_checks)}
+        failures.append({"index": index, "instance": inst.to_dict(), **outcome})
     return FuzzReport(
         count=count,
         seed=seed,

@@ -14,6 +14,17 @@ proves every coefficient above it vanishes exactly, out to a configurable
 buffer past the boundary.  ``verify`` additionally cross-checks the series
 coefficients against the residue machinery (three independent routes) and
 the Bernoulli polynomial law.
+
+For s < r the coefficient of z^k in S(z) is sign(k) times
+``residue_sum_closed_form(inst, k)``, with sign(k) = (-1)^((r-s) k), the int
+1 if (r - s) k is even else -1 (``(-1) ** e`` is a float for e < 0).  With
+K = k + n_i, each Pochhammer factor of route 2's term j on string i splits
+as (x - j)_{q+K} = (-1)^j (1 - x)_j (x)_q (x + q)_{K-j}, s of them above and
+r - 1 below, so the term is (-1)^((r-s) j) times term i's prefactor times
+its first series' coefficient at z^j and its second's at z^(K-j) without
+the argument sign.  That sign, (-1)^((r-s)(K-j)), and the multiplier
+(-1)^((r-s) n_i) give the series (-1)^((r-s)(k - j)) for the same product:
+sign(k) times route 2's (-1)^((r-s) j).  s = r is the case sign(k) = 1.
 """
 
 from __future__ import annotations
@@ -108,10 +119,6 @@ class BetaTable:
     support_high: int
     values: dict[int, Fraction]
     theorem: Theorem
-
-    @property
-    def is_empty(self) -> bool:
-        return self.support_high < self.support_low
 
     def beta_map(self) -> dict[str, str]:
         return {str(j): str(v) for j, v in sorted(self.values.items())}

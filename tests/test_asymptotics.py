@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as Q
 from math import factorial
 
@@ -309,3 +310,22 @@ class TestResiduePolynomialLaw:
         assert not report.passed
         with pytest.raises(CheckFailed, match=r"for k=1 is .*\(p=5\)"):
             check_law(inst)
+
+    def test_failure_under_the_int_text_cap(self, monkeypatch):
+        # at p = 199 the law's last value has more than 640 digits: a failure
+        # message that printed it would raise ValueError under a cap of 640
+        inst = IdentityInstance(a=P31.a, b=P31.b, m=(100, 100), n=(0, 0))
+        real = asymptotics._law_values
+
+        def perturbed(inst, order, start, count):
+            series, values = real(inst, order, start, count)
+            values[-1] += 1
+            return series, values
+
+        monkeypatch.setattr(asymptotics, "_law_values", perturbed)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert verify(inst).cross_checks["lemma1"] is False
+        finally:
+            sys.set_int_max_str_digits(limit)

@@ -165,10 +165,38 @@ class TestAlphaCoefficient:
         assert residue_sum_closed_form(inst, -1) == series.coefficient(-1)
 
 
+def confluent_sign_instances():
+    # the demo's three, the two confluent shapes CI pins at m = (6,), 20 draws
+    yield IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3),), m=(3,), n=(0, 0))
+    yield IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3),), m=(0,), n=(1, 0))
+    yield IdentityInstance(a=(0, Q(1, 3)), b=(), m=(), n=(2, -1))
+    yield IdentityInstance(a=(Q(-7, 5), Q(2, 9)), b=(Q(3, 4),), m=(6,), n=(0, 0))
+    yield IdentityInstance(
+        a=(Q(-7, 12), Q(3, 11), Q(5, 7), Q(-2, 5)), b=(Q(1, 9),), m=(6,), n=(0, 1, -1, 2)
+    )
+    rng = random.Random(1002)
+    for _ in range(20):
+        yield random_instance(rng, family="two")
+
+
+class TestConfluentSign:
+    @pytest.mark.parametrize("inst", confluent_sign_instances())
+    def test_series_is_signed_route_2(self, inst):
+        # for s < r the coefficient of z^k is (-1)^((r-s) k) times route 2
+        # (the identity module's docstring), through the support and past it
+        derived = inst.derived
+        assert derived.theorem is Theorem.TWO
+        trunc = max(derived.p, -derived.m_min - 1) + 10
+        series = lhs_series(inst, trunc)
+        for k in range(-derived.n_max, trunc + 1):
+            sign = 1 if (derived.r - derived.s) * k % 2 == 0 else -1
+            assert series.coefficient(k) == sign * residue_sum_closed_form(inst, k), k
+
+
 class TestBetaCoefficients:
     def test_empty_support_zero_identity(self):
         table = beta_coefficients(ZERO_SHIFT)
-        assert table.is_empty
+        assert table.support_high < table.support_low
         assert table.values == {}
         assert table.support_low == 0 and table.support_high == -1
 

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from hypident.algebra import Polynomial, RationalFunction, expansion_at_infinity
+from hypident.asymptotics import check_residue_polynomial, law_points
 from hypident.errors import KBelowRange, NotSimplePole, ValidationError
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
@@ -282,6 +283,12 @@ class TestExactness:
         zeros += [residue_sum_closed_form(NO_POLES, 0), residue_sum_closed_form(CONFLUENT, 3)]
         assert zeros == [0] * 6
         values += zeros
+        # the law's values at p = -1, 0 and 1
+        p_zero = IdentityInstance(a=CANONICAL.a, b=CANONICAL.b, m=(1, 0), n=(0, 0))
+        for inst in (CANONICAL, p_zero, SHIFTED, OFFSET_ZERO, LARGE_LCM):
+            start = law_points(inst).start
+            expansion = residue_kernel(inst, start).expansion
+            values += check_residue_polynomial(inst, expansion, []).residue_values
         assert all(type(v) is Q for v in values), [v for v in values if type(v) is not Q]
 
     def test_not_simple_pole_on_int_polynomials(self):
