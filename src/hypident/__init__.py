@@ -26,7 +26,6 @@ from .asymptotics import (
 )
 from .bessel import BesselReport, bessel_demo, bessel_j
 from .errors import (
-    BadLowerParameter,
     CheckFailed,
     DimensionMismatch,
     HypidentError,
@@ -37,7 +36,6 @@ from .errors import (
     PrefactorPole,
     SupportViolation,
     TruncationError,
-    TruncationTooSmall,
     ValidationError,
 )
 from .fuzzing import FuzzReport, fuzz, random_instance
@@ -45,7 +43,6 @@ from .hyper import (
     DerivedQuantities,
     IdentityInstance,
     Theorem,
-    hyper_series,
     validate,
 )
 from .identity import (
@@ -68,7 +65,6 @@ from .residues import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadLowerParameter",
     "BesselReport",
     "BetaTable",
     "CheckFailed",
@@ -90,7 +86,6 @@ __all__ = [
     "SupportViolation",
     "Theorem",
     "TruncationError",
-    "TruncationTooSmall",
     "ValidationError",
     "VerificationReport",
     "bessel_demo",
@@ -100,7 +95,6 @@ __all__ = [
     "exp_series_coefficient",
     "expansion_at_infinity",
     "fuzz",
-    "hyper_series",
     "kernel_ladder",
     "law_points",
     "lhs_series",

@@ -29,16 +29,8 @@ class PrefactorPole(ValidationError):
     """A negative-shift Pochhammer in a prefactor is undefined."""
 
 
-class BadLowerParameter(HypidentError):
-    """A lower series parameter is a non-positive integer."""
-
-
 class TruncationError(HypidentError):
     """A coefficient above the certified truncation order was requested."""
-
-
-class TruncationTooSmall(TruncationError):
-    """The requested truncation cannot cover the series' lowest exponent."""
 
 
 class KBelowRange(HypidentError):

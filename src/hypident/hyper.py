@@ -10,10 +10,10 @@ integer over D: these functions take it as that integer.
 
 Parameters are exact rationals throughout: an instance takes only ints and
 Fractions, and text only in the form "p/q" or "p" (``parse_rational``), so
-nothing is coerced silently.  The upper parameters ``a`` must
-be pairwise distinct modulo integers; this single hypothesis guarantees all
-kernel poles are simple and every lower series parameter stays off the
-non-positive integers.
+nothing is coerced silently.  The upper parameters ``a`` must be pairwise
+distinct modulo integers; this single hypothesis guarantees all kernel poles
+are simple and every lower series parameter stays off the non-positive
+integers, which is why ``hyper_series`` checks none of them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import gcd, prod
 from typing import Mapping, Sequence
 
 from .algebra import LaurentSeries, clear_denominators, record
-from .errors import BadLowerParameter, DimensionMismatch, NotDistinctModZ, PrefactorPole
+from .errors import DimensionMismatch, NotDistinctModZ, PrefactorPole
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # "p/q" or "p", the sign on p only
 
@@ -81,15 +81,9 @@ def hyper_series(
     q(t) those over their own gcd (|Q(t)| where P(t) = 0), c_k is the integer
     prod_{t<k} p(t) prod_{k<=t<trunc} q(t) over prod_{t<trunc} q(t): one
     suffix pass over q that keeps each p(t), one running prefix over those,
-    and no Fraction per term.
+    and no Fraction per term.  Its one caller is ``identity.lhs_series``; a
+    lower parameter -j with 0 <= j < trunc raises ZeroDivisionError.
     """
-    for w in lower:
-        if w % scale == 0 and w <= 0:
-            raise BadLowerParameter(
-                f"lower parameter {Fraction(w, scale)} is a non-positive integer"
-            )
-    if trunc < 0:
-        raise ValueError("truncation must be non-negative")
     lift_p = sign * scale ** max(0, len(lower) - len(upper))
     lift_q = scale ** max(0, len(upper) - len(lower))
     nums = [0] * trunc + [1]  # first the suffix products, nums[0] the denominator

@@ -50,7 +50,7 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["vanishing_ok"] is True
         assert payload["beta"] == {}
-        assert payload["cross_checks"] == {"residue": True, "lemma1": True, "alpha": True}
+        assert payload["cross_checks"] == {"residue": True, "lemma1": True, "alpha": None}
 
     def test_validation_error_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", COLLIDING)
@@ -501,7 +501,7 @@ class TestStrictInput:
 # (instance or None, command line without the input path, exit status, stdout)
 GOLDEN = [
     (ZERO_SHIFT, ['verify'], 0,
-     b'{"beta":{},"checked_up_to":25,"cross_checks":{"alpha":true,"lemma1":true,"residue":true},"derived":{"M":0,"N":0,"m_min":0,"n_max":0,"p":-1,"r":2,"s":2,"theorem":"One"},"instance":{"a":["0","1/2"],"b":["1/3","1/4"],"m":[0,0],"n":[0,0]},"vanishing_ok":true}\n'),
+     b'{"beta":{},"checked_up_to":25,"cross_checks":{"alpha":null,"lemma1":true,"residue":true},"derived":{"M":0,"N":0,"m_min":0,"n_max":0,"p":-1,"r":2,"s":2,"theorem":"One"},"instance":{"a":["0","1/2"],"b":["1/3","1/4"],"m":[0,0],"n":[0,0]},"vanishing_ok":true}\n'),
     (ZERO_SHIFT, ['coeffs'], 0,
      b'{"beta":{},"support_high":-1,"support_low":0,"theorem":"One"}\n'),
     (ZERO_SHIFT, ['lemma'], 0,
@@ -529,7 +529,7 @@ GOLDEN = [
     (DEGREE_FIVE, ['lemma'], 0,
      b'{"ok":true,"p":5,"points":[-3,-2,-1,0,1,2,3,4],"polynomial":["287875/2304","358186577/995328","2368446325/5971968","1254179255/5971968","320378555/5971968","31698163/5971968"],"residue_values":["0","0","0","287875/2304","23854145/20736","1278834515/248832","666845165/41472","1120282835/27648"]}\n'),
     (DEGREE_FIVE, ['verify'], 0,
-     b'{"beta":{"0":"287875/2304","1":"8308895/20736","2":"27693575/248832"},"checked_up_to":27,"cross_checks":{"alpha":true,"lemma1":true,"residue":true},"derived":{"M":6,"N":0,"m_min":3,"n_max":0,"p":5,"r":2,"s":2,"theorem":"One"},"instance":{"a":["0","1/2"],"b":["1/3","1/4"],"m":[3,3],"n":[0,0]},"vanishing_ok":true}\n'),
+     b'{"beta":{"0":"287875/2304","1":"8308895/20736","2":"27693575/248832"},"checked_up_to":27,"cross_checks":{"alpha":null,"lemma1":true,"residue":true},"derived":{"M":6,"N":0,"m_min":3,"n_max":0,"p":5,"r":2,"s":2,"theorem":"One"},"instance":{"a":["0","1/2"],"b":["1/3","1/4"],"m":[3,3],"n":[0,0]},"vanishing_ok":true}\n'),
     (ODD_MIXED, ['coeffs'], 0,
      b'{"beta":{"-1":"5083/5600","0":"28083983/661500","1":"-1143539/19600","2":"215/14","3":"-1"},"support_high":3,"support_low":-1,"theorem":"Two"}\n'),
     (ODD_MIXED, ['verify'], 0,

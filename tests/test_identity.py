@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction as Q
 from math import comb, factorial
 
@@ -9,7 +10,7 @@ from hypident import asymptotics, cli, identity
 from hypident.algebra import LaurentSeries, clear_denominators
 from hypident.asymptotics import law_points
 from hypident.cli import main
-from hypident.errors import CheckFailed, SupportViolation, TruncationTooSmall
+from hypident.errors import CheckFailed, SupportViolation
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.identity import DEFAULT_BUFFER, beta_coefficients, lhs_series, verify
@@ -76,10 +77,34 @@ class TestLhsSeries:
         assert sign_path >= 2
 
     def test_truncation_too_small(self):
+        # below -n_max every term is skipped: the zero series through z^trunc
         inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(-2, -2))
-        with pytest.raises(TruncationTooSmall):
-            lhs_series(inst, 1)
-        lhs_series(inst, 2)
+        assert lhs_series(inst, 2).coefficient(2) == lhs_series(inst, 6).coefficient(2) != 0
+        rng = random.Random(17)
+        draws = [random_instance(rng, family=family) for family in ("one", "two") * 10]
+        for inst in [inst, *draws]:
+            n_max = validate(inst).n_max
+            for trunc in range(-n_max - 3, -n_max):
+                series = lhs_series(inst, trunc)
+                assert (series.nums, series.trunc) == ((), trunc), (inst, trunc)
+
+    @pytest.mark.parametrize("family", ["one", "two"])
+    def test_validated_lower_parameters_stay_off_the_poles(self, monkeypatch, family):
+        # hyper_series checks nothing: the instance's NotDistinctModZ check is
+        # what keeps every lower parameter off the non-positive integers
+        real, calls = identity.hyper_series, []
+
+        def spy(scale, upper, lower, trunc, sign=1):
+            calls.append((scale, tuple(lower)))
+            return real(scale, upper, lower, trunc, sign)
+
+        monkeypatch.setattr(identity, "hyper_series", spy)
+        rng = random.Random(31)
+        for _ in range(200):
+            lhs_series(random_instance(rng, r_range=(2, 5), shift_range=4, family=family), 2)
+        assert len(calls) > 400
+        bad = [(scale, lower) for scale, lower in calls for w in lower if w <= 0 and w % scale == 0]
+        assert not bad
 
     def test_unit_shift_collapses_to_geometric_square(self):
         # S(z) = beta_0 / (1-z)^2 exactly: (1-z)^2 S has a single coefficient
@@ -245,16 +270,39 @@ class TestBetaCoefficients:
             monkeypatch.setattr(
                 identity, "lhs_series", lambda i, t: bumped(real(i, t), e, [Q(1, 7)])
             )
-            with pytest.raises(SupportViolation, match=rf"^coefficient 1/7 at z\^{e} "):
+            with pytest.raises(
+                SupportViolation, match=rf"^nonzero coefficient at z\^{e} .*: 1-bit numerator, 3-bit "
+            ):
                 beta_coefficients(inst)
             assert verify(inst).vanishing_ok is False
+
+    def test_violation_under_the_int_text_cap(self, monkeypatch):
+        # at p = 199 S(z)'s denominator has more than 640 digits: a violation
+        # message that printed the coefficient would raise ValueError under a cap of 640
+        inst = IdentityInstance(a=P31.a, b=P31.b, m=(100, 100), n=(0, 0))
+        real = identity.lhs_series
+
+        def perturbed(inst, trunc):
+            series = real(inst, trunc)
+            nums = series.nums[:-1] + (series.nums[-1] + 1,)
+            return LaurentSeries(series.low, nums, series.trunc, series.den)
+
+        monkeypatch.setattr(identity, "lhs_series", perturbed)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert verify(inst).vanishing_ok is False
+            with pytest.raises(SupportViolation, match=r"^nonzero coefficient at z\^\d+ above "):
+                beta_coefficients(inst)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestVerify:
     def test_balanced_report(self):
         report = verify(UNIT_SHIFT)
         assert report.passed and report.vanishing_ok
-        assert report.cross_checks == {"residue": True, "lemma1": True, "alpha": True}
+        assert report.cross_checks == {"residue": True, "lemma1": True, "alpha": None}
         assert report.checked_up_to == 25
         assert report.beta.beta_map() == {"0": "23/12"}
 
@@ -343,7 +391,7 @@ class TestVerify:
             report = verify(inst, buffer)
             assert report.vanishing_ok
             assert report.beta.values == {**table.values, top: table.values[top] + 1}
-            assert report.cross_checks == {"residue": True, "lemma1": False, "alpha": True}
+            assert report.cross_checks == {"residue": True, "lemma1": False, "alpha": None}
 
     @pytest.mark.parametrize(
         "inst, ks",
