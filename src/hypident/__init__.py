@@ -12,12 +12,7 @@ kernels and a Bernoulli-polynomial growth law give independent routes to
 the same coefficients, which the verifier compares exactly.
 """
 
-from .algebra import (
-    LaurentSeries,
-    Polynomial,
-    RationalFunction,
-    expansion_at_infinity,
-)
+from .algebra import LaurentSeries, Polynomial, RationalFunction
 from .asymptotics import (
     Lemma1Report,
     check_residue_polynomial,
@@ -93,7 +88,6 @@ __all__ = [
     "beta_coefficients",
     "check_residue_polynomial",
     "exp_series_coefficient",
-    "expansion_at_infinity",
     "fuzz",
     "kernel_ladder",
     "law_points",

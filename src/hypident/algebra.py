@@ -277,24 +277,3 @@ class RationalFunction:
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
 
-
-def expansion_at_infinity(f: RationalFunction, depth: int) -> list[Scalar]:
-    """The first ``depth`` coefficients of f at infinity, for a monic denominator
-    (ValueError otherwise).
-
-    f(z) = C_top z^top + C_{top-1} z^{top-1} + ... with top = deg num - deg den,
-    by power-series division of the reversed-coefficient polynomials
-    (substituting w = 1/z); the coefficient of z^{-1} sits at list index
-    top + 1 whenever depth > top + 1.  The reversed denominator starts with 1,
-    so each coefficient is the numerator's less one dot product with the
-    coefficients before it, and no step divides: integer polynomials give ints.
-    """
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    if f.den.coeffs[-1] != 1:
-        raise ValueError(f"denominator must be monic, leading coefficient {f.den.coeffs[-1]}")
-    tail = f.den.coeffs[-2::-1]
-    out: list[Scalar] = []
-    for c in [*f.num.coeffs[::-1], *[0] * depth][:depth]:
-        out.append(c - sum(map(mul, reversed(out), tail)))
-    return out

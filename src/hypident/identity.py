@@ -228,9 +228,9 @@ class VerificationReport:
 
 def kernel_ladder(inst: IdentityInstance, count: int) -> list[ResidueKernel]:
     """The kernels at k = -m_min .. -m_min + count - 1, each stepped from the one below but the first."""
-    kernels = [residue_kernel(inst, -inst.derived.m_min)]
-    for _ in range(count - 1):
-        kernels.append(residue_kernel(inst, kernels[-1].k + 1, kernels[-1]))
+    kernels: list[ResidueKernel] = []
+    for k in range(-inst.derived.m_min, -inst.derived.m_min + count):
+        kernels.append(residue_kernel(inst, k, kernels[-1] if kernels else None))
     return kernels
 
 

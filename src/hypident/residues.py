@@ -25,9 +25,14 @@ through the one factor D^(deg den - deg num - 1): routes 3 and 4 hand their
 integer numerator and denominator to ``ResidueKernel._to_z``, which folds
 that factor in and leaves the integers as one Fraction; route 2 ends in one
 Fraction too.  The gap deg num - deg den is M - N - r - (r - s) k in both
-families; the kernel takes it from the instance as ``offset``, and route 4
-expands to depth offset + 2.  The polynomial law of ``asymptotics`` reads
-that whole expansion at k = -m_min.
+families; the kernel takes it from the instance as ``offset``.  Route 4
+substitutes v = 1/w: v^offset times the kernel is the reversed numerator
+over the reversed denominator, a power series in v whose coefficient C_t
+belongs to w^(offset - t).  As den is monic its reversal starts with 1, so
+C_t is the reversed numerator's t-th entry less one dot product with
+C_0 .. C_{t-1}, and no step divides.  The expansion stops at C_{offset+1},
+the coefficient of 1/w (none for offset < -1, where it is 0); the
+polynomial law of ``asymptotics`` reads it whole at k = -m_min.
 The closed form scales each Pochhammer factor the same way: (X/D)_q is an
 integer product over D^q, and a quotient of such products is one
 ``rising_quotient``, as is the series route's prefactor.
@@ -66,9 +71,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 from math import factorial, lcm
+from operator import mul
 from typing import NamedTuple
 
-from .algebra import Polynomial, RationalFunction, Scalar, expansion_at_infinity, record
+from .algebra import Polynomial, RationalFunction, Scalar, record
 from .errors import KBelowRange, NotSimplePole
 from .hyper import IdentityInstance, rising_quotient
 
@@ -107,8 +113,13 @@ class ResidueKernel:
 
     @cached_property
     def expansion(self) -> list[int]:
-        """Route 4's C_0 .. C_{offset+1} at infinity in w (its den is monic), empty if offset < -1."""
-        return expansion_at_infinity(self.scaled, self.offset + 2) if self.offset >= -1 else []
+        """Route 4's C_0 .. C_{offset+1} at infinity in w (module docstring), empty if offset < -1."""
+        depth = self.offset + 2
+        tail = self.scaled.den.coeffs[-2::-1]
+        out: list[int] = []
+        for c in [*self.scaled.num.coeffs[::-1], *[0] * depth][: max(depth, 0)]:
+            out.append(c - sum(map(mul, reversed(out), tail)))
+        return out
 
     def _to_z(self, top: int, bottom: int = 1) -> Fraction:
         """The residue top / bottom of the w-form kernel as the same residue in z, one Fraction."""

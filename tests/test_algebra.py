@@ -10,12 +10,11 @@ from hypident.algebra import (
     RationalFunction,
     clear_denominators,
     convolve as integer_convolve,
-    expansion_at_infinity,
 )
 from hypident.errors import TruncationError
-from hypident.residues import residue_at_simple_pole
+from hypident.residues import ResidueKernel, residue_at_simple_pole
 
-from oracles import convolve
+from oracles import convolve, expansion_at_infinity
 
 
 def rand_fraction(rng, num=9, den=9):
@@ -244,42 +243,28 @@ class TestOneMinusZPower:
             LaurentSeries(0, (1,), 5).times_one_minus_z(-1)
 
 
+def kernel_of(num, den):
+    """A kernel built directly from integer polynomials in w = z (scale 1, no
+    poles listed), with its true offset deg num - deg den."""
+    f = RationalFunction(Polynomial(num), Polynomial(den))
+    return ResidueKernel(0, 1, f, (), f.num.degree - f.den.degree)
+
+
 class TestExpansionAtInfinity:
+    # route 4's expansion, C_0 .. C_{offset+1}, through the coefficient of 1/z
     def test_exact_identity(self):
-        f = RationalFunction(Polynomial((1, 1)), Polynomial((0, 1)))  # (z+1)/z
-        assert f.num.degree - f.den.degree == 0
-        assert expansion_at_infinity(f, 2) == [1, 1]
+        assert kernel_of((1, 1), (0, 1)).expansion == [1, 1]  # (z+1)/z
 
     def test_degree_gap(self):
-        f = RationalFunction(Polynomial((1,)), Polynomial((0, -1, 1)))  # 1/(z(z-1))
-        assert f.num.degree - f.den.degree == -2
-        assert expansion_at_infinity(f, 3) == [1, 1, 1]
+        assert kernel_of((1,), (0, -1, 1)).expansion == []  # 1/(z(z-1)): offset -2
+        assert kernel_of((1,), (-1, 1)).expansion == [1]  # 1/(z-1): offset -1
 
     def test_geometric_expansion(self):
-        f = RationalFunction(Polynomial((0, 0, 1)), Polynomial((-1, 1)))  # z^2/(z-1)
-        assert f.num.degree - f.den.degree == 1
-        assert expansion_at_infinity(f, 4) == [1, 1, 1, 1]
+        assert kernel_of((0, 0, 1), (-1, 1)).expansion == [1, 1, 1]  # z^2/(z-1)
 
     def test_zero_numerator(self):
-        f = RationalFunction(Polynomial(()), Polynomial((77, 1)))
-        assert f.num.degree == -1
-        assert expansion_at_infinity(f, 3) == [0, 0, 0]
-
-    def test_bad_depth(self):
-        f = RationalFunction(Polynomial((1,)), Polynomial((0, 1)))
-        with pytest.raises(ValueError):
-            expansion_at_infinity(f, 0)
-
-    @pytest.mark.parametrize("lead", [2, -1, Q(1, 2)])
-    def test_non_monic_denominator_rejected(self, lead):
-        f = RationalFunction(Polynomial((1,)), Polynomial((0, 3, lead)))
-        with pytest.raises(ValueError, match=rf"^denominator must be monic, leading coefficient {lead}$"):
-            expansion_at_infinity(f, 3)
-
-    def test_monic_rational_denominator(self):
-        # the z-form kernel is monic with Fraction coefficients: 1/(z - 1/2)
-        f = RationalFunction(Polynomial((1,)), Polynomial((Q(-1, 2), 1)))
-        assert expansion_at_infinity(f, 4) == [1, Q(1, 2), Q(1, 4), Q(1, 8)]
+        assert kernel_of((), (77, 1)).expansion == []
+        assert kernel_of((), (1,)).expansion == [0]
 
 
 class TestRationalFunction:
@@ -300,7 +285,7 @@ class TestRationalFunction:
             f = RationalFunction(num, den)
             total = sum(residue_at_simple_pole(f, r) for r in roots)
             top = num.degree - den.degree
-            coeffs = expansion_at_infinity(f, len(roots) + 1)
+            coeffs = expansion_at_infinity(num.coeffs, den.coeffs, len(roots) + 1)
             c_minus_one = Q(0)
             if top >= -1:
                 c_minus_one = coeffs[top + 1]

@@ -13,7 +13,7 @@ from hypident.cli import main
 from hypident.errors import CheckFailed, SupportViolation
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
-from hypident.identity import DEFAULT_BUFFER, beta_coefficients, lhs_series, verify
+from hypident.identity import DEFAULT_BUFFER, beta_coefficients, kernel_ladder, lhs_series, verify
 from hypident.residues import ResidueKernel, residue_kernel, residue_sum_closed_form
 
 from oracles import bernoulli_numbers, law_g, lhs_coefficients, lhs_value, partial_fraction_zero_sum, poch
@@ -433,6 +433,13 @@ class TestVerify:
         points = law_points(inst)
         assert json.loads(capsys.readouterr().out)["points"] == list(points)
         assert built == [(ks[0], True)]
+
+    @pytest.mark.parametrize("count", [-2, 0, 1, 13])
+    def test_kernel_ladder_has_count_kernels(self, count):
+        # k = -m_min .. -m_min + count - 1, each equal to the kernel built from its roots
+        ladder = kernel_ladder(P31, count)
+        assert [kernel.k for kernel in ladder] == list(range(-16, -16 + count))
+        assert ladder == [residue_kernel(P31, k) for k in range(-16, -16 + count)]
 
 
 class TestFaultInjection:

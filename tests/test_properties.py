@@ -24,13 +24,12 @@ from hypident.algebra import (  # noqa: E402
     Polynomial,
     RationalFunction,
     clear_denominators,
-    expansion_at_infinity,
 )
 from hypident.asymptotics import check_residue_polynomial, law_points  # noqa: E402
 from hypident.errors import PrefactorPole, ValidationError  # noqa: E402
 from hypident.hyper import IdentityInstance, rising, validate  # noqa: E402
 from hypident.identity import beta_coefficients, kernel_ladder, verify  # noqa: E402
-from hypident.residues import residue_at_infinity, residue_sum_closed_form  # noqa: E402
+from hypident.residues import ResidueKernel, residue_at_infinity, residue_sum_closed_form  # noqa: E402
 
 import oracles  # noqa: E402
 from oracles import convolve, law_q  # noqa: E402
@@ -220,16 +219,18 @@ def test_prefactor_pole_is_a_zero_factor_of_rising(inst):
 
 @SETTINGS
 @given(
-    num=st.lists(st.integers(-50, 50), max_size=8),
-    below=st.lists(st.integers(-50, 50), max_size=6),
-    depth=st.integers(1, 14),
+    below_num=st.lists(st.integers(-50, 50), max_size=8),
+    below_den=st.lists(st.integers(-50, 50), max_size=6),
 )
-# den = 1, and a depth past deg num
-@example(num=[3, -2], below=[], depth=6)
-@example(num=[0, 0, 7], below=[-4, 0, 9, 1, -1, 2], depth=14)
-def test_expansion_at_infinity_against_long_division(num, below, depth):
-    # a monic integer denominator of degree 0 .. 6: below lists its lower coefficients
-    f = RationalFunction(Polynomial(tuple(num)), Polynomial((*below, 1)))
-    out = expansion_at_infinity(f, depth)
-    assert out == oracles.expansion_at_infinity(num, [*below, 1], depth)
+# den = 1, where the expansion runs one past the numerator, and offset -1
+@example(below_num=[3, -2], below_den=[])
+@example(below_num=[0, 0, 7, 1, -5], below_den=[-4, 0, 9, 1, -1, 2])
+def test_expansion_at_infinity_against_long_division(below_num, below_den):
+    # route 4 on a kernel in w = z built from monic integer polynomials of
+    # degree 0 .. 8 over 0 .. 6, each listed by its lower coefficients
+    num, den = [*below_num, 1], [*below_den, 1]
+    offset = len(num) - len(den)
+    f = RationalFunction(Polynomial(tuple(num)), Polynomial(tuple(den)))
+    out = ResidueKernel(0, 1, f, (), offset).expansion
+    assert out == (oracles.expansion_at_infinity(num, den, offset + 2) if offset >= -1 else [])
     assert all(type(c) is int for c in out)

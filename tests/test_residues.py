@@ -3,12 +3,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hypident.algebra import Polynomial, RationalFunction, expansion_at_infinity
+from hypident.algebra import Polynomial, RationalFunction
 from hypident.asymptotics import check_residue_polynomial, law_points
 from hypident.errors import KBelowRange, NotSimplePole, ValidationError
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.residues import (
+    ResidueKernel,
     _residue_parts,
     residue_at_infinity,
     residue_at_simple_pole,
@@ -247,19 +248,16 @@ THREE_TERM = IdentityInstance(
 NO_POLES = IdentityInstance(a=(Q(1, 5), Q(2, 3)), b=(Q(1, 7), Q(3, 4)), m=(0, 1), n=(-3, -2))
 
 
-def is_exact(value) -> bool:
-    return type(value) in (int, Q)
-
-
 class TestExactness:
     def test_int_inputs_never_give_floats(self):
         f = RationalFunction(Polynomial((3, 1)), Polynomial.from_roots([1, 2, 5]))
-        expansion = []
-        for g in (f, RationalFunction(Polynomial((1, 0, 0, 1)), Polynomial((2, 1)))):
-            expansion.extend(expansion_at_infinity(g, 5))
-        with pytest.raises(ValueError, match="^denominator must be monic, leading coefficient 3$"):
-            expansion_at_infinity(RationalFunction(Polynomial((1, 0, 0, 1)), Polynomial((2, 3))), 5)
-        assert all(is_exact(v) for v in expansion), expansion
+        # route 4 on integer kernels, built directly in w = z and from instances, gives ints
+        g = RationalFunction(Polynomial((1, 0, 0, 1)), Polynomial((2, 1)))
+        expansions = [ResidueKernel(0, 1, g, (), 2).expansion]
+        expansions += [residue_kernel(inst, law_points(inst).start).expansion
+                       for inst in (SHIFTED, OFFSET_ZERO, LARGE_LCM)]
+        assert expansions == [[1, -2, 4, -7], [1, 0], [1, 640], [1, 3542]]
+        assert all(type(v) is int for expansion in expansions for v in expansion), expansions
         # a value that leaves the integers is one Fraction, an integral one too
         values = [residue_at_simple_pole(f, 1), residue_at_simple_pole(f, 2)]
         assert values == [1, Q(-5, 3)]
