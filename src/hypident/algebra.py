@@ -5,14 +5,13 @@ A Laurent series keeps integer numerators over one common positive
 denominator, read back as exact `fractions.Fraction`s; its one operation is
 the balanced reduction's factor (1 - z)^power, taken as running differences
 of the numerators.  Products of integer series are ``convolve``.  A
-polynomial is only built (from roots, or by interpolation) and evaluated.
-A degree is an int, -1 for the zero polynomial, as an empty series has
-``high = low - 1``.
-Polynomial coefficients stay `int` while every input is an integer and
-become `Fraction` otherwise, so integer polynomials run on plain ints.  A
-value leaves the integers as one ``Fraction(top, bottom)``, an integral
-one included, as each of ``Polynomial.interpolate``'s coefficients does;
-no floating point enters this module.  The truncation order of a Laurent
+polynomial is the exact z-form of an integer computation, interpolated or a
+residue kernel unscaled from w = D z, and is then only evaluated.  A degree
+is an int, -1 for the zero polynomial, as an empty series has
+``high = low - 1``.  A value leaves the integers as one
+``Fraction(top, bottom)``, an integral one included, as each of
+``Polynomial.interpolate``'s coefficients does; no floating point enters
+this module.  The truncation order of a Laurent
 series is a hard certificate boundary: coefficients at exponents <= trunc
 are exactly known, anything above is unknown and reading it raises
 instead of silently returning 0.
@@ -132,18 +131,6 @@ class Polynomial:
         object.__setattr__(self, "coeffs", cs)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[Scalar], times: Polynomial | None = None) -> Polynomial:
-        """Product of (z - root) over the roots, times ``times`` (nonzero; default 1)."""
-        out = list(times.coeffs) if times is not None else [1]
-        for root in roots:
-            # multiply by (z - root) in place, highest coefficient first
-            out.append(out[-1])
-            for e in range(len(out) - 2, 0, -1):
-                out[e] = out[e - 1] - root * out[e]
-            out[0] = -root * out[0]
-        return cls(tuple(out))
 
     @classmethod
     def interpolate(cls, start: int, values: Sequence[Scalar]) -> Polynomial:

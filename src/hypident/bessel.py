@@ -39,15 +39,17 @@ DEFAULT_TOLERANCE = 1e-10
 
 
 def bessel_j(nu: Scalar | float, x: float) -> float:
-    """J_nu(x) for x > 0 from the ascending series (Watson, section 3.1), nu + 1
+    """J_nu(x) for finite x > 0 from the ascending series (Watson, section 3.1), nu + 1
     not a non-positive integer.  The order is taken exactly, as ``Fraction(nu)``
     (exact for a float too), and each nu + 1 + k is formed exactly before it
     becomes a float, so an order next to a negative integer keeps its distance
     from the poles; for nu + 1 <= 0, 1/Gamma(nu+1) comes by reflection.  Past
     the k with (nu+1+k)(k+1) > x^2/4 every term ratio is below 1 and falls, so
     the first term there that leaves the float total unchanged ends the sum.
-    Raises OverflowError, naming nu and x, where a term, (x/2)^nu, Gamma(nu+1)
-    or Gamma(-nu), or J is not a finite float."""
+    Raises ValueError for any other x, and OverflowError, naming nu and x,
+    where a term, (x/2)^nu, Gamma(nu+1) or Gamma(-nu), or J is not a finite float."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"x must be finite and positive, got {x}")
     order = Fraction(nu)
     w = -0.25 * x * x
     total, term, k = 0.0, 1.0, 0

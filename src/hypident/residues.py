@@ -18,7 +18,8 @@ the denominators of the parameters a and b.  Every kernel root lies in
 a_i + Z or b_l + Z, so in (1/D) Z, and becomes the integer D times itself:
 numerator and denominator are monic polynomials in w with integer
 coefficients, Ntilde(w) = D^{deg num} num(w/D) and likewise for the
-denominator.  Horner evaluation at an integer pole and series division
+denominator, held as int tuples from the constant term up (``fraction`` is
+their z-form).  Horner evaluation at an integer pole and series division
 by a monic denominator then stay in the integers.  Since dz = dw / D, both
 the residue at a pole and the coefficient of 1/z at infinity return to z
 through the one factor D^(deg den - deg num - 1): routes 3 and 4 hand their
@@ -85,39 +86,34 @@ class Pole(NamedTuple):
     j: int  # offset within the string
 
 
-def _unscale_polynomial(poly: Polynomial, scale: int) -> Polynomial:
-    """The monic polynomial in z whose roots are those of the monic ``poly``
-    in w = scale * z, divided by scale."""
-    top = len(poly.coeffs) - 1
-    return Polynomial(tuple([Fraction(c, scale ** (top - e)) for e, c in enumerate(poly.coeffs)]))
-
-
 @record
 class ResidueKernel:
-    """One member of the kernel family, expanded in w = scale * z: ``poles``
-    are the roots of ``scaled.den`` in w, and ``offset`` is deg num - deg den."""
+    """One member of the kernel family, expanded in w = scale * z: ``num`` and
+    ``den`` are its monic integer polynomials in w, constant term first,
+    ``poles`` are the roots of ``den``, and ``offset`` is deg num - deg den."""
 
     k: int
     scale: int
-    scaled: RationalFunction  # monic integer polynomials in w
+    num: tuple[int, ...]
+    den: tuple[int, ...]
     poles: tuple[Pole, ...]
     offset: int
 
     @cached_property
     def fraction(self) -> RationalFunction:
-        """The kernel as a rational function of z."""
-        return RationalFunction(
-            _unscale_polynomial(self.scaled.num, self.scale),
-            _unscale_polynomial(self.scaled.den, self.scale),
-        )
+        """The kernel as a rational function of z: coefficient e of ``num`` or
+        ``den``, of degree t in w, over scale^(t - e)."""
+        num, den = [Polynomial(tuple([Fraction(c, self.scale ** (len(w) - 1 - e)) for e, c in enumerate(w)]))
+                    for w in (self.num, self.den)]
+        return RationalFunction(num, den)
 
     @cached_property
     def expansion(self) -> list[int]:
         """Route 4's C_0 .. C_{offset+1} at infinity in w (module docstring), empty if offset < -1."""
         depth = self.offset + 2
-        tail = self.scaled.den.coeffs[-2::-1]
+        tail = self.den[-2::-1]
         out: list[int] = []
-        for c in [*self.scaled.num.coeffs[::-1], *[0] * depth][: max(depth, 0)]:
+        for c in [*self.num[::-1], *[0] * depth][: max(depth, 0)]:
             out.append(c - sum(map(mul, reversed(out), tail)))
         return out
 
@@ -145,39 +141,52 @@ def residue_kernel(inst: IdentityInstance, k: int, below: ResidueKernel | None =
         # (z - b_l - k + 1)_{m_l + k} has the roots b_l + k - 1 - t, and for a
         # negative shift q = n_l + k + 1, 1/(z - a_l - k)_q has a_l + k + t for
         # t = 1 .. -q (no t for q >= 0); all times scale
+        num = den = (1,)
         num_roots = [b_l + (k - 1 - t) * scale for b_l, m_l in zip(b, inst.m) for t in range(m_l + k)]
         num_roots += [a_l + (k + t) * scale for a_l, n_l in zip(a, inst.n) for t in range(1, -n_l - k)]
-        num = Polynomial.from_roots(num_roots)
-        den = Polynomial.from_roots([pole.w for pole in poles])
+        den_roots = [pole.w for pole in poles]
     else:
         if below.k != k - 1:
             raise ValueError(f"a kernel steps only from the one at k - 1, not from k={below.k}")
         # each string of roots moves at its k end (module docstring)
-        num = below.scaled.num
+        num, den = below.num, below.den
         for a_l, n_l in zip(a, inst.n):
             if n_l + k <= -1:
                 num = _divide_root(num, a_l + k * scale)
-        num = Polynomial.from_roots([b_l + (k - 1) * scale for b_l in b], num)
-        den = Polynomial.from_roots([pole.w for pole in poles if pole.j == 0], below.scaled.den)
+        num_roots = [b_l + (k - 1) * scale for b_l in b]
+        den_roots = [pole.w for pole in poles if pole.j == 0]
+    num, den = _from_roots(num_roots, num), _from_roots(den_roots, den)
     offset = derived.M - derived.N - derived.r - (derived.r - derived.s) * k
-    assert num.degree - den.degree == offset, "kernel degree bookkeeping broke"
-    return ResidueKernel(k, scale, RationalFunction(num, den), tuple(poles), offset)
+    assert len(num) - len(den) == offset, "kernel degree bookkeeping broke"
+    return ResidueKernel(k, scale, num, den, tuple(poles), offset)
 
 
-def _divide_root(poly: Polynomial, root: int) -> Polynomial:
+def _from_roots(roots: list[int], times: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of (w - root) over the roots, times ``times``."""
+    out = list(times)
+    for root in roots:
+        # multiply by (w - root) in place, highest coefficient first
+        out.append(out[-1])
+        for e in range(len(out) - 2, 0, -1):
+            out[e] = out[e - 1] - root * out[e]
+        out[0] = -root * out[0]
+    return tuple(out)
+
+
+def _divide_root(poly: tuple[int, ...], root: int) -> tuple[int, ...]:
     """poly / (w - root) for a root of poly: its Horner values at root."""
     out = [0]
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly):
         out.append(out[-1] * root + c)
     assert out[-1] == 0, "a stepped kernel lost a root its numerator lacks"
-    return Polynomial(tuple(out[-2:0:-1]))
+    return tuple(out[-2:0:-1])
 
 
-def _residue_parts(f: RationalFunction, points: list[Scalar]) -> list[tuple[Scalar, Scalar]]:
-    """(num(z0), den'(z0)) at each simple denominator root z0 in ``points``,
-    from one Horner pass over num, den and den' together.  Raises NotSimplePole
-    if some z0 is not a root or a multiple root of the (stored) denominator."""
-    pairs = [*zip_longest(f.num.coeffs, f.den.coeffs, fillvalue=0)][::-1]
+def _residue_parts(num: tuple, den: tuple, points: list) -> list[tuple[Scalar, Scalar]]:
+    """(num(z0), den'(z0)) at each simple root z0 of den in ``points``, the
+    coefficients constant term first, from one Horner pass over num, den and
+    den'; NotSimplePole if some z0 is not a root or a multiple root of den."""
+    pairs = [*zip_longest(num, den, fillvalue=0)][::-1]
     out = []
     for z0 in points:
         top = value = slope = 0
@@ -195,7 +204,7 @@ def _residue_parts(f: RationalFunction, points: list[Scalar]) -> list[tuple[Scal
 
 def residue_at_simple_pole(f: RationalFunction, z0: Scalar) -> Fraction:
     """Residue of f at a simple denominator root z0, num(z0) / den'(z0); else NotSimplePole."""
-    return Fraction(*_residue_parts(f, [z0])[0])
+    return Fraction(*_residue_parts(f.num.coeffs, f.den.coeffs, [z0])[0])
 
 
 def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Fraction:
@@ -239,7 +248,7 @@ def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Fraction:
 def sum_finite_residues(kernel: ResidueKernel) -> Fraction:
     """Sum of residues over the kernel's enumerated (simple) poles, each
     num(w0) / den'(w0) at its integer pole w0, over the lcm of the den'(w0)."""
-    parts = _residue_parts(kernel.scaled, [pole.w for pole in kernel.poles])
+    parts = _residue_parts(kernel.num, kernel.den, [pole.w for pole in kernel.poles])
     common = lcm(*[slope for _, slope in parts])
     return kernel._to_z(sum([top * (common // slope) for top, slope in parts]), common)
 

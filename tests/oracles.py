@@ -182,6 +182,16 @@ def kernel_roots(a, b, m, n, k: int) -> tuple[list, list]:
     return num, den
 
 
+def root_product(roots) -> tuple:
+    """Coefficients of prod (z - root), constant term first, one factor at a
+    time: entry e of the product is entry e - 1 less root times entry e.
+    Plain arithmetic on the roots as given, so int roots give ints."""
+    out = [1]
+    for root in roots:
+        out = [lo - root * hi for lo, hi in zip([0, *out], [*out, 0])]
+    return tuple(out)
+
+
 def kernel_pole_residue(a, b, m, n, k: int, z0) -> Fraction:
     """Residue of the kernel at the simple pole z0, by the product formula
     prod (z0 - numerator root) / prod (z0 - other denominator roots)."""

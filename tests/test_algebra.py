@@ -14,7 +14,7 @@ from hypident.algebra import (
 from hypident.errors import TruncationError
 from hypident.residues import ResidueKernel, residue_at_simple_pole
 
-from oracles import convolve, expansion_at_infinity
+from oracles import convolve, expansion_at_infinity, root_product
 
 
 def rand_fraction(rng, num=9, den=9):
@@ -49,7 +49,7 @@ class TestPolynomial:
         assert Polynomial(()).coeffs == ()
 
     def test_value_semantics(self):
-        p = Polynomial.from_roots([-1])
+        p = Polynomial(root_product([-1]))
         q = Polynomial.interpolate(0, [1, 2])
         assert p == q == Polynomial(coeffs=[1, 1, 0]) and hash(p) == hash(q)
         assert p != Polynomial((1, 2)) and p != ((1, 1),)
@@ -57,14 +57,6 @@ class TestPolynomial:
     def test_zero_degree_sentinel(self):
         assert Polynomial(()).degree == -1
         assert Polynomial((1,)).degree == 0
-
-    def test_from_roots_and_eval(self):
-        p = Polynomial.from_roots([1, Q(1, 2), -3])
-        assert p.degree == 3
-        assert p.coeffs[-1] == 1
-        for root in (1, Q(1, 2), -3):
-            assert p(root) == 0
-        assert p(0) == (0 - 1) * (0 - Q(1, 2)) * (0 + 3)
 
     def test_compose_affine(self):
         # p(c0 + c1 t), of degree deg p in t, rebuilt by interpolation at
@@ -244,10 +236,9 @@ class TestOneMinusZPower:
 
 
 def kernel_of(num, den):
-    """A kernel built directly from integer polynomials in w = z (scale 1, no
-    poles listed), with its true offset deg num - deg den."""
-    f = RationalFunction(Polynomial(num), Polynomial(den))
-    return ResidueKernel(0, 1, f, (), f.num.degree - f.den.degree)
+    """A kernel built directly from integer coefficient tuples in w = z (scale
+    1, no poles listed), with its true offset deg num - deg den."""
+    return ResidueKernel(0, 1, num, den, (), len(num) - len(den))
 
 
 class TestExpansionAtInfinity:
@@ -278,7 +269,7 @@ class TestRationalFunction:
         pool = [Q(p, q) for p in range(-6, 7) for q in (1, 2, 3)]
         for _ in range(40):
             roots = rng.sample(pool, rng.randint(1, 4))
-            den = Polynomial.from_roots(roots)
+            den = Polynomial(root_product(roots))
             num = Polynomial(
                 tuple(rand_fraction(rng) for _ in range(rng.randint(1, len(roots))))
             )

@@ -70,7 +70,7 @@ def every_record():
     lemma = hypident.Lemma1Report(1, (0, 1), (Q(1, 2), 1))
     return [
         bessel, verified, verified.instance, verified.derived, verified.beta, kernel,
-        kernel.scaled, kernel.scaled.num, hypident.LaurentSeries(0, (1, 2), 3), lemma,
+        kernel.fraction, kernel.fraction.num, hypident.LaurentSeries(0, (1, 2), 3), lemma,
         hypident.fuzz(0),
     ]
 

@@ -62,6 +62,12 @@ class TestBesselJ:
             bessel_j(nu, x)
         assert str(caught.value) == f"J_nu(x) does not fit in a float at nu={nu}, x={x}"
 
+    @pytest.mark.parametrize("nu, x", [(1 / 3, -1.0), (-1 / 3, 0.0), (1 / 3, math.nan), (1 / 3, math.inf)])
+    def test_x_outside_the_domain_rejected(self, nu, x):
+        # unchecked, these end in TypeError, ZeroDivisionError or a misleading OverflowError
+        with pytest.raises(ValueError, match=f"^x must be finite and positive, got {x}$"):
+            bessel_j(nu, x)
+
 
 class TestBesselDemo:
     def test_zero_shift_is_identically_zero(self):

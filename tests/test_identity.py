@@ -533,6 +533,31 @@ class TestFaultInjection:
             assert report.vanishing_ok
             assert self.failed(report) == flips, (inst, k)
 
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            pytest.param(IdentityInstance(a=P31.a, b=P31.b, m=(8, 8), n=(0, 0)), id="m=8"),
+            pytest.param(
+                P31,
+                id="P31",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 2: P31's residue window k = -16 .. -4 lies below "
+                    "k = -n_max = 0, the first kernel with a pole, so it compares no residue",
+                ),
+            ),
+        ],
+    )
+    def test_route_2_fault_at_the_first_pole_flips_residue(self, monkeypatch, inst):
+        # route 2 off by 1 at k = 0, where the kernel's poles start: at m = (8, 8)
+        # the window -8 .. 4 holds k = 0, and at m = (16, 16) it does not
+        name, k_of = self.ROUTES["route 2"]
+        with monkeypatch.context() as patch:
+            self.bump(patch, identity, name, 0, k_of)
+            report = verify(inst)
+        assert report.vanishing_ok
+        assert self.failed(report) == {"residue"}, report.cross_checks
+
     def test_route_4_fault_at_a_law_point_flips_lemma1(self, monkeypatch):
         # route 4's expansion at the law's first point, k = -16, off by 1 at order t:
         # below t = p only the law reads it, and at t = p it is the residue as well

@@ -10,6 +10,8 @@ from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.residues import (
     ResidueKernel,
+    _divide_root,
+    _from_roots,
     _residue_parts,
     residue_at_infinity,
     residue_at_simple_pole,
@@ -17,28 +19,33 @@ from hypident.residues import (
     residue_sum_closed_form,
     sum_finite_residues,
 )
-from oracles import kernel_pole_residue, kernel_roots
+from oracles import kernel_pole_residue, kernel_roots, root_product
 
 CANONICAL = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 SHIFTED = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 1), n=(0, 0))
+
+
+def over_roots(num, roots):
+    """num / prod (z - root), the denominator from the oracle."""
+    return RationalFunction(Polynomial(num), Polynomial(root_product(roots)))
 
 
 class TestKernelConstruction:
     def test_zero_shift_k0(self):
         kernel = residue_kernel(CANONICAL, 0)
         assert kernel.fraction.num == Polynomial((1,))
-        assert kernel.fraction.den == Polynomial.from_roots([0, Q(1, 2)])
+        assert kernel.fraction.den.coeffs == root_product([0, Q(1, 2)])
         assert sorted(Q(p.w, kernel.scale) for p in kernel.poles) == [0, Q(1, 2)]
 
     def test_unit_shift_numerator(self):
         kernel = residue_kernel(SHIFTED, 0)
         # (z - 1/3 + 1)(z - 1/4 + 1) = (z + 2/3)(z + 3/4)
-        assert kernel.fraction.num == Polynomial.from_roots([Q(-2, 3), Q(-3, 4)])
-        assert kernel.fraction.den == Polynomial.from_roots([0, Q(1, 2)])
+        assert kernel.fraction.num.coeffs == root_product([Q(-2, 3), Q(-3, 4)])
+        assert kernel.fraction.den.coeffs == root_product([0, Q(1, 2)])
 
     def test_k1_denominator(self):
         kernel = residue_kernel(CANONICAL, 1)
-        assert kernel.fraction.den == Polynomial.from_roots([1, 0, Q(3, 2), Q(1, 2)])
+        assert kernel.fraction.den.coeffs == root_product([1, 0, Q(3, 2), Q(1, 2)])
         assert len(kernel.poles) == 4
         for p in kernel.poles:
             # the pole z = a_i + k - j as an integer in w = D z
@@ -54,9 +61,22 @@ class TestKernelConstruction:
         inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(-3, 0))
         kernel = residue_kernel(inst, 0)
         # (z - a_0)_{-2} contributes (z - 1)(z - 2) upstairs
-        expected_num = Polynomial.from_roots([1, 2])
-        assert kernel.fraction.num == expected_num
+        assert kernel.fraction.num.coeffs == root_product([1, 2])
         assert all(p.i == 1 for p in kernel.poles)  # only a_1's string has poles
+
+    def test_from_roots_and_divide_root(self):
+        # the kernel's integer products, started from another product as a
+        # stepped build is, against the oracle's, and each root divided out again
+        rng = random.Random(33)
+        for _ in range(60):
+            roots = [rng.randint(-99, 99) for _ in range(rng.randint(0, 8))]
+            split = rng.randint(0, len(roots))
+            poly = _from_roots(roots[split:], root_product(roots[:split]))
+            assert poly == root_product(roots) and all(type(c) is int for c in poly)
+            for t, root in enumerate(roots):
+                poly = _divide_root(poly, root)
+                assert poly == root_product(roots[t + 1 :])
+        assert _from_roots([], (1,)) == (1,)
 
     def test_k_below_range(self):
         with pytest.raises(KBelowRange):
@@ -80,21 +100,21 @@ class TestKernelConstruction:
 
 class TestSimplePoleResidue:
     def test_single_pole(self):
-        f = RationalFunction(Polynomial((1,)), Polynomial.from_roots([Q(5, 7)]))
+        f = over_roots((1,), [Q(5, 7)])
         assert residue_at_simple_pole(f, Q(5, 7)) == 1
 
     def test_partial_fractions(self):
-        f = RationalFunction(Polynomial((1,)), Polynomial.from_roots([0, 1]))
+        f = over_roots((1,), [0, 1])
         assert residue_at_simple_pole(f, 0) == -1
         assert residue_at_simple_pole(f, 1) == 1
 
     def test_multiple_root_rejected(self):
-        f = RationalFunction(Polynomial((1,)), Polynomial.from_roots([1, 1]))
+        f = over_roots((1,), [1, 1])
         with pytest.raises(NotSimplePole):
             residue_at_simple_pole(f, 1)
 
     def test_non_root_rejected(self):
-        f = RationalFunction(Polynomial((1,)), Polynomial.from_roots([1]))
+        f = over_roots((1,), [1])
         with pytest.raises(NotSimplePole):
             residue_at_simple_pole(f, 2)
 
@@ -105,7 +125,7 @@ class TestSimplePoleResidue:
         for _ in range(40):
             roots = list({Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 6))})
             num = Polynomial(tuple(Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)))
-            f = RationalFunction(num, Polynomial.from_roots(roots))
+            f = RationalFunction(num, Polynomial(root_product(roots)))
             for z0 in roots:
                 expected = num(z0)
                 for root in roots:
@@ -250,10 +270,9 @@ NO_POLES = IdentityInstance(a=(Q(1, 5), Q(2, 3)), b=(Q(1, 7), Q(3, 4)), m=(0, 1)
 
 class TestExactness:
     def test_int_inputs_never_give_floats(self):
-        f = RationalFunction(Polynomial((3, 1)), Polynomial.from_roots([1, 2, 5]))
+        f = over_roots((3, 1), [1, 2, 5])
         # route 4 on integer kernels, built directly in w = z and from instances, gives ints
-        g = RationalFunction(Polynomial((1, 0, 0, 1)), Polynomial((2, 1)))
-        expansions = [ResidueKernel(0, 1, g, (), 2).expansion]
+        expansions = [ResidueKernel(0, 1, (1, 0, 0, 1), (2, 1), (), 2).expansion]
         expansions += [residue_kernel(inst, law_points(inst).start).expansion
                        for inst in (SHIFTED, OFFSET_ZERO, LARGE_LCM)]
         assert expansions == [[1, -2, 4, -7], [1, 0], [1, 640], [1, 3542]]
@@ -290,7 +309,7 @@ class TestExactness:
         assert all(type(v) is Q for v in values), [v for v in values if type(v) is not Q]
 
     def test_not_simple_pole_on_int_polynomials(self):
-        f = RationalFunction(Polynomial((1,)), Polynomial.from_roots([1, 1, 3]))
+        f = over_roots((1,), [1, 1, 3])
         with pytest.raises(NotSimplePole):
             residue_at_simple_pole(f, 2)  # not a root
         with pytest.raises(NotSimplePole):
@@ -314,8 +333,8 @@ class TestScaledKernelAgainstOracle:
             for k in range(-m_min, -m_min + 5):
                 num, den = kernel_roots(inst.a, inst.b, inst.m, inst.n, k)
                 kernel = residue_kernel(inst, k)
-                assert kernel.fraction.num == Polynomial.from_roots(num)
-                assert kernel.fraction.den == Polynomial.from_roots(den)
+                assert kernel.fraction.num.coeffs == root_product(num)
+                assert kernel.fraction.den.coeffs == root_product(den)
 
     def test_poles_and_offset_match_the_factors(self):
         # the poles are the denominator's roots, and the offset is the
@@ -340,7 +359,7 @@ class TestScaledKernelAgainstOracle:
                 kernel = residue_kernel(inst, k)
                 offsets.add(kernel.offset)
                 points = [pole.w for pole in kernel.poles]
-                signs.update(slope > 0 for _, slope in _residue_parts(kernel.scaled, points))
+                signs.update(slope > 0 for _, slope in _residue_parts(kernel.num, kernel.den, points))
                 expected = Q(0)
                 for pole in kernel.poles:
                     z0 = Q(pole.w, kernel.scale)
