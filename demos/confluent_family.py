@@ -22,13 +22,10 @@ EXAMPLES = [
 
 for label, inst in EXAMPLES:
     derived = validate(inst)
+    table = beta_coefficients(inst)
     print(f"--- {label}")
     print("instance:", inst.to_dict())
-    print(
-        f"M={derived.M} N={derived.N} p={derived.p} "
-        f"support=[{-derived.n_max}, {max(-derived.m_min - 1, derived.p)}]"
-    )
+    print(f"M={derived.M} N={derived.N} p={derived.p} support=[{table.support_low}, {table.support_high}]")
     print("S(z) =", lhs_series(inst, 8))
-    table = beta_coefficients(inst)
     print("certified table:", table.beta_map() or "(identically zero)")
     print()

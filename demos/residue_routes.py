@@ -17,10 +17,10 @@ from fractions import Fraction as Q
 from hypident import (
     IdentityInstance,
     check_residue_polynomial,
+    finite_residues,
     law_points,
     lhs_series,
     residue_at_infinity,
-    residue_at_simple_pole,
     residue_kernel,
     residue_sum_closed_form,
     sum_finite_residues,
@@ -36,9 +36,8 @@ print()
 kernel = residue_kernel(inst, 1)
 print("kernel at k=1:", kernel.fraction)
 print("poles and residues:")
-for pole in kernel.poles:
+for pole, res in zip(kernel.poles, finite_residues(kernel)):
     z0 = Q(pole.w, kernel.scale)
-    res = residue_at_simple_pole(kernel.fraction, z0)
     print(f"  z = {z0}  (string i={pole.i}, offset j={pole.j}):  {res}")
 print()
 

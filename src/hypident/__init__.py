@@ -26,7 +26,6 @@ from .errors import (
     HypidentError,
     KBelowRange,
     NotDistinctModZ,
-    NotSimplePole,
     NumericResidualExceeded,
     PrefactorPole,
     SupportViolation,
@@ -50,8 +49,8 @@ from .identity import (
 )
 from .residues import (
     ResidueKernel,
+    finite_residues,
     residue_at_infinity,
-    residue_at_simple_pole,
     residue_kernel,
     residue_sum_closed_form,
     sum_finite_residues,
@@ -72,7 +71,6 @@ __all__ = [
     "LaurentSeries",
     "Lemma1Report",
     "NotDistinctModZ",
-    "NotSimplePole",
     "NumericResidualExceeded",
     "Polynomial",
     "PrefactorPole",
@@ -88,13 +86,13 @@ __all__ = [
     "beta_coefficients",
     "check_residue_polynomial",
     "exp_series_coefficient",
+    "finite_residues",
     "fuzz",
     "kernel_ladder",
     "law_points",
     "lhs_series",
     "random_instance",
     "residue_at_infinity",
-    "residue_at_simple_pole",
     "residue_kernel",
     "residue_sum_closed_form",
     "sum_finite_residues",

@@ -6,7 +6,7 @@ denominator, read back as exact `fractions.Fraction`s; its one operation is
 the balanced reduction's factor (1 - z)^power, taken as running differences
 of the numerators.  Products of integer series are ``convolve``.  A
 polynomial is the exact z-form of an integer computation, interpolated or a
-residue kernel unscaled from w = D z, and is then only evaluated.  A degree
+residue kernel unscaled from w = D z, and is then only read and printed.  A degree
 is an int, -1 for the zero polynomial, as an empty series has
 ``high = low - 1``.  A value leaves the integers as one
 ``Fraction(top, bottom)``, an integral one included, as each of
@@ -158,14 +158,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    # -- evaluation ---------------------------------------------------
-
-    def __call__(self, x: Scalar) -> Scalar:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self) -> str:
         return _format_terms([*enumerate(self.coeffs)][::-1])
 
@@ -256,10 +248,6 @@ class RationalFunction:
 
     num: Polynomial
     den: Polynomial
-
-    def __post_init__(self) -> None:
-        if not self.den.coeffs:
-            raise ZeroDivisionError("rational function with zero denominator")
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"

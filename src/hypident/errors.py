@@ -4,6 +4,8 @@ Everything raised on purpose derives from :class:`HypidentError`, so callers
 can catch one base class.  Validation problems (malformed or mathematically
 inadmissible instances) are grouped under :class:`ValidationError`; genuine
 check failures (a certificate that does not hold) get their own classes.
+No class guards what validation guarantees: a kernel built wrongly shows
+as residue routes that disagree, not as an error raised here.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ class TruncationError(HypidentError):
 
 class KBelowRange(HypidentError):
     """Kernel index below the range where the numerator stays polynomial."""
-
-
-class NotSimplePole(HypidentError):
-    """Residue requested at a point that is not a simple denominator root."""
 
 
 class SupportViolation(HypidentError):

@@ -46,8 +46,9 @@ one below it by one multiplication or exact division per root: the
 denominator gains D a_i + k D where k + n_i >= 0, the numerator gains
 D b_l + (k - 1) D (m_l + k >= 1 as k - 1 >= -m_min) and loses D a_l + k D
 where n_l + k <= -1.  The finite-residue route takes num(w0) and den'(w0)
-from one Horner pass, and sums num(w0) / den'(w0) over the lcm L of the
-den'(w0) as one integer sum over L.  The closed-form route sums
+from one Horner pass; ``finite_residues`` lists each num(w0) / den'(w0) in
+z, and ``sum_finite_residues`` sums them as one integer over the lcm of the
+den'(w0).  The closed-form route sums
 the residues (-1)^j prod_l (1 - b_l + a_i - j)_{m_l+k} / (j! (K - j)!
 prod_{l != i} (a_i - a_l - j)_{n_l+k+1}) at z = a_i + k - j, stepping each
 pole string in j: (y - 1)_q / (y)_q is (y - 1)/(y + q - 1) for q of
@@ -75,8 +76,8 @@ from math import factorial, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import Polynomial, RationalFunction, Scalar, record
-from .errors import KBelowRange, NotSimplePole
+from .algebra import Polynomial, RationalFunction, record
+from .errors import KBelowRange
 from .hyper import IdentityInstance, rising_quotient
 
 
@@ -182,29 +183,26 @@ def _divide_root(poly: tuple[int, ...], root: int) -> tuple[int, ...]:
     return tuple(out[-2:0:-1])
 
 
-def _residue_parts(num: tuple, den: tuple, points: list) -> list[tuple[Scalar, Scalar]]:
-    """(num(z0), den'(z0)) at each simple root z0 of den in ``points``, the
-    coefficients constant term first, from one Horner pass over num, den and
-    den'; NotSimplePole if some z0 is not a root or a multiple root of den."""
-    pairs = [*zip_longest(num, den, fillvalue=0)][::-1]
+def _residue_parts(kernel: ResidueKernel) -> list[tuple[int, int]]:
+    """(num(w0), den'(w0)) at each pole w0, in ``poles`` order, from one Horner
+    pass over num, den and den'; every w0 is a simple root of den, since the
+    poles are den's roots and ``validate`` keeps the a_i apart mod 1."""
+    pairs = [*zip_longest(kernel.num, kernel.den, fillvalue=0)][::-1]
     out = []
-    for z0 in points:
+    for w0, _, _ in kernel.poles:
         top = value = slope = 0
         for a, c in pairs:
-            top = top * z0 + a
-            slope = slope * z0 + value
-            value = value * z0 + c
-        if value != 0:
-            raise NotSimplePole(f"{z0} is not a root of the denominator")
-        if slope == 0:
-            raise NotSimplePole(f"{z0} is a multiple root of the denominator")
+            top = top * w0 + a
+            slope = slope * w0 + value
+            value = value * w0 + c
         out.append((top, slope))
     return out
 
 
-def residue_at_simple_pole(f: RationalFunction, z0: Scalar) -> Fraction:
-    """Residue of f at a simple denominator root z0, num(z0) / den'(z0); else NotSimplePole."""
-    return Fraction(*_residue_parts(f.num.coeffs, f.den.coeffs, [z0])[0])
+def finite_residues(kernel: ResidueKernel) -> list[Fraction]:
+    """Route 3 pole by pole, in ``kernel.poles`` order: num(w0) / den'(w0) at
+    each pole w0, back in z."""
+    return [kernel._to_z(top, slope) for top, slope in _residue_parts(kernel)]
 
 
 def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Fraction:
@@ -248,7 +246,7 @@ def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Fraction:
 def sum_finite_residues(kernel: ResidueKernel) -> Fraction:
     """Sum of residues over the kernel's enumerated (simple) poles, each
     num(w0) / den'(w0) at its integer pole w0, over the lcm of the den'(w0)."""
-    parts = _residue_parts(kernel.num, kernel.den, [pole.w for pole in kernel.poles])
+    parts = _residue_parts(kernel)
     common = lcm(*[slope for _, slope in parts])
     return kernel._to_z(sum([top * (common // slope) for top, slope in parts]), common)
 

@@ -192,6 +192,15 @@ def root_product(roots) -> tuple:
     return tuple(out)
 
 
+def poly_value(coeffs, x):
+    """The polynomial with these coefficients, constant term first, at x, by
+    Horner's rule on the values as given."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
 def kernel_pole_residue(a, b, m, n, k: int, z0) -> Fraction:
     """Residue of the kernel at the simple pole z0, by the product formula
     prod (z0 - numerator root) / prod (z0 - other denominator roots)."""

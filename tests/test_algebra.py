@@ -7,14 +7,13 @@ import pytest
 from hypident.algebra import (
     LaurentSeries,
     Polynomial,
-    RationalFunction,
     clear_denominators,
     convolve as integer_convolve,
 )
 from hypident.errors import TruncationError
-from hypident.residues import ResidueKernel, residue_at_simple_pole
+from hypident.residues import Pole, ResidueKernel, residue_at_infinity, sum_finite_residues
 
-from oracles import convolve, expansion_at_infinity, root_product
+from oracles import convolve, expansion_at_infinity, poly_value, root_product
 
 
 def rand_fraction(rng, num=9, den=9):
@@ -66,10 +65,10 @@ class TestPolynomial:
             p = rand_poly(rng)
             c0, c1 = rand_fraction(rng), rand_fraction(rng)
             start = rng.randint(-4, 4)
-            samples = [p(c0 + c1 * t) for t in range(start, start + len(p.coeffs))]
+            samples = [poly_value(p.coeffs, c0 + c1 * t) for t in range(start, start + len(p.coeffs))]
             composed = Polynomial.interpolate(start, samples)
             for t in range(-3, 4):
-                assert composed(t) == p(c0 + c1 * t)
+                assert poly_value(composed.coeffs, t) == poly_value(p.coeffs, c0 + c1 * t)
 
 
 class TestLaurentSeries:
@@ -235,10 +234,12 @@ class TestOneMinusZPower:
             LaurentSeries(0, (1,), 5).times_one_minus_z(-1)
 
 
-def kernel_of(num, den):
+def kernel_of(num, den, roots=()):
     """A kernel built directly from integer coefficient tuples in w = z (scale
-    1, no poles listed), with its true offset deg num - deg den."""
-    return ResidueKernel(0, 1, num, den, (), len(num) - len(den))
+    1, with den's simple ``roots`` as its poles), with its true offset
+    deg num - deg den."""
+    poles = tuple([Pole(root, 0, j) for j, root in enumerate(roots)])
+    return ResidueKernel(0, 1, num, den, poles, len(num) - len(den))
 
 
 class TestExpansionAtInfinity:
@@ -259,25 +260,20 @@ class TestExpansionAtInfinity:
 
 
 class TestRationalFunction:
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction(Polynomial((1,)), Polynomial(()))
-
     def test_residue_sum_equals_inverse_z_coefficient(self):
-        # for deg num < deg den with simple poles: sum of residues == C_{-1}
+        # for simple poles: route 3's sum == route 4's C_{-1} == the oracle's
+        # long division, which is 0 when deg num <= deg den - 2
         rng = random.Random(19)
-        pool = [Q(p, q) for p in range(-6, 7) for q in (1, 2, 3)]
+        offsets = set()
         for _ in range(40):
-            roots = rng.sample(pool, rng.randint(1, 4))
-            den = Polynomial(root_product(roots))
-            num = Polynomial(
-                tuple(rand_fraction(rng) for _ in range(rng.randint(1, len(roots))))
-            )
-            f = RationalFunction(num, den)
-            total = sum(residue_at_simple_pole(f, r) for r in roots)
-            top = num.degree - den.degree
-            coeffs = expansion_at_infinity(num.coeffs, den.coeffs, len(roots) + 1)
+            roots = rng.sample(range(-6, 7), rng.randint(1, 4))
+            num = [rng.randint(-9, 9) for _ in range(rng.randint(0, len(roots) + 1))]
+            num.append(rng.choice([-2, -1, 1, 2]))  # a nonzero leading coefficient
+            kernel = kernel_of(tuple(num), root_product(roots), roots)
+            top = kernel.offset
+            offsets.add(top)
             c_minus_one = Q(0)
             if top >= -1:
-                c_minus_one = coeffs[top + 1]
-            assert total == c_minus_one
+                c_minus_one = expansion_at_infinity(num, kernel.den, top + 2)[top + 1]
+            assert sum_finite_residues(kernel) == residue_at_infinity(kernel) == c_minus_one
+        assert {-2, -1, 0, 1} <= offsets

@@ -14,7 +14,7 @@ from hypident.hyper import IdentityInstance
 from hypident.identity import kernel_ladder, verify
 from hypident.residues import residue_at_infinity, residue_kernel, residue_sum_closed_form
 
-from oracles import bernoulli_numbers, compositions, law_g, law_q
+from oracles import bernoulli_numbers, compositions, law_g, law_q, poly_value
 
 CANONICAL = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 P0 = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 0), n=(0, 0))
@@ -59,7 +59,7 @@ class TestBernoulliCombination:
             ):
                 direct += be2(-a_i - k) - be2(1 - b_i - k)
                 direct += be2(1 - b_i + m_i) - be2(1 - a_i + n_i)
-            assert exp_series_coefficient(CANONICAL, 1)(k) * 2 == direct
+            assert poly_value(exp_series_coefficient(CANONICAL, 1).coeffs, k) * 2 == direct
 
     def test_degree_is_exactly_j(self):
         rng = random.Random(41)
@@ -161,7 +161,7 @@ class TestExpSeriesCoefficient:
         q1 = exp_series_coefficient(CANONICAL, 1)
         for k in range(-3, 4):
             g1 = law_g(CANONICAL.a, CANONICAL.b, CANONICAL.m, CANONICAL.n, 1, k, numbers)
-            assert q1(k) == g1
+            assert poly_value(q1.coeffs, k) == g1
 
     def test_degree_matches_order(self):
         rng = random.Random(42)
@@ -188,17 +188,17 @@ class TestExpSeriesCoefficient:
                             for part in parts:
                                 prod *= gs[part]
                             expected += prod / factorial(l)
-                    assert polys[s](k) == expected, (inst, s, k)
+                    assert poly_value(polys[s].coeffs, k) == expected, (inst, s, k)
 
     def test_against_the_oracle(self):
         q15 = exp_series_coefficient(P15, 15)
         assert q15.degree == 15
         for k in range(-8, 9):
-            assert q15(k) == oracle_q(P15, 15, k)
+            assert poly_value(q15.coeffs, k) == oracle_q(P15, 15, k)
         q31 = exp_series_coefficient(P31, 31)
         assert q31.degree == 31
         for k in (-16, 0, 7, 40):
-            assert q31(k) == oracle_q(P31, 31, k)
+            assert poly_value(q31.coeffs, k) == oracle_q(P31, 31, k)
 
 
 class TestResiduePolynomialLaw:
@@ -252,13 +252,13 @@ class TestResiduePolynomialLaw:
         for k, value in zip(report.points, report.residue_values):
             assert value == oracle_q(P15, 15, k)
         for k in (-30, -6, 13, 50):
-            assert report.polynomial(k) == oracle_q(P15, 15, k)
+            assert poly_value(report.polynomial.coeffs, k) == oracle_q(P15, 15, k)
         report = check_law(P31)
         assert report.p == 31
         for k in (-16, -3, 17):
             index = report.points.index(k)
             assert report.residue_values[index] == oracle_q(P31, 31, k)
-            assert report.polynomial(k) == oracle_q(P31, 31, k)
+            assert poly_value(report.polynomial.coeffs, k) == oracle_q(P31, 31, k)
 
     def test_large_p(self):
         # p = 119 on the shift ladder's instance: 122 law points, each stepped from the last

@@ -3,31 +3,35 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hypident.algebra import Polynomial, RationalFunction
+from hypident.algebra import Polynomial
 from hypident.asymptotics import check_residue_polynomial, law_points
-from hypident.errors import KBelowRange, NotSimplePole, ValidationError
+from hypident.errors import KBelowRange, ValidationError
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.residues import (
+    Pole,
     ResidueKernel,
     _divide_root,
     _from_roots,
     _residue_parts,
+    finite_residues,
     residue_at_infinity,
-    residue_at_simple_pole,
     residue_kernel,
     residue_sum_closed_form,
     sum_finite_residues,
 )
-from oracles import kernel_pole_residue, kernel_roots, root_product
+from oracles import kernel_pole_residue, kernel_roots, poly_value, root_product
 
 CANONICAL = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 SHIFTED = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 1), n=(0, 0))
 
 
-def over_roots(num, roots):
-    """num / prod (z - root), the denominator from the oracle."""
-    return RationalFunction(Polynomial(num), Polynomial(root_product(roots)))
+def over_roots(num, roots, scale=1):
+    """The kernel num(w) / prod (w - root) in w = scale * z, built directly:
+    the denominator from the oracle, its distinct int roots as the poles."""
+    den = root_product(roots)
+    poles = tuple([Pole(root, 0, j) for j, root in enumerate(roots)])
+    return ResidueKernel(0, scale, tuple(num), den, poles, len(num) - len(den))
 
 
 class TestKernelConstruction:
@@ -47,10 +51,10 @@ class TestKernelConstruction:
         kernel = residue_kernel(CANONICAL, 1)
         assert kernel.fraction.den.coeffs == root_product([1, 0, Q(3, 2), Q(1, 2)])
         assert len(kernel.poles) == 4
-        for p in kernel.poles:
+        for p, res in zip(kernel.poles, finite_residues(kernel), strict=True):
             # the pole z = a_i + k - j as an integer in w = D z
             assert p.w == kernel.scale * (CANONICAL.a[p.i] + 1 - p.j)
-            assert residue_at_simple_pole(kernel.fraction, Q(p.w, kernel.scale)) is not None
+            assert res == oracle_residue(CANONICAL, 1, Q(p.w, kernel.scale))
 
     def test_confluent_numerator_is_one(self):
         inst = IdentityInstance(a=(0, Q(1, 3)), b=(), m=(), n=(1, 0))
@@ -100,45 +104,35 @@ class TestKernelConstruction:
 
 class TestSimplePoleResidue:
     def test_single_pole(self):
-        f = over_roots((1,), [Q(5, 7)])
-        assert residue_at_simple_pole(f, Q(5, 7)) == 1
+        # 1 / (z - 5/7), held in w = 7 z as 1 / (w - 5)
+        assert finite_residues(over_roots((1,), [5], scale=7)) == [1]
 
     def test_partial_fractions(self):
-        f = over_roots((1,), [0, 1])
-        assert residue_at_simple_pole(f, 0) == -1
-        assert residue_at_simple_pole(f, 1) == 1
-
-    def test_multiple_root_rejected(self):
-        f = over_roots((1,), [1, 1])
-        with pytest.raises(NotSimplePole):
-            residue_at_simple_pole(f, 1)
-
-    def test_non_root_rejected(self):
-        f = over_roots((1,), [1])
-        with pytest.raises(NotSimplePole):
-            residue_at_simple_pole(f, 2)
+        # 1 / (z (z - 1)) = 1 / (z - 1) - 1 / z
+        assert finite_residues(over_roots((1,), [0, 1])) == [-1, 1]
 
     def test_random_roots_against_product_formula(self):
         # residue of num / prod (z - root) at a root z0 is
         # num(z0) / prod_{root != z0} (z0 - root)
         rng = random.Random(12)
         for _ in range(40):
-            roots = list({Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 6))})
-            num = Polynomial(tuple(Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)))
-            f = RationalFunction(num, Polynomial(root_product(roots)))
+            roots = rng.sample(range(-9, 10), rng.randint(1, 6))
+            num = [rng.randint(-9, 9) for _ in range(4)]
+            expected = []
             for z0 in roots:
-                expected = num(z0)
+                value = Q(poly_value(num, z0))
                 for root in roots:
                     if root != z0:
-                        expected /= z0 - root
-                assert residue_at_simple_pole(f, z0) == expected
+                        value /= z0 - root
+                expected.append(value)
+            assert finite_residues(over_roots(num, roots)) == expected
 
 
 class TestClosedForm:
     def test_matches_direct_residue_at_origin(self):
         kernel = residue_kernel(CANONICAL, 0)
-        direct = residue_at_simple_pole(kernel.fraction, 0)
-        assert direct == oracle_residue(CANONICAL, 0, 0) == -2
+        assert kernel.poles[0].w == 0  # a_0 = 0
+        assert finite_residues(kernel)[0] == oracle_residue(CANONICAL, 0, 0) == -2
 
     def test_matches_direct_residue_everywhere(self):
         for inst in (
@@ -151,10 +145,8 @@ class TestClosedForm:
             for k in range(-m_min, -m_min + 5):
                 kernel = residue_kernel(inst, k)
                 total = 0
-                for pole in kernel.poles:
-                    z0 = Q(pole.w, kernel.scale)
-                    direct = residue_at_simple_pole(kernel.fraction, z0)
-                    assert direct == oracle_residue(inst, k, z0)
+                for pole, direct in zip(kernel.poles, finite_residues(kernel), strict=True):
+                    assert direct == oracle_residue(inst, k, Q(pole.w, kernel.scale))
                     total += direct
                 assert residue_sum_closed_form(inst, k) == total
 
@@ -270,7 +262,6 @@ NO_POLES = IdentityInstance(a=(Q(1, 5), Q(2, 3)), b=(Q(1, 7), Q(3, 4)), m=(0, 1)
 
 class TestExactness:
     def test_int_inputs_never_give_floats(self):
-        f = over_roots((3, 1), [1, 2, 5])
         # route 4 on integer kernels, built directly in w = z and from instances, gives ints
         expansions = [ResidueKernel(0, 1, (1, 0, 0, 1), (2, 1), (), 2).expansion]
         expansions += [residue_kernel(inst, law_points(inst).start).expansion
@@ -278,8 +269,8 @@ class TestExactness:
         assert expansions == [[1, -2, 4, -7], [1, 0], [1, 640], [1, 3542]]
         assert all(type(v) is int for expansion in expansions for v in expansion), expansions
         # a value that leaves the integers is one Fraction, an integral one too
-        values = [residue_at_simple_pole(f, 1), residue_at_simple_pole(f, 2)]
-        assert values == [1, Q(-5, 3)]
+        values = finite_residues(over_roots((3, 1), [1, 2, 5]))
+        assert values == [1, Q(-5, 3), Q(2, 3)]
         q = Polynomial.interpolate(0, [1, 2, 4])
         assert q.coeffs == (1, Q(1, 2), Q(1, 2))
         values += q.coeffs
@@ -287,6 +278,7 @@ class TestExactness:
             m_min = validate(inst).m_min
             for k in range(-m_min, -m_min + 4):
                 kernel = residue_kernel(inst, k)
+                values += finite_residues(kernel)
                 values += [
                     sum_finite_residues(kernel),
                     residue_at_infinity(kernel),
@@ -307,14 +299,6 @@ class TestExactness:
             expansion = residue_kernel(inst, start).expansion
             values += check_residue_polynomial(inst, expansion, []).residue_values
         assert all(type(v) is Q for v in values), [v for v in values if type(v) is not Q]
-
-    def test_not_simple_pole_on_int_polynomials(self):
-        f = over_roots((1,), [1, 1, 3])
-        with pytest.raises(NotSimplePole):
-            residue_at_simple_pole(f, 2)  # not a root
-        with pytest.raises(NotSimplePole):
-            residue_at_simple_pole(f, 1)  # double root
-        assert residue_at_simple_pole(f, 3) == Q(1, 4)
 
 
 def oracle_residue(inst, k, z0):
@@ -358,13 +342,11 @@ class TestScaledKernelAgainstOracle:
             for k in range(-m_min, -m_min + 7):
                 kernel = residue_kernel(inst, k)
                 offsets.add(kernel.offset)
-                points = [pole.w for pole in kernel.poles]
-                signs.update(slope > 0 for _, slope in _residue_parts(kernel.num, kernel.den, points))
+                signs.update(slope > 0 for _, slope in _residue_parts(kernel))
                 expected = Q(0)
-                for pole in kernel.poles:
-                    z0 = Q(pole.w, kernel.scale)
-                    res = oracle_residue(inst, k, z0)
-                    assert residue_at_simple_pole(kernel.fraction, z0) == res
+                for pole, direct in zip(kernel.poles, finite_residues(kernel), strict=True):
+                    res = oracle_residue(inst, k, Q(pole.w, kernel.scale))
+                    assert direct == res
                     expected += res
                 assert sum_finite_residues(kernel) == expected
                 assert residue_at_infinity(kernel) == expected
