@@ -46,8 +46,9 @@ one below it by one multiplication or exact division per root: the
 denominator gains D a_i + k D where k + n_i >= 0, the numerator gains
 D b_l + (k - 1) D (m_l + k >= 1 as k - 1 >= -m_min) and loses D a_l + k D
 where n_l + k <= -1.  The finite-residue route takes num(w0) and den'(w0)
-from one Horner pass; ``finite_residues`` lists each num(w0) / den'(w0) in
-z, and ``sum_finite_residues`` sums them as one integer over the lcm of the
+from one Horner pass over num and one over den' (coefficients e den[e], taken
+once per kernel); ``finite_residues`` lists each num(w0) / den'(w0) in z,
+and ``sum_finite_residues`` sums them as one integer over the lcm of the
 den'(w0).  The closed-form route sums
 the residues (-1)^j prod_l (1 - b_l + a_i - j)_{m_l+k} / (j! (K - j)!
 prod_{l != i} (a_i - a_l - j)_{n_l+k+1}) at z = a_i + k - j, stepping each
@@ -71,7 +72,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
 from math import factorial, lcm
 from operator import mul
 from typing import NamedTuple
@@ -184,17 +184,18 @@ def _divide_root(poly: tuple[int, ...], root: int) -> tuple[int, ...]:
 
 
 def _residue_parts(kernel: ResidueKernel) -> list[tuple[int, int]]:
-    """(num(w0), den'(w0)) at each pole w0, in ``poles`` order, from one Horner
-    pass over num, den and den'; every w0 is a simple root of den, since the
-    poles are den's roots and ``validate`` keeps the a_i apart mod 1."""
-    pairs = [*zip_longest(kernel.num, kernel.den, fillvalue=0)][::-1]
+    """(num(w0), den'(w0)) at each pole w0, in ``poles`` order, by Horner over num
+    and over den' (e den[e]); every w0 is a simple root of den, since the poles
+    are den's roots and ``validate`` keeps the a_i apart mod 1."""
+    num = kernel.num[::-1]
+    derivative = [e * c for e, c in enumerate(kernel.den)][:0:-1]
     out = []
     for w0, _, _ in kernel.poles:
-        top = value = slope = 0
-        for a, c in pairs:
-            top = top * w0 + a
-            slope = slope * w0 + value
-            value = value * w0 + c
+        top = slope = 0
+        for c in num:
+            top = top * w0 + c
+        for c in derivative:
+            slope = slope * w0 + c
         out.append((top, slope))
     return out
 

@@ -201,6 +201,12 @@ def poly_value(coeffs, x):
     return out
 
 
+def poly_derivative(coeffs) -> tuple:
+    """The derivative's coefficients, constant term first: entry e - 1 is
+    e times entry e."""
+    return tuple([e * c for e, c in enumerate(coeffs)][1:])
+
+
 def kernel_pole_residue(a, b, m, n, k: int, z0) -> Fraction:
     """Residue of the kernel at the simple pole z0, by the product formula
     prod (z0 - numerator root) / prod (z0 - other denominator roots)."""

@@ -8,6 +8,7 @@ from hypident.asymptotics import check_residue_polynomial, law_points
 from hypident.errors import KBelowRange, ValidationError
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
+from hypident.identity import kernel_ladder
 from hypident.residues import (
     Pole,
     ResidueKernel,
@@ -20,7 +21,7 @@ from hypident.residues import (
     residue_sum_closed_form,
     sum_finite_residues,
 )
-from oracles import kernel_pole_residue, kernel_roots, poly_value, root_product
+from oracles import kernel_pole_residue, kernel_roots, poly_derivative, poly_value, root_product
 
 CANONICAL = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 SHIFTED = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 1), n=(0, 0))
@@ -126,6 +127,33 @@ class TestSimplePoleResidue:
                         value /= z0 - root
                 expected.append(value)
             assert finite_residues(over_roots(num, roots)) == expected
+
+
+class TestResidueParts:
+    """Route 3's integer pair (num(w0), den'(w0)) against the oracle's Horner
+    values of num and of den's derivative, pole by pole."""
+
+    def test_against_the_oracle_on_seeded_kernels(self):
+        # balanced-corpus draws and shift-ladder rungs, 13 window kernels
+        # each, and NO_POLES, whose first kernels have no pole and no parts
+        rng = random.Random(1001)
+        instances = [random_instance(rng, family="one") for _ in range(60)]
+        rng = random.Random(1003)
+        for j in (4, 8, 12, 16):
+            draw = random_instance(rng, r_range=(2, 2), family="one")
+            instances.append(IdentityInstance(a=draw.a, b=draw.b, m=(j, j), n=(0, 0)))
+        offsets, poles = set(), []
+        for inst in [*instances, NO_POLES]:
+            for kernel in kernel_ladder(inst, 13):
+                derivative = poly_derivative(kernel.den)
+                expected = [(poly_value(kernel.num, w0), poly_value(derivative, w0))
+                            for w0, _, _ in kernel.poles]
+                assert _residue_parts(kernel) == expected, (inst, kernel.k)
+                offsets.add(kernel.offset)
+                poles.append(len(kernel.poles))
+        # num both shorter (offset < 0) and longer (offset > 0) than den
+        assert min(offsets) < -1 and {-1, 0} <= offsets and max(offsets) > 0
+        assert 0 in poles and sum(poles) > 1000
 
 
 class TestClosedForm:
