@@ -36,9 +36,10 @@ print()
 kernel = residue_kernel(inst, 1)
 print("kernel at k=1:", kernel.fraction)
 print("poles and residues:")
-for pole, res in zip(kernel.poles, finite_residues(kernel)):
-    z0 = Q(pole.w, kernel.scale)
-    print(f"  z = {z0}  (string i={pole.i}, offset j={pole.j}):  {res}")
+# the poles z = a_i + k - j, string by string with j ascending
+labels = [(i, j) for i, n_i in enumerate(inst.n) for j in range(kernel.k + n_i + 1)]
+for w0, (i, j), res in zip(kernel.poles, labels, finite_residues(kernel), strict=True):
+    print(f"  z = {Q(w0, kernel.scale)}  (string i={i}, offset j={j}):  {res}")
 print()
 
 series = lhs_series(inst, 10)

@@ -39,10 +39,10 @@ integer product over D^q, and a quotient of such products is one
 ``rising_quotient``, as is the series route's prefactor.
 D, D a_i and D b_l are computed once per instance, in ``inst.derived``.
 
-Each ``Pole`` carries its integer w0 = D a_i + (k - j) D, and the
-denominator is the product of (w - w0) over the poles.  From k - 1 to k
-each string of roots moves only at its k end, so a kernel steps from the
-one below it by one multiplication or exact division per root: the
+The poles are the integers w0 = D a_i + (k - j) D, and the denominator is
+the product of (w - w0) over them.  From k - 1 to k each string of roots
+moves only at its k end, so a kernel steps from the one below it by one
+multiplication or exact division per root: the
 denominator gains D a_i + k D where k + n_i >= 0, the numerator gains
 D b_l + (k - 1) D (m_l + k >= 1 as k - 1 >= -m_min) and loses D a_l + k D
 where n_l + k <= -1.  The finite-residue route takes num(w0) and den'(w0)
@@ -74,30 +74,24 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
 from operator import mul
-from typing import NamedTuple
 
 from .algebra import Polynomial, RationalFunction, record
 from .errors import KBelowRange
 from .hyper import IdentityInstance, rising_quotient
 
 
-class Pole(NamedTuple):
-    w: int  # the pole in w = D z: D (a_i + k - j)
-    i: int  # which upper parameter the pole string belongs to
-    j: int  # offset within the string
-
-
 @record
 class ResidueKernel:
     """One member of the kernel family, expanded in w = scale * z: ``num`` and
     ``den`` are its monic integer polynomials in w, constant term first,
-    ``poles`` are the roots of ``den``, and ``offset`` is deg num - deg den."""
+    ``poles`` are the roots of ``den``, D a_i + (k - j) D string by string (i
+    ascending, then j = 0 .. k + n_i), and ``offset`` is deg num - deg den."""
 
     k: int
     scale: int
     num: tuple[int, ...]
     den: tuple[int, ...]
-    poles: tuple[Pole, ...]
+    poles: tuple[int, ...]
     offset: int
 
     @cached_property
@@ -136,8 +130,7 @@ def residue_kernel(inst: IdentityInstance, k: int, below: ResidueKernel | None =
         raise KBelowRange(f"k={k} below -m_min={-derived.m_min}")
     scale, a, b = derived.scale, derived.a_int, derived.b_int
     # (z - a_i - k)_{n_i + k + 1} has the simple roots a_i + k - j
-    poles = [Pole(a_i + (k - j) * scale, i, j) for i, (a_i, n_i) in enumerate(zip(a, inst.n))
-             for j in range(k + n_i + 1)]
+    poles = [a_i + (k - j) * scale for a_i, n_i in zip(a, inst.n) for j in range(k + n_i + 1)]
     if below is None:
         # (z - b_l - k + 1)_{m_l + k} has the roots b_l + k - 1 - t, and for a
         # negative shift q = n_l + k + 1, 1/(z - a_l - k)_q has a_l + k + t for
@@ -145,7 +138,7 @@ def residue_kernel(inst: IdentityInstance, k: int, below: ResidueKernel | None =
         num = den = (1,)
         num_roots = [b_l + (k - 1 - t) * scale for b_l, m_l in zip(b, inst.m) for t in range(m_l + k)]
         num_roots += [a_l + (k + t) * scale for a_l, n_l in zip(a, inst.n) for t in range(1, -n_l - k)]
-        den_roots = [pole.w for pole in poles]
+        den_roots = poles
     else:
         if below.k != k - 1:
             raise ValueError(f"a kernel steps only from the one at k - 1, not from k={below.k}")
@@ -155,7 +148,7 @@ def residue_kernel(inst: IdentityInstance, k: int, below: ResidueKernel | None =
             if n_l + k <= -1:
                 num = _divide_root(num, a_l + k * scale)
         num_roots = [b_l + (k - 1) * scale for b_l in b]
-        den_roots = [pole.w for pole in poles if pole.j == 0]
+        den_roots = [a_i + k * scale for a_i, n_i in zip(a, inst.n) if k + n_i >= 0]
     num, den = _from_roots(num_roots, num), _from_roots(den_roots, den)
     offset = derived.M - derived.N - derived.r - (derived.r - derived.s) * k
     assert len(num) - len(den) == offset, "kernel degree bookkeeping broke"
@@ -190,7 +183,7 @@ def _residue_parts(kernel: ResidueKernel) -> list[tuple[int, int]]:
     num = kernel.num[::-1]
     derivative = [e * c for e, c in enumerate(kernel.den)][:0:-1]
     out = []
-    for w0, _, _ in kernel.poles:
+    for w0 in kernel.poles:
         top = slope = 0
         for c in num:
             top = top * w0 + c

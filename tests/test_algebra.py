@@ -11,7 +11,7 @@ from hypident.algebra import (
     convolve as integer_convolve,
 )
 from hypident.errors import TruncationError
-from hypident.residues import Pole, ResidueKernel, residue_at_infinity, sum_finite_residues
+from hypident.residues import ResidueKernel, residue_at_infinity, sum_finite_residues
 
 from oracles import convolve, expansion_at_infinity, poly_value, root_product
 
@@ -238,8 +238,7 @@ def kernel_of(num, den, roots=()):
     """A kernel built directly from integer coefficient tuples in w = z (scale
     1, with den's simple ``roots`` as its poles), with its true offset
     deg num - deg den."""
-    poles = tuple([Pole(root, 0, j) for j, root in enumerate(roots)])
-    return ResidueKernel(0, 1, num, den, poles, len(num) - len(den))
+    return ResidueKernel(0, 1, num, den, tuple(roots), len(num) - len(den))
 
 
 class TestExpansionAtInfinity:

@@ -11,6 +11,8 @@ from hypident import cli, fuzzing
 from hypident.cli import main
 from hypident.errors import ValidationError
 
+from oracles import law_q
+
 ZERO_SHIFT = {"a": ["0", "1/2"], "b": ["1/3", "1/4"], "m": [0, 0], "n": [0, 0]}
 COLLIDING = {"a": ["0", "1"], "b": ["1/3", "1/4"], "m": [0, 0], "n": [0, 0]}
 CONFLUENT = {"a": ["0", "1/2"], "b": ["1/3"], "m": [3], "n": [0, 0]}
@@ -28,6 +30,8 @@ NEGATIVE_SHIFTS = {"a": ["1/3", "-2/5"], "b": ["1/4", "1/6"], "m": [5, 1], "n": 
 LONG_LAW = {"a": ["0", "1/3", "-2/5"], "b": ["1/4", "5/7", "-1/6"], "m": [5, 6, 6], "n": [0, 1, -1]}
 # p = 199: lemma prints integers of up to 1085 digits
 P199 = {"a": ["-7/5", "2/9"], "b": ["3/4", "-5/11"], "m": [100, 100], "n": [0, 0]}
+# p = 4, but q_4 has degree 2: the law's interpolation ends in two zero coefficients
+DEGREE_DROP = {"a": ["-3/4", "0", "23/12"], "b": ["7/3", "7/3", "3/2"], "m": [-2, 3, 3], "n": [3, -3, -2]}
 
 
 def write(tmp_path, name, payload):
@@ -127,6 +131,17 @@ class TestLemmaCommand:
         status, out = run_cli(capsys, ["lemma", path])
         assert status == 2
         assert "error" in json.loads(out)
+
+    def test_degree_drop(self, tmp_path, capsys):
+        path = write(tmp_path, "inst.json", DEGREE_DROP)
+        status, out = run_cli(capsys, ["lemma", path])
+        assert status == 0
+        payload = json.loads(out)
+        assert payload["p"] == 4 and len(payload["polynomial"]) == 3
+        a, b, m, n = (DEGREE_DROP[key] for key in "abmn")
+        assert len(payload["residue_values"]) == 7
+        for k, value in zip(payload["points"], payload["residue_values"], strict=True):
+            assert value == str(law_q(a, b, m, n, 4, k)), k
 
     def test_route_2_fault_at_a_law_point_exits_1(self, tmp_path, capsys, monkeypatch):
         # route 2 off by 1 at k = 4, one of DEGREE_FIVE's law points -3 .. 4

@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction as Q
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -442,6 +443,33 @@ class TestVerify:
         assert ladder == [residue_kernel(P31, k) for k in range(-16, -16 + count)]
 
 
+class TestOracleAtPinnedSizes:
+    # CI pins the sha256 of verify's stdout on these instances, written from the
+    # same file; this checks what those bytes say against S(z) from the oracle,
+    # one Fraction per term, taken through (1 - z)^(p + 1) when balanced
+    PINNED = json.loads(Path(__file__).with_name("pinned_instances.json").read_text())
+
+    @pytest.mark.parametrize("name", ["balanced", "r3", "confluent", "mixed"])
+    def test_every_beta_and_vanishing_coefficient(self, name):
+        data = self.PINNED[name]
+        report = verify(IdentityInstance.from_dict(data)).to_dict()
+        a, b, m, n = data["a"], data["b"], data["m"], data["n"]
+        low, trunc = -max(n), report["checked_up_to"]
+        coeffs = lhs_coefficients(a, b, m, n, trunc)
+        reduced = [coeffs.get(e, Q(0)) for e in range(low, trunc + 1)]
+        if len(a) == len(b):
+            p = max(-1, sum(m) - sum(n) - len(a) + 1)
+            assert report["derived"]["p"] == p
+            for _ in range(p + 1):
+                reduced = [c - below for c, below in zip(reduced, [0, *reduced])]
+        beta = report["beta"]
+        assert report["vanishing_ok"] is True and beta
+        assert set(beta) <= {str(e) for e in range(low, trunc + 1)}
+        # a printed beta equals the oracle's, and every other coefficient is 0
+        for e, c in enumerate(reduced, low):
+            assert beta.get(str(e), "0") == str(c), (name, e)
+
+
 class TestFaultInjection:
     # route 1 perturbed by +z^k, for every k from the support's bottom to
     # the truncation: some check of verify must fail at each k
@@ -542,7 +570,7 @@ class TestFaultInjection:
                 id="P31",
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="ROADMAP item 2: P31's residue window k = -16 .. -4 lies below "
+                    reason="ROADMAP item 1, step 1: P31's residue window k = -16 .. -4 lies below "
                     "k = -n_max = 0, the first kernel with a pole, so it compares no residue",
                 ),
             ),

@@ -10,7 +10,6 @@ from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.identity import kernel_ladder
 from hypident.residues import (
-    Pole,
     ResidueKernel,
     _divide_root,
     _from_roots,
@@ -31,8 +30,7 @@ def over_roots(num, roots, scale=1):
     """The kernel num(w) / prod (w - root) in w = scale * z, built directly:
     the denominator from the oracle, its distinct int roots as the poles."""
     den = root_product(roots)
-    poles = tuple([Pole(root, 0, j) for j, root in enumerate(roots)])
-    return ResidueKernel(0, scale, tuple(num), den, poles, len(num) - len(den))
+    return ResidueKernel(0, scale, tuple(num), den, tuple(roots), len(num) - len(den))
 
 
 class TestKernelConstruction:
@@ -40,7 +38,7 @@ class TestKernelConstruction:
         kernel = residue_kernel(CANONICAL, 0)
         assert kernel.fraction.num == Polynomial((1,))
         assert kernel.fraction.den.coeffs == root_product([0, Q(1, 2)])
-        assert sorted(Q(p.w, kernel.scale) for p in kernel.poles) == [0, Q(1, 2)]
+        assert sorted(Q(w0, kernel.scale) for w0 in kernel.poles) == [0, Q(1, 2)]
 
     def test_unit_shift_numerator(self):
         kernel = residue_kernel(SHIFTED, 0)
@@ -51,11 +49,12 @@ class TestKernelConstruction:
     def test_k1_denominator(self):
         kernel = residue_kernel(CANONICAL, 1)
         assert kernel.fraction.den.coeffs == root_product([1, 0, Q(3, 2), Q(1, 2)])
-        assert len(kernel.poles) == 4
-        for p, res in zip(kernel.poles, finite_residues(kernel), strict=True):
-            # the pole z = a_i + k - j as an integer in w = D z
-            assert p.w == kernel.scale * (CANONICAL.a[p.i] + 1 - p.j)
-            assert res == oracle_residue(CANONICAL, 1, Q(p.w, kernel.scale))
+        # the poles z = a_i + k - j as integers in w = D z, string by string
+        # with j ascending
+        labels = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert kernel.poles == tuple([kernel.scale * (CANONICAL.a[i] + 1 - j) for i, j in labels])
+        for w0, res in zip(kernel.poles, finite_residues(kernel), strict=True):
+            assert res == oracle_residue(CANONICAL, 1, Q(w0, kernel.scale))
 
     def test_confluent_numerator_is_one(self):
         inst = IdentityInstance(a=(0, Q(1, 3)), b=(), m=(), n=(1, 0))
@@ -67,7 +66,9 @@ class TestKernelConstruction:
         kernel = residue_kernel(inst, 0)
         # (z - a_0)_{-2} contributes (z - 1)(z - 2) upstairs
         assert kernel.fraction.num.coeffs == root_product([1, 2])
-        assert all(p.i == 1 for p in kernel.poles)  # only a_1's string has poles
+        # only a_1's string has poles
+        a_1 = kernel.scale * inst.a[1]
+        assert kernel.poles and all((w0 - a_1) % kernel.scale == 0 for w0 in kernel.poles)
 
     def test_from_roots_and_divide_root(self):
         # the kernel's integer products, started from another product as a
@@ -147,7 +148,7 @@ class TestResidueParts:
             for kernel in kernel_ladder(inst, 13):
                 derivative = poly_derivative(kernel.den)
                 expected = [(poly_value(kernel.num, w0), poly_value(derivative, w0))
-                            for w0, _, _ in kernel.poles]
+                            for w0 in kernel.poles]
                 assert _residue_parts(kernel) == expected, (inst, kernel.k)
                 offsets.add(kernel.offset)
                 poles.append(len(kernel.poles))
@@ -159,7 +160,7 @@ class TestResidueParts:
 class TestClosedForm:
     def test_matches_direct_residue_at_origin(self):
         kernel = residue_kernel(CANONICAL, 0)
-        assert kernel.poles[0].w == 0  # a_0 = 0
+        assert kernel.poles[0] == 0  # a_0 = 0
         assert finite_residues(kernel)[0] == oracle_residue(CANONICAL, 0, 0) == -2
 
     def test_matches_direct_residue_everywhere(self):
@@ -173,8 +174,8 @@ class TestClosedForm:
             for k in range(-m_min, -m_min + 5):
                 kernel = residue_kernel(inst, k)
                 total = 0
-                for pole, direct in zip(kernel.poles, finite_residues(kernel), strict=True):
-                    assert direct == oracle_residue(inst, k, Q(pole.w, kernel.scale))
+                for w0, direct in zip(kernel.poles, finite_residues(kernel), strict=True):
+                    assert direct == oracle_residue(inst, k, Q(w0, kernel.scale))
                     total += direct
                 assert residue_sum_closed_form(inst, k) == total
 
@@ -357,7 +358,7 @@ class TestScaledKernelAgainstOracle:
             for k in range(-m_min, -m_min + 6):
                 num, den = kernel_roots(inst.a, inst.b, inst.m, inst.n, k)
                 kernel = residue_kernel(inst, k)
-                assert sorted(Q(pole.w, kernel.scale) for pole in kernel.poles) == sorted(den)
+                assert sorted(Q(w0, kernel.scale) for w0 in kernel.poles) == sorted(den)
                 assert kernel.offset == len(num) - len(den)
                 checked += validate(inst).theorem is Theorem.TWO
         assert checked  # confluent kernels were among them
@@ -372,8 +373,8 @@ class TestScaledKernelAgainstOracle:
                 offsets.add(kernel.offset)
                 signs.update(slope > 0 for _, slope in _residue_parts(kernel))
                 expected = Q(0)
-                for pole, direct in zip(kernel.poles, finite_residues(kernel), strict=True):
-                    res = oracle_residue(inst, k, Q(pole.w, kernel.scale))
+                for w0, direct in zip(kernel.poles, finite_residues(kernel), strict=True):
+                    res = oracle_residue(inst, k, Q(w0, kernel.scale))
                     assert direct == res
                     expected += res
                 assert sum_finite_residues(kernel) == expected
