@@ -4,7 +4,7 @@ rational functions over arbitrary-precision rationals.
 A Laurent series keeps integer numerators over one common positive
 denominator, read back as exact `fractions.Fraction`s; its one operation is
 the balanced reduction's factor (1 - z)^power, taken as running differences
-of the numerators.  Products of integer series are ``convolve``.  A
+of the numerators.  Products of integer tables are ``convolve``.  A
 polynomial is the exact z-form of an integer computation, interpolated or a
 residue kernel unscaled from w = D z, and is then only read and printed.  A degree
 is an int, -1 for the zero polynomial, as an empty series has
@@ -176,8 +176,9 @@ class LaurentSeries:
     Construction canonicalises: ``den`` is made positive, zero numerators
     are stripped at both ends and the content gcd(den, *nums) is divided
     out, so two equal series compare equal however they were built.  The
-    one arithmetic is ``times_one_minus_z``, the balanced reduction; S(z)'s
-    products are ``convolve``d on the numerators before a series is built.
+    one arithmetic is ``times_one_minus_z``, the balanced reduction.  S(z)'s
+    hypergeometric factors are never series: their integer tables
+    (``hyper.SeriesTable``) are ``convolve``d, and only S(z) is built as one.
     """
 
     low: int

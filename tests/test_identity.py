@@ -17,7 +17,18 @@ from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.identity import DEFAULT_BUFFER, beta_coefficients, kernel_ladder, lhs_series, verify
 from hypident.residues import ResidueKernel, residue_kernel, residue_sum_closed_form
 
-from oracles import bernoulli_numbers, law_g, lhs_coefficients, lhs_value, partial_fraction_zero_sum, poch
+from oracles import (
+    bernoulli_numbers,
+    expansion_at_infinity,
+    kernel_pole_residue,
+    kernel_roots,
+    law_g,
+    lhs_coefficients,
+    lhs_value,
+    partial_fraction_zero_sum,
+    poch,
+    root_product,
+)
 
 ZERO_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 0), n=(0, 0))
 UNIT_SHIFT = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 1), n=(0, 0))
@@ -76,6 +87,32 @@ class TestLhsSeries:
                 sign_path += 1
         # odd r - s with mixed n parities: the per-term sign (-1)^((r-s) n_i)
         assert sign_path >= 2
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            # b_0 - a_0 = -2 with m_0 >= n_0, balanced and confluent: term 0's
+            # first series has the upper parameter -2 and a nonzero prefactor
+            IdentityInstance(a=(0, Q(1, 2)), b=(-2, Q(1, 3)), m=(1, 0), n=(0, 0)),
+            IdentityInstance(a=(Q(1, 4), Q(1, 2), Q(1, 3)), b=(Q(-7, 4),), m=(3,), n=(1, 0, 2)),
+        ],
+        ids=["balanced", "confluent"],
+    )
+    def test_terminating_first_series(self, monkeypatch, inst):
+        real, tables = identity.hyper_series, []
+
+        def spy(*args):
+            tables.append(real(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(identity, "hyper_series", spy)
+        hi = 12
+        series = lhs_series(inst, hi)
+        # the first series' table ends at its last nonzero entry, z^2
+        assert len(tables[0].nums) == 3 < tables[0].trunc + 1
+        expected = lhs_coefficients(inst.a, inst.b, inst.m, inst.n, hi)
+        for e in range(-validate(inst).n_max, hi + 1):
+            assert series.coefficient(e) == expected.get(e, Q(0)), e
 
     def test_truncation_too_small(self):
         # below -n_max every term is skipped: the zero series through z^trunc
@@ -468,6 +505,25 @@ class TestOracleAtPinnedSizes:
         # a printed beta equals the oracle's, and every other coefficient is 0
         for e, c in enumerate(reduced, low):
             assert beta.get(str(e), "0") == str(c), (name, e)
+
+
+    def test_residue_check_at_p199(self, tmp_path, capsys):
+        # CI pins residue-check --k 50 on the p = 199 instance: route 3's
+        # printed sum against the oracle's product formula at every
+        # denominator root, and route 4's against its long division in z
+        data, k = self.PINNED["balanced"], 50
+        path = tmp_path / "balanced.json"
+        path.write_text(json.dumps(data))
+        assert main(["residue-check", "--k", str(k), str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        args = data["a"], data["b"], data["m"], data["n"]
+        num, den = kernel_roots(*args, k)
+        assert len(den) == len(set(den)) == 102
+        finite = sum([kernel_pole_residue(*args, k, z0) for z0 in den])
+        top = len(num) - len(den)
+        at_infinity = expansion_at_infinity(root_product(num), root_product(den), top + 2)[top + 1]
+        assert out["finite_residue_sum"] == str(finite) == out["closed_form_sum"]
+        assert out["residue_at_infinity"] == str(at_infinity)
 
 
 class TestFaultInjection:
