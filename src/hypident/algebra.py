@@ -4,7 +4,7 @@ rational functions over arbitrary-precision rationals.
 A Laurent series keeps integer numerators over one common positive
 denominator, read back as exact `fractions.Fraction`s; its one operation is
 the balanced reduction's factor (1 - z)^power, taken as running differences
-of the numerators.  Products of integer tables are ``convolve``.  A
+of the numerators.  Products of series' numerators are ``convolve``.  A
 polynomial is the exact z-form of an integer computation, interpolated or a
 residue kernel unscaled from w = D z, and is then only read and printed.  A degree
 is an int, -1 for the zero polynomial, as an empty series has
@@ -173,12 +173,13 @@ class LaurentSeries:
     above ``trunc`` are unknown and querying them raises TruncationError.
     ``nums`` and ``den`` are ints (``clear_denominators`` turns rationals
     into that form); a nonzero Fraction numerator raises TypeError.
-    Construction canonicalises: ``den`` is made positive, zero numerators
-    are stripped at both ends and the content gcd(den, *nums) is divided
-    out, so two equal series compare equal however they were built.  The
-    one arithmetic is ``times_one_minus_z``, the balanced reduction.  S(z)'s
-    hypergeometric factors are never series: their integer tables
-    (``hyper.SeriesTable``) are ``convolve``d, and only S(z) is built as one.
+    Construction canonicalises, the one place in the package that does:
+    ``den`` is made positive, zero numerators are stripped at both ends and
+    the content gcd(den, *nums) is divided out, so two equal series compare
+    equal however they were built.  The one arithmetic is
+    ``times_one_minus_z``, the balanced reduction.  S(z) and each of its
+    hypergeometric factors (``hyper.hyper_series``) are series; the factors'
+    ``nums`` are ``convolve``d into S(z)'s.
     """
 
     low: int
@@ -190,18 +191,22 @@ class LaurentSeries:
         nums, den = self.nums, self.den
         if den == 0:
             raise ZeroDivisionError("series with zero denominator")
-        if den < 0:
-            nums, den = [-c for c in nums], -den
         lo, hi = 0, len(nums)
         while hi > lo and nums[hi - 1] == 0:
             hi -= 1
         while lo < hi and nums[lo] == 0:
             lo += 1
-        nums = nums[lo:hi]
+        if hi - lo < len(nums):
+            nums = nums[lo:hi]
         low = self.low + lo if nums else self.trunc + 1
         if low + len(nums) - 1 > self.trunc:
             raise ValueError("series stores coefficients above its truncation")
-        g = gcd(den, *nums)
+        # from the ends inward: the far end shares little with den beyond the
+        # content, so the running gcd shrinks at once.  A negative g makes den
+        # positive in the same pass
+        g = gcd(den, *nums[::-1])
+        if den < 0:
+            g = -g
         if g != 1:
             nums, den = [c // g for c in nums], den // g
         object.__setattr__(self, "nums", tuple(nums))

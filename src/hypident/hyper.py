@@ -2,11 +2,11 @@
 
 Holds the rising factorial with integer shifts of either sign (``rising``,
 and ``rising_quotient`` for a quotient of them as one Fraction), formal
-hypergeometric series as bare integer tables (``hyper_series``), and the
-validation step that turns a raw parameter/shift tuple into the derived
-quantities (M, N, m_min, n_max, p, D) driving everything downstream.  D is the lcm of the denominators of a
-and b, and every series or Pochhammer argument the routes need is an
-integer over D: these functions take it as that integer.
+hypergeometric series (``hyper_series``), and the validation step that
+turns a raw parameter/shift tuple into the derived quantities (M, N, m_min,
+n_max, p, D) driving everything downstream.  D is the lcm of the
+denominators of a and b, and every series or Pochhammer argument the routes
+need is an integer over D: these functions take it as that integer.
 
 Parameters are exact rationals throughout: an instance takes only ints and
 Fractions, and text only in the form "p/q" or "p" (``parse_rational``), so
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Mapping, Sequence
 
-from .algebra import clear_denominators, record
+from .algebra import LaurentSeries, clear_denominators, record
 from .errors import DimensionMismatch, NotDistinctModZ, PrefactorPole
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # "p/q" or "p", the sign on p only
@@ -67,21 +67,9 @@ def rising_quotient(
     return Fraction(top * scale ** max(0, -exponent), bottom * scale ** max(0, exponent))
 
 
-@record
-class SeriesTable:
-    """A hypergeometric series through z^trunc as a bare integer table: the
-    coefficient of z^k is nums[k] / den for k < len(nums) and 0 from there
-    up to z^trunc.  ``den`` is nums[0], since c_0 = 1, and positive, and the
-    content is divided out; a pole inside the truncation leaves den == 0."""
-
-    nums: tuple[int, ...]
-    den: int
-    trunc: int
-
-
 def hyper_series(
     scale: int, upper: Sequence[int], lower: Sequence[int], trunc: int, sign: int = 1
-) -> SeriesTable:
+) -> LaurentSeries:
     """Formal hypergeometric series in σz, with coefficients
     σ^k prod_u (u)_k / (prod_w (w)_k * k!) at z^k through z^trunc, for the
     parameters u = U / D over the integers U in ``upper`` and w = W / D over
@@ -94,14 +82,13 @@ def hyper_series(
     prod_{t<k} p(t) prod_{k<=t<trunc} q(t) over prod_{t<trunc} q(t): one
     suffix pass over q that keeps each p(t), one running prefix over those,
     and no Fraction per term.  Its one caller, ``identity.lhs_series``,
-    reads only ``nums`` and ``den``, so no ``LaurentSeries`` is built.
+    reads only ``nums`` and ``den`` of the series.
 
-    A zero p(t) ends the table at c_t, its last nonzero entry, so a
-    terminating series is a short operand of ``convolve``.  The content is
-    divided out with the gcd taken from the ends inward, gcd(nums[0],
-    nums[-1], nums[-2], ...), whose running value is small after one step.
-    A lower parameter -j with 0 <= j < trunc leaves den == 0, or raises
-    ZeroDivisionError where a p(t) is 0 as well.
+    ``LaurentSeries`` makes those canonical: a zero p(t) zeroes every later
+    entry, which its trailing strip removes, so a terminating series is a
+    short operand of ``convolve``; it makes den positive and divides out the
+    content.  A lower parameter -j with 0 <= j < trunc leaves nums[0] == 0,
+    or a gcd of 0 where a p(t) is 0 as well: ZeroDivisionError either way.
     """
     lift_p = sign * scale ** max(0, len(lower) - len(upper))
     lift_q = scale ** max(0, len(upper) - len(lower))
@@ -117,18 +104,11 @@ def hyper_series(
         g = gcd(p, q)
         steps[k] = p // g
         nums[k - 1] = nums[k] * (q // g)
-    if 0 in steps:
-        del nums[steps.index(0) :]
     prefix = 1
-    for k in range(1, len(nums)):
+    for k in range(1, trunc + 1):
         prefix *= steps[k]
         nums[k] *= prefix
-    g = gcd(nums[0], *nums[:0:-1])
-    if nums[0] < 0:
-        g = -g
-    if g != 1:
-        nums = [c // g for c in nums]
-    return SeriesTable(tuple(nums), nums[0], trunc)
+    return LaurentSeries(0, nums, trunc, nums[0])
 
 
 class Theorem(enum.Enum):

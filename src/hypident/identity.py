@@ -62,12 +62,12 @@ def lhs_series(inst: IdentityInstance, trunc: int) -> LaurentSeries:
     of the n_i-dependent one breaks the support bound whenever r - s is odd
     and the n_i parities are mixed, so the per-term form is the one certified.
 
-    A term's two hypergeometric factors are ``hyper_series`` integer tables.
-    Their convolution goes, times the prefactor's numerator, into one
-    integer list at offset n_max - n_i over the lcm of the terms'
-    denominators, so S(z) is the one series built, and divides out its
-    content once.  A truncation below -n_max skips every term and gives the
-    zero series through z^trunc.
+    A term's two hypergeometric factors are ``hyper_series`` series, read
+    only as ``nums`` over ``den``.  The convolution of their numerators
+    goes, times the prefactor's numerator, into one integer list at offset
+    n_max - n_i over the lcm of the terms' denominators, so S(z) divides
+    out its content once.  A truncation below -n_max skips every term and
+    gives the zero series through z^trunc.
     """
     derived = inst.derived
     diff = derived.r - derived.s

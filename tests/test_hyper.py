@@ -4,7 +4,7 @@ from math import factorial, gcd
 
 import pytest
 
-from hypident.algebra import clear_denominators
+from hypident.algebra import LaurentSeries, clear_denominators
 from hypident.errors import DimensionMismatch, NotDistinctModZ, PrefactorPole
 from hypident.hyper import (
     IdentityInstance,
@@ -128,46 +128,41 @@ class TestPochhammer:
             assert poch_of(z, j) == (-1) ** j * poch_of(1 - z - j, j)
 
 
-def coefficients(table):
-    """A ``hyper_series`` table's coefficients through z^trunc: nums[k] / den
-    on the table, zeros past it."""
-    return [Q(c, table.den) for c in table.nums] + [Q(0)] * (table.trunc + 1 - len(table.nums))
-
-
 class TestHyperSeries:
-    """``hyper_series`` returns a bare integer table: c_k = nums[k] / den
-    for k < len(nums), 0 from there through ``trunc``."""
+    """``hyper_series`` returns the canonical ``LaurentSeries``: c_0 = 1, so
+    low is 0 and den is nums[0], and a terminating series ends at its last
+    nonzero entry."""
 
     def test_upper_lower_cancellation_gives_exp(self):
         s = series_of([Q(2, 7)], [Q(2, 7)], 5)
-        assert coefficients(s) == [Q(1, factorial(k)) for k in range(6)]
+        assert [s.coefficient(k) for k in range(6)] == [Q(1, factorial(k)) for k in range(6)]
 
     def test_terminating_square(self):
         s = series_of([-2, 1], [1], 5)
-        assert (s.nums, s.den, s.trunc) == ((1, -2, 1), 1, 5)
-        assert coefficients(s) == [1, -2, 1, 0, 0, 0]
+        assert s == LaurentSeries(0, (1, -2, 1), 5)
+        assert [s.coefficient(k) for k in range(6)] == [1, -2, 1, 0, 0, 0]
 
     def test_no_parameters_gives_exp(self):
         s = series_of([], [], 3)
-        assert coefficients(s) == [1, 1, Q(1, 2), Q(1, 6)]
+        assert [s.coefficient(k) for k in range(4)] == [1, 1, Q(1, 2), Q(1, 6)]
 
     def test_terminating_tail_vanishes(self):
-        # a terminating series ends its table at its last nonzero entry
         rng = random.Random(24)
         for _ in range(20):
             d = rng.randint(0, 6)
             extra = non_integer_rational(rng)
             # the 1/11 offset keeps the lower parameter off the integers
             s = series_of([-d, extra], [extra + Q(1, 11)], 10)
-            assert len(s.nums) == d + 1 and s.nums[d] != 0
-            assert coefficients(s)[d + 1 :] == [0] * (10 - d)
+            assert s.high == d and s.nums[d] != 0
+            assert [s.coefficient(k) for k in range(d + 1, 11)] == [0] * (10 - d)
 
     def test_against_the_oracle(self):
         # upper and lower counts differ in both directions (the D power moves
         # between P and Q), and a third of the upper lists terminate; a
-        # scale above the parameters' own lcm gives the same values, and
+        # scale above the parameters' own lcm gives the same series, and
         # argument sign -1 multiplies coefficient k by (-1)^k
         rng = random.Random(25)
+        terminating = 0
         for _ in range(60):
             upper = [
                 Q(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6, 9, 10]))
@@ -184,29 +179,34 @@ class TestHyperSeries:
             flipped = series_of(upper, lower, trunc, sign=-1)
             assert s.trunc == flipped.trunc == trunc
             # den is c_0's numerator, positive, with the content divided out,
-            # and the table ends at a nonzero entry
+            # and the stored numerators end at a nonzero entry
             assert s.den == s.nums[0] > 0 and gcd(*s.nums) == 1 and s.nums[-1] != 0
             expected = [series_coefficient(upper, lower, k) for k in range(trunc + 1)]
-            assert coefficients(s) == expected, (upper, lower)
-            assert coefficients(flipped) == [(-1) ** k * c for k, c in enumerate(expected)]
+            assert [s.coefficient(k) for k in range(trunc + 1)] == expected, (upper, lower)
+            signed = [(-1) ** k * c for k, c in enumerate(expected)]
+            assert [flipped.coefficient(k) for k in range(trunc + 1)] == signed
             lifted = series_of(upper, lower, trunc, lift=rng.choice([2, 5, 7]))
-            assert coefficients(lifted) == expected, (upper, lower)
+            assert [lifted.coefficient(k) for k in range(trunc + 1)] == expected, (upper, lower)
+            # the same record the oracle's coefficients build, terminating or not
+            for series, values in ((s, expected), (flipped, signed), (lifted, expected)):
+                den, nums = clear_denominators(values)
+                assert series == LaurentSeries(0, nums, trunc, den), (upper, lower)
+            terminating += s.high < trunc
+        assert terminating >= 10  # the draws reach the trailing strip
 
     def test_bad_lower_parameter(self):
-        # hyper_series checks nothing: a pole inside the truncation shows as
-        # den == 0, which a reader cannot divide by, or, where p(t) is 0
-        # too, fails on gcd 0
+        # hyper_series checks nothing: a pole inside the truncation fails
+        # loudly, from the zero denominator or, where p(t) is 0 too, from gcd 0
         for lower, lift in (([0], 1), ([-3], 1), ([-3], 4)):
-            s = series_of([Q(1, 2)], lower, 5, lift=lift)
-            assert s.den == 0
-            with pytest.raises(ZeroDivisionError):
-                coefficients(s)
+            with pytest.raises(ZeroDivisionError, match="series with zero denominator"):
+                series_of([Q(1, 2)], lower, 5, lift=lift)
         with pytest.raises(ZeroDivisionError):
             series_of([-3], [-3], 5)
         # positive integers, non-integers and a pole past the truncation are fine
         for lower in ([2], [Q(-7, 2)], [-5], [-9]):
             s = series_of([Q(1, 2)], lower, 5)
-            assert coefficients(s) == [series_coefficient([Q(1, 2)], lower, k) for k in range(6)]
+            for k in range(6):
+                assert s.coefficient(k) == series_coefficient([Q(1, 2)], lower, k)
 
 
 class TestValidate:
