@@ -10,92 +10,24 @@ outside the support vanishes exactly — no floating point is involved in
 any certificate.  A residue calculus on an associated family of rational
 kernels and a Bernoulli-polynomial growth law give independent routes to
 the same coefficients, which the verifier compares exactly.
+
+Each module lists its public names in its own ``__all__``; this package
+re-exports exactly those names and no others.
 """
 
-from .algebra import LaurentSeries, Polynomial, RationalFunction
-from .asymptotics import (
-    Lemma1Report,
-    check_residue_polynomial,
-    exp_series_coefficient,
-    law_points,
-)
-from .bessel import BesselReport, bessel_demo, bessel_j
-from .errors import (
-    CheckFailed,
-    DimensionMismatch,
-    HypidentError,
-    KBelowRange,
-    NotDistinctModZ,
-    NumericResidualExceeded,
-    PrefactorPole,
-    SupportViolation,
-    TruncationError,
-    ValidationError,
-)
-from .fuzzing import FuzzReport, fuzz, random_instance
-from .hyper import (
-    DerivedQuantities,
-    IdentityInstance,
-    Theorem,
-    validate,
-)
-from .identity import (
-    BetaTable,
-    VerificationReport,
-    beta_coefficients,
-    kernel_ladder,
-    lhs_series,
-    verify,
-)
-from .residues import (
-    ResidueKernel,
-    finite_residues,
-    residue_at_infinity,
-    residue_kernel,
-    residue_sum_closed_form,
-    sum_finite_residues,
-)
+from .algebra import *
+from .asymptotics import *
+from .bessel import *
+from .errors import *
+from .fuzzing import *
+from .hyper import *
+from .identity import *
+from .residues import *
 
 __version__ = "0.1.0"
 
+# importing a submodule binds its name here, so each list is in reach
 __all__ = [
-    "BesselReport",
-    "BetaTable",
-    "CheckFailed",
-    "DerivedQuantities",
-    "DimensionMismatch",
-    "FuzzReport",
-    "HypidentError",
-    "IdentityInstance",
-    "KBelowRange",
-    "LaurentSeries",
-    "Lemma1Report",
-    "NotDistinctModZ",
-    "NumericResidualExceeded",
-    "Polynomial",
-    "PrefactorPole",
-    "RationalFunction",
-    "ResidueKernel",
-    "SupportViolation",
-    "Theorem",
-    "TruncationError",
-    "ValidationError",
-    "VerificationReport",
-    "bessel_demo",
-    "bessel_j",
-    "beta_coefficients",
-    "check_residue_polynomial",
-    "exp_series_coefficient",
-    "finite_residues",
-    "fuzz",
-    "kernel_ladder",
-    "law_points",
-    "lhs_series",
-    "random_instance",
-    "residue_at_infinity",
-    "residue_kernel",
-    "residue_sum_closed_form",
-    "sum_finite_residues",
-    "validate",
-    "verify",
+    *algebra.__all__, *asymptotics.__all__, *bessel.__all__, *errors.__all__,
+    *fuzzing.__all__, *hyper.__all__, *identity.__all__, *residues.__all__,
 ]

@@ -31,6 +31,8 @@ memory over a long run).
 
 from __future__ import annotations
 
+__all__ = ["LaurentSeries", "Polynomial", "RationalFunction"]
+
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul

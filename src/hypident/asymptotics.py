@@ -52,6 +52,8 @@ proves the law by that one comparison of integers, D^t q_t = C_t.
 
 from __future__ import annotations
 
+__all__ = ["Lemma1Report", "check_residue_polynomial", "exp_series_coefficient", "law_points"]
+
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest

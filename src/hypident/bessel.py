@@ -25,6 +25,8 @@ exact layer.
 
 from __future__ import annotations
 
+__all__ = ["BesselReport", "bessel_demo", "bessel_j"]
+
 import math
 from fractions import Fraction
 from typing import Sequence

@@ -10,6 +10,11 @@ as residue routes that disagree, not as an error raised here.
 
 from __future__ import annotations
 
+__all__ = [
+    "HypidentError", "ValidationError", "DimensionMismatch", "NotDistinctModZ", "PrefactorPole",
+    "TruncationError", "KBelowRange", "SupportViolation", "CheckFailed", "NumericResidualExceeded",
+]
+
 
 class HypidentError(Exception):
     """Base class for all library errors."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["FuzzReport", "fuzz", "random_instance"]
+
 import random
 from fractions import Fraction
 

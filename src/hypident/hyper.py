@@ -18,6 +18,8 @@ integers, which is why ``hyper_series`` checks none of them.
 
 from __future__ import annotations
 
+__all__ = ["DerivedQuantities", "IdentityInstance", "Theorem", "validate"]
+
 import enum
 import re
 from functools import cached_property

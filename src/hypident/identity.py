@@ -29,6 +29,10 @@ sign(k) times route 2's (-1)^((r-s) j).  s = r is the case sign(k) = 1.
 
 from __future__ import annotations
 
+__all__ = [
+    "BetaTable", "VerificationReport", "beta_coefficients", "kernel_ladder", "lhs_series", "verify",
+]
+
 from fractions import Fraction
 from math import lcm
 

@@ -70,6 +70,11 @@ over (-1)^lo lo! (K - lo)!.  This route never reads a ``ResidueKernel``.
 
 from __future__ import annotations
 
+__all__ = [
+    "ResidueKernel", "finite_residues", "residue_at_infinity", "residue_kernel",
+    "residue_sum_closed_form", "sum_finite_residues",
+]
+
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm

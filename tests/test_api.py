@@ -14,10 +14,51 @@ import pytest
 import hypident
 
 
+EXPORTED = [
+    "BesselReport", "BetaTable", "CheckFailed", "DerivedQuantities", "DimensionMismatch",
+    "FuzzReport", "HypidentError", "IdentityInstance", "KBelowRange", "LaurentSeries",
+    "Lemma1Report", "NotDistinctModZ", "NumericResidualExceeded", "Polynomial", "PrefactorPole",
+    "RationalFunction", "ResidueKernel", "SupportViolation", "Theorem", "TruncationError",
+    "ValidationError", "VerificationReport", "bessel_demo", "bessel_j", "beta_coefficients",
+    "check_residue_polynomial", "exp_series_coefficient", "finite_residues", "fuzz",
+    "kernel_ladder", "law_points", "lhs_series", "random_instance", "residue_at_infinity",
+    "residue_kernel", "residue_sum_closed_form", "sum_finite_residues", "validate", "verify",
+]
+
+
 def test_every_export_resolves_once():
     assert len(hypident.__all__) == len(set(hypident.__all__))
     for name in hypident.__all__:
         assert hasattr(hypident, name), f"hypident.__all__ names missing {name}"
+
+
+def test_the_exported_names_are_pinned():
+    assert sorted(hypident.__all__) == EXPORTED
+
+
+def submodules():
+    """Every module of the package but ``__main__``, which starts the CLI."""
+    return [
+        importlib.import_module(f"hypident.{info.name}")
+        for info in pkgutil.iter_modules(hypident.__path__)
+        if info.name != "__main__"
+    ]
+
+
+def test_each_name_is_exported_by_the_module_that_defines_it():
+    listed = []
+    for module in submodules():
+        for name in getattr(module, "__all__", ()):
+            assert getattr(module, name).__module__ == module.__name__, (module.__name__, name)
+            listed.append(name)
+    assert sorted(listed) == sorted(hypident.__all__)  # one module's list each
+
+
+def test_the_package_holds_only_its_exports_and_submodules():
+    public = {name for name in vars(hypident) if not name.startswith("_")}
+    modules = {module.__name__.removeprefix("hypident.") for module in submodules()}
+    # a name a module binds but does not list, such as Fraction, must not leak
+    assert public - modules == set(hypident.__all__)
 
 
 def imports(path):
@@ -81,10 +122,7 @@ def package_records():
     """Every class of the package's modules built by ``algebra.record``,
     known by the qualname of the ``__setattr__`` that decorator installs."""
     found = set()
-    for info in pkgutil.iter_modules(hypident.__path__):
-        if info.name == "__main__":
-            continue  # running it starts the CLI
-        module = importlib.import_module(f"hypident.{info.name}")
+    for module in submodules():
         for value in vars(module).values():
             if isinstance(value, type) and value.__module__ == module.__name__:
                 if value.__setattr__.__qualname__.startswith("record.<locals>."):
