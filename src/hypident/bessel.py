@@ -48,11 +48,14 @@ def bessel_j(nu: Scalar | float, x: float) -> float:
     from the poles; for nu + 1 <= 0, 1/Gamma(nu+1) comes by reflection.  Past
     the k with (nu+1+k)(k+1) > x^2/4 every term ratio is below 1 and falls, so
     the first term there that leaves the float total unchanged ends the sum.
-    Raises ValueError for any other x, and OverflowError, naming nu and x,
-    where a term, (x/2)^nu, Gamma(nu+1) or Gamma(-nu), or J is not a finite float."""
+    Raises ValueError for any other x or for nu + 1 a non-positive integer, where
+    a term's divisor nu + 1 + k is 0, and OverflowError, naming nu and x, where a
+    term, (x/2)^nu, Gamma(nu+1) or Gamma(-nu), or J is not a finite float."""
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"x must be finite and positive, got {x}")
     order = Fraction(nu)
+    if order.denominator == 1 and order < 0:
+        raise ValueError(f"nu + 1 must not be a non-positive integer, got nu={nu}")
     w = -0.25 * x * x
     total, term, k = 0.0, 1.0, 0
     while math.isfinite(term):

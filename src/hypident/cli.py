@@ -1,18 +1,19 @@
 """JSON-in/JSON-out command line front end.
 
-Instance files are JSON objects {"a": [...], "b": [...], "m": [...],
-"n": [...]} with rationals written as ints or strings "p/q", "p"; r and s are
-inferred from the vector lengths; ``bessel --nu`` takes the same strings.
-Every command prints a single JSON payload on stdout, of any size: the
-interpreter's cap on int digits bounds the input only.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 input or validation error (with an
-{"error": ...} payload), a ``bessel`` value too large for a float, a run
-out of memory and a command line that does not parse included: the
-latter's UsageError payload is always compact, as --pretty was never
-read.  Output is deterministic: identical input, flags, and seed produce
-byte-identical bytes; --pretty toggles indentation only.  A reader that
-closes stdout early ends the run quietly with status 141, as a shell
-reports a process stopped by SIGPIPE.
+Every command parses its input, makes one call into ``identity``, ``fuzzing``
+or ``bessel`` (``residue-check`` hands it the kernel at --k) and prints one
+JSON payload on stdout, of any size: the interpreter's cap on int digits
+bounds the input only.  Instance files are JSON objects {"a": [...], "b":
+[...], "m": [...], "n": [...]} with rationals written as ints or strings
+"p/q", "p"; r and s are inferred from the vector lengths; ``bessel --nu``
+takes the same strings.  Exit codes: 0 all checks pass, 1 a check failed, 2
+input or validation error (with an {"error": ...} payload), a ``bessel``
+value too large for a float, a run out of memory and a command line that
+does not parse included: the latter's UsageError payload is always compact,
+as --pretty was never read.  Output is deterministic: identical input,
+flags, and seed produce byte-identical bytes; --pretty toggles indentation
+only.  A reader that closes stdout early ends the run quietly with status
+141, as a shell reports a process stopped by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import re
 import sys
 from pathlib import Path
 
-from .asymptotics import check_residue_polynomial, law_points
 from .bessel import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, bessel_demo
 from .errors import (
     CheckFailed,
@@ -34,13 +34,8 @@ from .errors import (
 )
 from .fuzzing import fuzz
 from .hyper import IdentityInstance, parse_rational
-from .identity import DEFAULT_BUFFER, beta_coefficients, verify
-from .residues import (
-    residue_at_infinity,
-    residue_kernel,
-    residue_sum_closed_form,
-    sum_finite_residues,
-)
+from .identity import DEFAULT_BUFFER, beta_coefficients, lemma_report, residue_routes, verify
+from .residues import residue_kernel
 
 #: Exceptions that mean "the certificate failed", not "the input was bad".
 _CHECK_FAILURES = (SupportViolation, CheckFailed, NumericResidualExceeded)
@@ -162,16 +157,10 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
         return table.to_dict(), 0
 
     if args.command == "lemma":
-        points = law_points(inst)
-        expansion = residue_kernel(inst, points.start).expansion
-        at_points = [residue_sum_closed_form(inst, k) for k in points]
-        return check_residue_polynomial(inst, expansion, at_points).to_dict(), 0
+        return lemma_report(inst).to_dict(), 0
 
     if args.command == "residue-check":
-        kernel = residue_kernel(inst, args.k)
-        finite = sum_finite_residues(kernel)
-        at_infinity = residue_at_infinity(kernel)
-        closed = residue_sum_closed_form(inst, args.k)
+        finite, at_infinity, closed = residue_routes(inst, residue_kernel(inst, args.k))
         agree = finite == at_infinity == closed
         payload = {
             "k": args.k,
@@ -205,31 +194,21 @@ def _emit(payload: dict, pretty: bool) -> None:
     print(text, flush=True)
 
 
-def run(args: argparse.Namespace) -> int:
-    """Execute one parsed command line; returns the process exit status."""
-    try:
-        payload, status = _dispatch(args)
-    except _CHECK_FAILURES as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
-        return 1
-    except (HypidentError, MemoryError, OSError, OverflowError, ValueError, ZeroDivisionError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.pretty)
-        return 2
-    _emit(payload, args.pretty)
-    return status
-
-
 def main(argv: list[str] | None = None) -> int:
-    # run lifts the cap on int digits for its output; a caller gets its own back
+    """Run one command line; returns the process exit status."""
+    # _dispatch lifts the cap on int digits for its output; a caller gets its own back
     limit = sys.get_int_max_str_digits()
+    pretty = False  # a command line that does not parse never set --pretty
     try:
         try:
             args = build_parser().parse_args(argv)
-        except UsageError as exc:
-            # the command line did not parse, so --pretty is unknown
-            _emit({"error": {"type": "UsageError", "message": str(exc)}}, pretty=False)
-            return 2
-        return run(args)
+            pretty = args.pretty
+            payload, status = _dispatch(args)
+        except (HypidentError, MemoryError, OSError, OverflowError, ValueError, ZeroDivisionError) as exc:
+            payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+            status = 1 if isinstance(exc, _CHECK_FAILURES) else 2
+        _emit(payload, pretty)
+        return status
     except BrokenPipeError:
         # the reader closed stdout early: what is still buffered goes to
         # devnull, so the flush at exit cannot fail again

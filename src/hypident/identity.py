@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import LaurentSeries, convolve, record
-from .asymptotics import check_residue_polynomial, law_points
+from .asymptotics import Lemma1Report, check_residue_polynomial, law_points
 from .errors import CheckFailed, SupportViolation
 from .hyper import (
     DerivedQuantities,
@@ -240,6 +240,21 @@ def kernel_ladder(inst: IdentityInstance, count: int) -> list[ResidueKernel]:
     return kernels
 
 
+def residue_routes(inst: IdentityInstance, kernel: ResidueKernel) -> tuple[Fraction, Fraction, Fraction]:
+    """Routes 3, 4 and 2 at ``kernel.k``: the sum of the kernel's finite residues,
+    its residue at infinity and the closed-form sum, each an independent value."""
+    return sum_finite_residues(kernel), residue_at_infinity(kernel), residue_sum_closed_form(inst, kernel.k)
+
+
+def lemma_report(inst: IdentityInstance) -> Lemma1Report:
+    """The law proved on route 4's expansion at its first point, k = -m_min, and
+    checked against route 2 at every law point; ValueError for a confluent instance,
+    CheckFailed where the law and a route differ."""
+    points = law_points(inst)
+    expansion = residue_kernel(inst, points.start).expansion
+    return check_residue_polynomial(inst, expansion, [residue_sum_closed_form(inst, k) for k in points])
+
+
 def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> VerificationReport:
     """Certify the instance's support claim and run all exact cross-checks.
 
@@ -260,9 +275,7 @@ def verify(inst: IdentityInstance, buffer: int = DEFAULT_BUFFER) -> Verification
         except CheckFailed:
             cross_checks["lemma1"] = False
         cross_checks["residue"] = all(
-            sum_finite_residues(kernel) == residue_at_infinity(kernel)
-            == residue_sum_closed_form(inst, kernel.k) == series.coefficient(kernel.k)
-            for kernel in kernels
+            residue_routes(inst, kernel) == (series.coefficient(kernel.k),) * 3 for kernel in kernels
         )
         if derived.m_min < derived.n_max:  # alpha's range is empty otherwise: not run
             cross_checks["alpha"] = all(

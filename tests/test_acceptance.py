@@ -15,8 +15,7 @@ import pytest
 from hypident.errors import ValidationError
 from hypident.fuzzing import random_instance, random_rational
 from hypident.hyper import IdentityInstance, Theorem, validate
-from hypident.identity import beta_coefficients, kernel_ladder, lhs_series
-from hypident.asymptotics import check_residue_polynomial, law_points
+from hypident.identity import beta_coefficients, kernel_ladder, lemma_report, lhs_series
 from hypident.bessel import bessel_demo
 from hypident.residues import (
     residue_at_infinity,
@@ -137,21 +136,13 @@ def _balanced_with_target_p(rng, p_target):
     raise RuntimeError("could not hit the target p")
 
 
-def check_law(inst):
-    """The law on route 4's expansion at its first point and route 2 at each
-    point, as the ``lemma`` command runs it."""
-    points = law_points(inst)
-    expansion = residue_kernel(inst, points.start).expansion
-    return check_residue_polynomial(inst, expansion, [residue_sum_closed_form(inst, k) for k in points])
-
-
 def test_criterion_4_residue_polynomial_law():
     started = time.perf_counter()
     rng = random.Random(1004)
     for p_target in (-1, 0, 1, 2, 3):
         for _ in range(5):
             inst = _balanced_with_target_p(rng, p_target)
-            report = check_law(inst)  # CheckFailed on mismatch
+            report = lemma_report(inst)  # CheckFailed on mismatch
             assert report.p == p_target
             assert len(report.points) == max(p_target, 0) + 3
             # the law's values are route 4's at every point

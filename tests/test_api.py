@@ -94,6 +94,38 @@ def test_the_law_and_the_kernel_routes_import_each_other_not(module, forbidden):
     assert not forbidden & set(imported), imported
 
 
+def names(path):
+    """Every name ``path`` binds, reads or imports, and every attribute it reads."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update({node.name, node.asname} - {None})
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, home",
+    [
+        ("sum_finite_residues", "residues"),
+        ("residue_at_infinity", "residues"),
+        ("residue_sum_closed_form", "residues"),
+        ("check_residue_polynomial", "asymptotics"),
+        ("law_points", "asymptotics"),
+    ],
+)
+def test_the_certificates_are_composed_in_identity_only(name, home):
+    # the lemma certificate and the three-route comparison are written once,
+    # in identity; the CLI hands identity the kernel at --k and prints
+    naming = {path.stem for path in Path(hypident.__file__).parent.glob("*.py") if name in names(path)}
+    assert naming == {home, "identity"}
+
+
 def test_the_cli_starts_without_dataclasses_or_inspect():
     # every CLI process pays its imports: dataclasses brings inspect, ast, dis
     # and tokenize, then builds each class through exec

@@ -11,8 +11,8 @@ from hypident.asymptotics import check_residue_polynomial, exp_series_coefficien
 from hypident.errors import CheckFailed
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance
-from hypident.identity import kernel_ladder, verify
-from hypident.residues import residue_at_infinity, residue_kernel, residue_sum_closed_form
+from hypident.identity import kernel_ladder, lemma_report, verify
+from hypident.residues import residue_at_infinity
 
 from oracles import bernoulli_numbers, compositions, law_g, law_q, poly_value
 
@@ -30,14 +30,6 @@ MIXED = IdentityInstance(a=(Q(1, 7), Q(-2, 3)), b=(Q(5, 9), Q(1, 5)), m=(6, 5), 
 
 def oracle_q(inst, p, k):
     return law_q(inst.a, inst.b, inst.m, inst.n, p, k)
-
-
-def check_law(inst):
-    """The law on route 4's expansion at its first point and route 2 at each point,
-    as the ``lemma`` command runs it."""
-    points = law_points(inst)
-    expansion = residue_kernel(inst, points.start).expansion
-    return check_residue_polynomial(inst, expansion, [residue_sum_closed_form(inst, k) for k in points])
 
 
 class TestBernoulliCombination:
@@ -203,20 +195,20 @@ class TestExpSeriesCoefficient:
 
 class TestResiduePolynomialLaw:
     def test_vanishing_case(self):
-        report = check_law(CANONICAL)
+        report = lemma_report(CANONICAL)
         assert report.p == -1
         assert report.polynomial is None
         assert all(v == 0 for v in report.residue_values)
 
     def test_constant_case(self):
         inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(1, 0), n=(0, 0))
-        report = check_law(inst)
+        report = lemma_report(inst)
         assert report.p == 0
         assert all(v == 1 for v in report.residue_values)
 
     def test_quadratic_case(self):
         inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(2, 1), n=(0, 0))
-        report = check_law(inst)
+        report = lemma_report(inst)
         assert report.p == 2
         assert report.polynomial is not None
         assert report.polynomial.degree == 2
@@ -226,13 +218,13 @@ class TestResiduePolynomialLaw:
         rng = random.Random(44)
         for _ in range(6):
             inst = random_instance(rng, r_range=(2, 3), shift_range=2, family="one")
-            report = check_law(inst)
+            report = lemma_report(inst)
             if report.p >= 1:
                 assert report.polynomial.degree == report.p
 
     def test_confluent_rejected(self):
         confluent = IdentityInstance(a=(0, Q(1, 3)), b=(), m=(), n=(0, 0))
-        for call in (law_points, check_law, lambda inst: check_residue_polynomial(inst, [], [])):
+        for call in (law_points, lemma_report, lambda inst: check_residue_polynomial(inst, [], [])):
             with pytest.raises(ValueError, match=r"^defined only for balanced instances \(s = r\)$"):
                 call(confluent)
 
@@ -246,14 +238,14 @@ class TestResiduePolynomialLaw:
         assert law_points(inst) == points
 
     def test_against_the_oracle(self):
-        report = check_law(P15)
+        report = lemma_report(P15)
         assert report.p == 15
         assert report.points == tuple(range(-5, 13))
         for k, value in zip(report.points, report.residue_values):
             assert value == oracle_q(P15, 15, k)
         for k in (-30, -6, 13, 50):
             assert poly_value(report.polynomial.coeffs, k) == oracle_q(P15, 15, k)
-        report = check_law(P31)
+        report = lemma_report(P31)
         assert report.p == 31
         for k in (-16, -3, 17):
             index = report.points.index(k)
@@ -273,7 +265,7 @@ class TestResiduePolynomialLaw:
         # and a wrong order t or a wrong value at the last point CheckFailed
         points = law_points(inst)
         ladder = kernel_ladder(inst, len(points))
-        report = check_law(inst)
+        report = lemma_report(inst)
         assert report.points == tuple(points)
         assert list(report.residue_values) == [residue_at_infinity(kernel) for kernel in ladder]
         expansion = ladder[0].expansion
@@ -309,7 +301,7 @@ class TestResiduePolynomialLaw:
         assert report.cross_checks == {"residue": True, "lemma1": False, "alpha": None}
         assert not report.passed
         with pytest.raises(CheckFailed, match=r"for k=1 is .*\(p=5\)"):
-            check_law(inst)
+            lemma_report(inst)
 
     def test_failure_under_the_int_text_cap(self, monkeypatch):
         # at p = 199 the law's last value has more than 640 digits: a failure

@@ -68,6 +68,12 @@ class TestBesselJ:
         with pytest.raises(ValueError, match=f"^x must be finite and positive, got {x}$"):
             bessel_j(nu, x)
 
+    @pytest.mark.parametrize("nu", [-1, -2, -1.0, Q(-3)])
+    def test_negative_integer_order_rejected(self, nu):
+        # unchecked, nu + 1 + k reaches 0 in the series loop: a bare ZeroDivisionError
+        with pytest.raises(ValueError, match=rf"^nu \+ 1 must not be a non-positive integer, got nu={nu}$"):
+            bessel_j(nu, 1.0)
+
 
 class TestBesselDemo:
     def test_zero_shift_is_identically_zero(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hypident import cli, fuzzing
+from hypident import cli, fuzzing, identity
 from hypident.cli import main
 from hypident.errors import ValidationError
 
@@ -145,9 +145,9 @@ class TestLemmaCommand:
 
     def test_route_2_fault_at_a_law_point_exits_1(self, tmp_path, capsys, monkeypatch):
         # route 2 off by 1 at k = 4, one of DEGREE_FIVE's law points -3 .. 4
-        real = cli.residue_sum_closed_form
+        real = identity.residue_sum_closed_form
         monkeypatch.setattr(
-            cli, "residue_sum_closed_form", lambda inst, k: real(inst, k) + (k == 4)
+            identity, "residue_sum_closed_form", lambda inst, k: real(inst, k) + (k == 4)
         )
         path = write(tmp_path, "inst.json", DEGREE_FIVE)
         status, out = run_cli(capsys, ["lemma", path])

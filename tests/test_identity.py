@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hypident import asymptotics, cli, identity
+from hypident import asymptotics, identity
 from hypident.algebra import LaurentSeries, clear_denominators
 from hypident.asymptotics import law_points
 from hypident.cli import main
@@ -459,7 +459,6 @@ class TestVerify:
             return real(inst, k, below)
 
         monkeypatch.setattr(identity, "residue_kernel", build)
-        monkeypatch.setattr(cli, "residue_kernel", build)
         report = verify(inst)
         assert report.passed
         assert built == [(k, k == ks[0]) for k in ks]
