@@ -55,7 +55,8 @@ def convolve(a: Sequence[int], b: Sequence[int], width: int) -> list[int]:
     """The first ``width`` coefficients of the product of the integer series
     a and b, both from the same power: entry e is sum_i a[i] b[e - i], one
     ``map`` over a and a slice of b padded with zeros to ``width`` and
-    reversed once.  A short b costs zero products, so pass the shorter as a."""
+    reversed once.  Entry e takes min(len(a), e + 1) products, the padding
+    zeros of a short b among them."""
     a = a[:width]
     rev = [*b[:width], *[0] * (width - len(b))][::-1]
     return [sum(map(mul, a, rev[width - 1 - e :])) for e in range(width)]

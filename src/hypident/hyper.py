@@ -1,12 +1,13 @@
 """Instance bookkeeping for the reduction identities.
 
-Holds the rising factorial with integer shifts of either sign (``rising``,
-and ``rising_quotient`` for a quotient of them as one Fraction), formal
-hypergeometric series (``hyper_series``), and the validation step that
-turns a raw parameter/shift tuple into the derived quantities (M, N, m_min,
-n_max, p, D) driving everything downstream.  D is the lcm of the
-denominators of a and b, and every series or Pochhammer argument the routes
-need is an integer over D: these functions take it as that integer.
+Holds a quotient of rising factorials with integer shifts of either sign
+as one signed Pochhammer product over its ups and its reflected downs
+(``rising_quotient``), formal hypergeometric series (``hyper_series``), and
+the validation step that turns a raw parameter/shift tuple into the derived
+quantities (M, N, m_min, n_max, p, D) driving everything downstream.  D is
+the lcm of the denominators of a and b, and every series or Pochhammer
+argument the routes need is an integer over D: these functions take it as
+that integer.
 
 Parameters are exact rationals throughout: an instance takes only ints and
 Fractions, and text only in the form "p/q" or "p" (``parse_rational``), so
@@ -41,31 +42,24 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def rising(x: int, q: int, scale: int) -> tuple[int, int]:
-    """(x/scale)_q for any integer q, as integers (top, bottom) with
-    (x/scale)_q = top / (bottom * scale**q).  For q < 0, top is 1 and
-    bottom is 0 exactly at the poles, x/scale in 1 .. -q."""
-    if q >= 0:
-        return prod(range(x, x + q * scale, scale)), 1
-    return 1, prod(range(x + q * scale, x, scale))
-
-
 def rising_quotient(
     scale: int, ups: Sequence[tuple[int, int]], downs: Sequence[tuple[int, int]]
 ) -> Fraction:
     """prod (x/scale)_q over the (x, q) in ``ups`` divided by the same
-    product over ``downs``, as one Fraction: the integer products of
-    ``rising`` over the one power of scale their shifts leave.  A zero
-    factor (a pole of an up, a zero of a down) raises ZeroDivisionError;
-    validation rejects every instance on which the callers would meet one."""
+    product over ``downs``, as one Fraction.  As (x)_q (x + q)_{-q} = 1, each
+    down (y, Q) is the up (y + Q scale, -Q), and (x/scale)_q is the integer
+    prod(x .. x + (q - 1) scale) over scale^q, for q < 0 scale^-q over
+    prod(x + q scale .. x - scale).  A zero factor (a pole of an up, a zero
+    of a down) raises ZeroDivisionError; validation rejects every instance
+    on which the callers would meet one."""
     top = bottom = 1
     exponent = 0  # the power of scale in the denominator
-    for x, q in ups:
-        up, down = rising(x, q, scale)
-        top, bottom, exponent = top * up, bottom * down, exponent + q
-    for x, q in downs:
-        up, down = rising(x, q, scale)
-        top, bottom, exponent = top * down, bottom * up, exponent - q
+    for x, q in [*ups, *[(y + q * scale, -q) for y, q in downs]]:
+        if q >= 0:
+            top *= prod(range(x, x + q * scale, scale))
+        else:
+            bottom *= prod(range(x + q * scale, x, scale))
+        exponent += q
     return Fraction(top * scale ** max(0, -exponent), bottom * scale ** max(0, exponent))
 
 

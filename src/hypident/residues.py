@@ -51,21 +51,24 @@ once per kernel); ``finite_residues`` lists each num(w0) / den'(w0) in z,
 and ``sum_finite_residues`` sums them as one integer over the lcm of the
 den'(w0).  The closed-form route sums
 the residues (-1)^j prod_l (1 - b_l + a_i - j)_{m_l+k} / (j! (K - j)!
-prod_{l != i} (a_i - a_l - j)_{n_l+k+1}) at z = a_i + k - j, stepping each
-pole string in j: (y - 1)_q / (y)_q is (y - 1)/(y + q - 1) for q of
-either sign, so term j + 1 is term j times -(K - j)/(j + 1), times
-(Y_l - D)/(Y_l + (q_l - 1) D) for each l and
-(X_l + (Q_l - 1) D)/(X_l - D) for each l != i, where K = k + n_i,
-Y_l = D (1 - b_l + a_i - j), X_l = D (a_i - a_l - j), q_l = m_l + k and
-Q_l = n_l + k + 1 (a factor of shift 0 is 1 and left out).  A run of
+prod_{l != i} (a_i - a_l - j)_{n_l+k+1}) at z = a_i + k - j, K = k + n_i.
+Each down (X/D)_Q, X = D (a_i - a_l - j), Q = n_l + k + 1, reflects to the
+up (X/D + Q)_{-Q} (``rising_quotient``), so the term is (-1)^j over
+j! (K - j)! times one product of (Y/D)_q over its pairs (Y, q), stepped in
+j: (y - 1)_q / (y)_q is (y - 1)/(y + q - 1) for q of either sign, so term
+j + 1 is term j times -(K - j)/(j + 1) and (Y - D)/(Y + (q - 1) D) for
+every pair, Y at j (a factor of shift 0 is 1 and left out).  A run of
 nonzero terms is thus one integer over a running denominator, as in
-``hyper_series``.  A zero term cannot be stepped out of.  It has a factor
-Y_l / D in -(q_l - 1) .. 0, so b_l - a_i is an integer, and it lies at an
-end of its string: zero terms on both sides of a nonzero one, like a pole
-in any term, need b_l - a_i in [m_l - n_i + 1, 0], a prefactor pole that
-``validate`` rejects.  So each string is one run lo .. hi, started from its
-own pairs (Y_l, q_l) and (X_l, Q_l) moved to j = lo: one ``rising_quotient``
-over (-1)^lo lo! (K - lo)!.  This route never reads a ``ResidueKernel``.
+``hyper_series``.  A reflected down lies in D (a_i - a_l) + D Z, never in
+D Z as validation keeps the a_i apart mod 1, so only an up,
+Y = D (1 - b_l + a_i - j) with q = m_l + k, can zero a term, and the scan
+for zero terms reads the ups alone.  A zero term cannot be stepped out of.
+It has a factor Y/D in -(q - 1) .. 0, so b_l - a_i is an integer, and it
+lies at an end of its string: zero terms on both sides of a nonzero one,
+like a pole in any term, need b_l - a_i in [m_l - n_i + 1, 0], a prefactor
+pole that ``validate`` rejects.  So each string is one run lo .. hi,
+started from its pairs moved to j = lo: one ``rising_quotient`` over
+(-1)^lo lo! (K - lo)!.  This route never reads a ``ResidueKernel``.
 """
 
 from __future__ import annotations
@@ -211,10 +214,8 @@ def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Fraction:
     strings = []  # (numerator, denominator) of each string's sum
     for i, n_i in enumerate(inst.n):
         top = k + n_i
-        # Y_l and X_l at j = 0 with their shifts; a factor of shift 0 is 1
+        # Y_l at j = 0 with its shift; a factor of shift 0 is 1
         ups = [(scale - b_l + a[i], m_l + k) for b_l, m_l in zip(b, inst.m) if m_l + k]
-        downs = [(a[i] - a_l, n_l + k + 1) for l, (a_l, n_l) in enumerate(zip(a, inst.n))
-                 if l != i and n_l + k + 1]
         # the nonzero terms are the one run lo .. hi (module docstring)
         lo, hi = 0, top
         for y, q in ups:
@@ -223,20 +224,20 @@ def residue_sum_closed_form(inst: IdentityInstance, k: int) -> Fraction:
                 lo, hi = (max(lo, c + q), hi) if c <= 0 else (lo, min(hi, c - 1))
         if lo > hi:
             continue
+        # each X_l at j = 0 with its shift Q_l, reflected to the up (X_l + Q_l D, -Q_l)
+        pairs = ups + [(a[i] - a_l + (n_l + k + 1) * scale, -n_l - k - 1)
+                       for l, (a_l, n_l) in enumerate(zip(a, inst.n)) if l != i and n_l + k + 1]
         # term lo: the pairs moved to j = lo, over (-1)^lo lo! (top - lo)!
-        start = rising_quotient(
-            scale, [(y - lo * scale, q) for y, q in ups], [(x - lo * scale, q) for x, q in downs]
-        )
+        start = rising_quotient(scale, [(y - lo * scale, q) for y, q in pairs], [])
         term = acc = (-1) ** lo * start.numerator
         den = start.denominator * factorial(lo) * factorial(top - lo)
         for j in range(lo + 1, hi + 1):
             # the ratio of term j to term j - 1
-            up, down, shift = j - 1 - top, j, (j - 1) * scale
-            for y, q in ups:
-                up, down = up * (y - shift - scale), down * (y - shift + (q - 1) * scale)
-            for x, q in downs:
-                up, down = up * (x - shift + (q - 1) * scale), down * (x - shift - scale)
-            term, den, acc = term * up, den * down, acc * down + term * up
+            up, down, shift = j - 1 - top, j, j * scale
+            for y, q in pairs:
+                up, down = up * (y - shift), down * (y - shift + q * scale)
+            term, den = term * up, den * down
+            acc = acc * down + term
         strings.append((acc, den))
     common = lcm(*[den for _, den in strings])
     return Fraction(sum([acc * (common // den) for acc, den in strings]), common)

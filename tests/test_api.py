@@ -94,6 +94,89 @@ def test_the_law_and_the_kernel_routes_import_each_other_not(module, forbidden):
     assert not forbidden & set(imported), imported
 
 
+def package_definitions():
+    """(definitions, scopes): every top-level function and class of ``src/``
+    and every method, keyed "module.Class.name", with its AST node; and per
+    module, each name it binds to one of them, its own or imported."""
+    definitions, scopes = {}, {}
+    for path in Path(hypident.__file__).parent.glob("*.py"):
+        module, scope = path.stem, scopes.setdefault(path.stem, {})
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope[node.name] = f"{module}.{node.name}"
+                definitions[scope[node.name]] = node
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef):
+                        definitions[f"{module}.{node.name}.{item.name}"] = item
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                scope.update({alias.asname or alias.name: f"{node.module}.{alias.name}" for alias in node.names})
+    return definitions, scopes
+
+
+def call_closure(entry, left_out=("hyper.IdentityInstance.derived",)):
+    """Every definition of ``src/`` that ``entry`` reaches: a name bound to a
+    function or class, an attribute named as any package method (so every
+    method of that name), and building a class runs its ``__post_init__``.
+    Annotations are not followed, nor anything in ``left_out``."""
+    definitions, scopes = package_definitions()
+    methods = {}
+    for key in definitions:
+        if key.count(".") == 2:
+            methods.setdefault(key.rsplit(".", 1)[1], set()).add(key)
+    reached, todo = set(), [entry]
+    while todo:
+        key = todo.pop()
+        if key in reached or key in left_out or key not in definitions:
+            continue
+        reached.add(key)
+        node, scope = definitions[key], scopes[key.split(".", 1)[0]]
+        if isinstance(node, ast.ClassDef):
+            todo.append(f"{key}.__post_init__")
+            continue
+        annotations = {id(sub) for part in ast.walk(node) for field in ("annotation", "returns")
+                       if getattr(part, field, None) for sub in ast.walk(getattr(part, field))}
+        for sub in ast.walk(node):
+            if id(sub) in annotations:
+                continue
+            if isinstance(sub, ast.Name) and sub.id in scope:
+                todo.append(scope[sub.id])
+            elif isinstance(sub, ast.Attribute):
+                todo += methods.get(sub.attr, ())
+    return reached
+
+
+ROUTES = {
+    "route 1": "identity.lhs_series",
+    "route 2": "residues.residue_sum_closed_form",
+    "route 3": "residues.sum_finite_residues",
+    "route 4": "residues.residue_at_infinity",
+    "law": "asymptotics.check_residue_polynomial",
+}
+# what two routes may share; a new shared helper must argue for its place here
+SHARED = {
+    ("route 1", "route 2"): {"hyper.rising_quotient"},
+    ("route 3", "route 4"): {"residues.ResidueKernel._to_z"},
+}
+
+
+def test_the_call_closure_sees_the_calls_that_are_there():
+    assert {"hyper.hyper_series", "algebra.convolve", "algebra.LaurentSeries.__post_init__"} <= call_closure(
+        ROUTES["route 1"]
+    )
+    assert "residues.ResidueKernel.expansion" in call_closure(ROUTES["route 4"])
+    assert {"asymptotics._law_values", "asymptotics._step"} <= call_closure(ROUTES["law"])
+    assert "hyper.IdentityInstance.derived" not in call_closure(ROUTES["route 2"])
+
+
+@pytest.mark.parametrize("pair", [(x, y) for i, x in enumerate(ROUTES) for y in list(ROUTES)[i + 1 :]])
+def test_the_routes_share_only_the_pinned_helpers(pair):
+    # a route rewritten to read another agrees with it whenever the code is
+    # right, so only the structure can show it: the call closures in src/ of
+    # the routes' and the law's entry points, validation left out
+    first, second = (call_closure(ROUTES[route]) for route in pair)
+    assert first & second == SHARED.get(pair, set())
+
+
 def names(path):
     """Every name ``path`` binds, reads or imports, and every attribute it reads."""
     found = set()

@@ -10,7 +10,6 @@ from hypident.hyper import (
     IdentityInstance,
     Theorem,
     hyper_series,
-    rising,
     rising_quotient,
     validate,
 )
@@ -28,6 +27,14 @@ def poch_of(x, k):
     return rising_quotient(x.denominator, [(x.numerator, k)], [])
 
 
+def outcome(scale, ups, downs):
+    """rising_quotient(scale, ups, downs), None where it raises ZeroDivisionError."""
+    try:
+        return rising_quotient(scale, ups, downs)
+    except ZeroDivisionError:
+        return None
+
+
 def series_of(upper, lower, trunc, lift=1, sign=1):
     """hyper_series over rational parameters, on lift times the lcm of
     their denominators."""
@@ -37,35 +44,38 @@ def series_of(upper, lower, trunc, lift=1, sign=1):
 
 
 class TestPochhammer:
-    """``rising`` and ``rising_quotient``, the one Pochhammer of the package."""
+    """``rising_quotient``, the one Pochhammer of the package: ups and downs of
+    either sign, a pole of an up or a zero of a down a ZeroDivisionError."""
 
     def test_empty_product(self):
         for x in (Q(0), Q(7, 3), Q(-5)):
-            assert rising(x.numerator, 0, x.denominator) == (1, 1)
             assert poch_of(x, 0) == 1
+            assert rising_quotient(x.denominator, [], [(x.numerator, 0)]) == 1
         assert rising_quotient(5, [], []) == 1
 
     def test_factorial(self):
-        assert rising(1, 4, 1) == (24, 1)
         assert poch_of(1, 4) == 24
-        assert rising(1, 2, 2) == (3, 1)  # (1/2)_2 = 1 * 3 / 2^2
-        assert poch_of(Q(1, 2), 2) == Q(3, 4)
+        assert rising_quotient(1, [], [(1, 4)]) == Q(1, 24)
+        assert poch_of(Q(1, 2), 2) == Q(3, 4)  # (1/2)_2 = 1 * 3 / 2^2
+        assert rising_quotient(2, [], [(1, 2)]) == Q(4, 3)
 
     def test_negative_shift(self):
-        assert rising(1, -1, 2) == (1, -1)  # (1/2)_{-1} = 1 / (-1 * 2^-1)
-        assert poch_of(Q(1, 2), -1) == -2
+        assert poch_of(Q(1, 2), -1) == -2  # (1/2)_{-1} = 1 / (-1/2)
+        assert rising_quotient(2, [], [(1, -1)]) == Q(-1, 2)
         assert poch_of(Q(1, 2), -2) == Q(4, 3)  # 1/((-3/2)(-1/2))
 
     def test_pole(self):
-        assert rising(1, -1, 1) == (1, 0)
-        assert rising(9, -5, 3)[1] == 0  # (3)_{-5}
         with pytest.raises(ZeroDivisionError):
             poch_of(1, -1)
         with pytest.raises(ZeroDivisionError):
             poch_of(3, -5)
-        # a zero of a down is a pole of the quotient too
+        with pytest.raises(ZeroDivisionError):
+            rising_quotient(3, [(9, -5)], [])  # (3)_{-5}, scaled by 3
+        # a zero of a down is a pole of the quotient too, a pole of a down a zero
         with pytest.raises(ZeroDivisionError):
             rising_quotient(2, [(1, 1)], [(0, 2)])
+        assert rising_quotient(1, [], [(1, -1)]) == 0
+        assert rising_quotient(3, [(1, 2)], [(9, -5)]) == 0
 
     def test_reflection(self):
         rng = random.Random(21)
@@ -111,8 +121,9 @@ class TestPochhammer:
         for x in range(-8, 9):
             for k in range(-6, 7):
                 for scale in (1, 3):
-                    bottom = rising(x * scale, k, scale)[1]
-                    assert (bottom == 0) == (1 <= x <= -k), (x, k, scale)
+                    # a pole of the up, and the same Pochhammer a zero as a down
+                    assert (outcome(scale, [(x * scale, k)], []) is None) == (1 <= x <= -k), (x, k, scale)
+                    assert (outcome(scale, [], [(x * scale, k)]) == 0) == (1 <= x <= -k), (x, k, scale)
                 if 1 <= x <= -k:
                     with pytest.raises(ZeroDivisionError):
                         poch_of(x, k)

@@ -537,7 +537,7 @@ class TestFaultInjection:
                 1002,
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="ROADMAP item 1: confluent verify runs no residue, alpha or law "
+                    reason="ROADMAP item 3: confluent verify runs no residue, alpha or law "
                     "check, so an in-support coefficient rests on route 1 alone",
                 ),
             ),
@@ -625,7 +625,7 @@ class TestFaultInjection:
                 id="P31",
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="ROADMAP item 1, step 1: P31's residue window k = -16 .. -4 lies below "
+                    reason="ROADMAP item 1: P31's residue window k = -16 .. -4 lies below "
                     "k = -n_max = 0, the first kernel with a pole, so it compares no residue",
                 ),
             ),

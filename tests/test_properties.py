@@ -22,7 +22,7 @@ from hypident import asymptotics  # noqa: E402
 from hypident.algebra import LaurentSeries, clear_denominators  # noqa: E402
 from hypident.asymptotics import check_residue_polynomial, law_points  # noqa: E402
 from hypident.errors import PrefactorPole, ValidationError  # noqa: E402
-from hypident.hyper import IdentityInstance, rising, validate  # noqa: E402
+from hypident.hyper import IdentityInstance, rising_quotient, validate  # noqa: E402
 from hypident.identity import beta_coefficients, kernel_ladder, verify  # noqa: E402
 from hypident.residues import ResidueKernel, residue_at_infinity, residue_sum_closed_form  # noqa: E402
 
@@ -169,6 +169,28 @@ def test_times_one_minus_z_against_the_convolution_oracle(power, low, nums, den,
         assert product.coefficient(e) == expected.get(e, 0)
 
 
+def outcome(scale, ups, downs):
+    """rising_quotient(scale, ups, downs), None where it raises ZeroDivisionError."""
+    try:
+        return rising_quotient(scale, ups, downs)
+    except ZeroDivisionError:
+        return None
+
+
+PAIRS = st.lists(st.tuples(st.integers(-12, 12), st.integers(-4, 4)), max_size=3)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.integers(1, 4), PAIRS, PAIRS)
+@example(2, [], [(0, 2)])  # a zero of a down: both raise
+@example(1, [(2, 1)], [(1, -1)])  # a pole of a down: both 0
+def test_a_down_is_its_reflected_up(scale, ups, downs):
+    # (x)_q (x + q)_{-q} = 1: a quotient is the product over its ups and
+    # each down (y, q) as the up (y + q scale, -q), zeros and poles included
+    reflected = [(y + q * scale, -q) for y, q in downs]
+    assert outcome(scale, ups, downs) == outcome(scale, ups + reflected, [])
+
+
 def prefactor_instance(x, q, a_1, n):
     # r = 2, s = 1: the pair (0, 0) has 1 - b_0 + a_0 = x and the shift q
     return IdentityInstance(a=(Fraction(0), a_1), b=(1 - x,), m=(q + n[0],), n=n)
@@ -197,11 +219,11 @@ PREFACTOR_INSTANCES = st.builds(
 @example(prefactor_instance(Fraction(1), 0, Fraction(1, 3), (0, 0)))
 def test_prefactor_pole_is_a_zero_factor_of_rising(inst):
     # validation rejects exactly the pairs whose (1 - b_l + a_i)_(m_l - n_i),
-    # as ``rising`` multiplies it out, has a zero factor below the bar
+    # as ``rising_quotient`` multiplies it out, has a zero factor below the bar
     scale, ints = clear_denominators(inst.a + inst.b)
     a, b = ints[: inst.r], ints[inst.r :]
     pole = any(
-        rising(scale - b_l + a_i, m_l - n_i, scale)[1] == 0
+        outcome(scale, [(scale - b_l + a_i, m_l - n_i)], []) is None
         for a_i, n_i in zip(a, inst.n)
         for b_l, m_l in zip(b, inst.m)
     )
