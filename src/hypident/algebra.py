@@ -57,18 +57,16 @@ def convolve(a: Sequence[int], b: Sequence[int], width: int) -> list[int]:
     ``map`` over a and a slice of b padded with zeros to ``width`` and
     reversed once.  Entry e takes min(len(a), e + 1) products, the padding
     zeros of a short b among them."""
-    a = a[:width]
     rev = [*b[:width], *[0] * (width - len(b))][::-1]
     return [sum(map(mul, a, rev[width - 1 - e :])) for e in range(width)]
 
 
 def record(cls: RecordType) -> RecordType:
     """``cls`` as an immutable value whose fields are its annotated names, in
-    order, with class attributes as defaults: ``__init__`` by position or
-    keyword, then ``__post_init__`` if defined; a field-wise repr; ``==`` and
+    order, each given: ``__init__`` by position or keyword, a missing field a
+    TypeError, then ``__post_init__`` if defined; a field-wise repr; ``==`` and
     hash on the fields within one class; AttributeError on any set or delete."""
     names = tuple(cls.__annotations__)
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = getattr(cls, "__post_init__", lambda self: None)
     fields = attrgetter(*names)
 
@@ -77,9 +75,9 @@ def record(cls: RecordType) -> RecordType:
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
         for name in names[len(args) :]:
-            if name not in kwargs and name not in defaults:
+            if name not in kwargs:
                 raise TypeError(f"{cls.__name__} needs the field {name}")
-            object.__setattr__(self, name, kwargs.pop(name) if name in kwargs else defaults[name])
+            object.__setattr__(self, name, kwargs.pop(name))
         if kwargs or len(args) > len(names):
             raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}, each once")
         post_init(self)
@@ -174,8 +172,8 @@ class LaurentSeries:
     Fraction through ``coefficient``.  Coefficients at
     exponents in (low + len(nums) - 1, trunc] are exactly zero; exponents
     above ``trunc`` are unknown and querying them raises TruncationError.
-    ``nums`` and ``den`` are ints (``clear_denominators`` turns rationals
-    into that form); a nonzero Fraction numerator raises TypeError.
+    ``nums`` and ``den`` are ints, both required (``clear_denominators`` turns
+    rationals into that form); a nonzero Fraction numerator raises TypeError.
     Construction canonicalises, the one place in the package that does:
     ``den`` is made positive, zero numerators are stripped at both ends and
     the content gcd(den, *nums) is divided out, so two equal series compare
@@ -188,7 +186,7 @@ class LaurentSeries:
     low: int
     nums: tuple[int, ...]
     trunc: int
-    den: int = 1
+    den: int
 
     def __post_init__(self) -> None:
         nums, den = self.nums, self.den

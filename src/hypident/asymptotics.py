@@ -15,21 +15,21 @@ and exponentiating gives q_0 = 1 and s q_s = sum_{u=1}^{s} u G_u q_{s-u}.
 The law is evaluated, never expanded: q_p(k) is computed at each sampled k
 in integers, from Bernoulli numbers built from integer tangent numbers.
 With D the lcm of the denominators of a and b (as in ``residues``), every
-Bernoulli argument is X / D with X an integer, and with L the lcm of the
-denominators of B_0 .. B_p, h_u = L D^(u+1) Q_u(k) is an integer: at the
-first k, sum_{l=1}^{n} C(n, l) L B_{n-l} D^(n-l) S_l at n = u + 1, over the
-power sums S_l of the signed X.  The l = 0 term would take B_n, but S_0 is
-the sum of the signs, r - s + s - r = 0, so B_{p+1} is never needed.  As
-B_n(x) - B_n(x + m) = -n sum_{0<=t<m} (x + t)^(n-1) for integers m >= 0 (swap
-x and x + m for m < 0), and Q_u pairs a_i with n_i and b_i with m_i, the
-integer D^u Q_u / (u + 1) is a signed sum of u-th powers of D (x + t), so
-g_u = u D^u G_u = (-1)^(u+1) h_u / (L D (u + 1)) and the recurrence on
-v_t = D^t q_t is t v_t = sum_u g_u v_{t-u}.  Each v_t is an integer: at
-k = -m_min it is C_t, route 4's coefficient at infinity of a ratio of monic
-integer polynomials in w = D z (below; the Bernoulli expansion of a ratio
-of Gamma functions, Tricomi & Erdelyi 1951).  So each order is one exact
-division, and a remainder means a wrong Bernoulli number (in g_u) or a
-law's series that is not route 4's (in v_t).
+Bernoulli argument is X / D with X an integer, and with L the scale of
+``clear_denominators`` on B_0 .. B_p, h_u = L D^(u+1) Q_u(k) is an integer:
+at the first k, sum_{l=1}^{n} C(n, l) L B_{n-l} D^(n-l) S_l at n = u + 1,
+over the power sums S_l of the signed X.  The l = 0 term would take B_n,
+but S_0 is the sum of the signs, r - s + s - r = 0, so B_{p+1} is never
+needed.  As B_n(x) - B_n(x + m) = -n sum_{0<=t<m} (x + t)^(n-1) for
+integers m >= 0 (swap x and x + m for m < 0), and Q_u pairs a_i with n_i
+and b_i with m_i, the integer D^u Q_u / (u + 1) is a signed sum of u-th
+powers of D (x + t), so g_u = u D^u G_u = (-1)^(u+1) h_u / (L D (u + 1))
+and the recurrence on v_t = D^t q_t is t v_t = sum_u g_u v_{t-u}.  Each
+v_t is an integer: at k = -m_min it is C_t, route 4's coefficient at
+infinity of a ratio of monic integer polynomials in w = D z (below; the
+Bernoulli expansion of a ratio of Gamma functions, Tricomi & Erdelyi
+1951).  So each order is one exact division, and a remainder means a wrong
+Bernoulli number (in g_u) or a law's series that is not route 4's (in v_t).
 
 The recurrence runs once, at the first k; the series then steps in k.
 From B_n(x - 1) = B_n(x) - n (x - 1)^(n-1), each G_j moves by
@@ -57,11 +57,11 @@ __all__ = ["Lemma1Report", "check_residue_polynomial", "exp_series_coefficient",
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 from typing import Sequence
 
-from .algebra import Polynomial, Scalar, record
+from .algebra import Polynomial, Scalar, clear_denominators, record
 from .errors import CheckFailed
 from .hyper import IdentityInstance, Theorem
 
@@ -99,9 +99,8 @@ def _law_values(
         return [], [Fraction(0)] * count
     derived = inst.derived
     d, a, b = derived.scale, derived.a_int, derived.b_int
-    numbers = _bernoulli_numbers(order)
-    ell = lcm(*[x.denominator for x in numbers])  # L of the module docstring
-    row = [x.numerator * (ell // x.denominator) * d**j for j, x in enumerate(numbers)]  # L B_j D^j
+    ell, row = clear_denominators(_bernoulli_numbers(order))  # L and L B_j
+    row = [c * d**j for j, c in enumerate(row)]  # L B_j D^j
 
     # power_sums[l] = sum sign X^l over D times the Bernoulli arguments of
     # Q_j at k = start, with their signs

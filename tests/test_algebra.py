@@ -73,10 +73,10 @@ class TestPolynomial:
 
 class TestLaurentSeries:
     def test_canonicalisation(self):
-        s = LaurentSeries(-2, (0, 1, 0), 5)
+        s = LaurentSeries(-2, (0, 1, 0), 5, 1)
         assert s.low == -1
         assert s.nums == (1,)
-        z = LaurentSeries(0, (0,), 7)
+        z = LaurentSeries(0, (0,), 7, 1)
         assert z.nums == () and z.low == 8
         assert z.den == 1
         # cleared rationals, ints over a denominator, a negative denominator
@@ -99,7 +99,7 @@ class TestLaurentSeries:
             LaurentSeries(0, (1,), 5, 0)
         # numerators are ints only; rationals go through clear_denominators
         with pytest.raises(TypeError):
-            LaurentSeries(0, (1, Q(1, 2)), 5)
+            LaurentSeries(0, (1, Q(1, 2)), 5, 1)
         with pytest.raises(TypeError):
             LaurentSeries(0, (Q(2),), 5, 3)
 
@@ -120,10 +120,12 @@ class TestLaurentSeries:
             assert series(s.low, coeffs(s), s.trunc) == s
 
     def test_construction_arguments(self):
-        assert LaurentSeries(0, (3,), 5) == LaurentSeries(0, (3,), trunc=5, den=1)
-        # a missing field, one too many, one given twice, an unknown one
+        assert LaurentSeries(0, (3,), 5, 1) == LaurentSeries(0, (3,), trunc=5, den=1)
+        # a missing field (den, then trunc), one too many, one given twice,
+        # an unknown one
         for args, kwargs in [
-            ((0, (1,)), {}),
+            ((0, (1,), 5), {}),
+            ((0, (1,)), {"den": 1}),
             ((0, (1,), 5, 1, 2), {}),
             ((0, (1,), 5), {"nums": (2,)}),
             ((0, (1,), 5), {"scale": 2}),
@@ -132,22 +134,22 @@ class TestLaurentSeries:
                 LaurentSeries(*args, **kwargs)
 
     def test_reading_above_truncation_raises(self):
-        s = LaurentSeries(0, (1,), 3)
+        s = LaurentSeries(0, (1,), 3, 1)
         assert s.coefficient(3) == 0
         with pytest.raises(TruncationError):
             s.coefficient(4)
 
     def test_storing_above_truncation_rejected(self):
         with pytest.raises(ValueError):
-            LaurentSeries(0, (1, 1), 0)
+            LaurentSeries(0, (1, 1), 0, 1)
 
     def test_difference_of_squares(self):
-        prod = LaurentSeries(0, (1, 1), 5).times_one_minus_z(1)
+        prod = LaurentSeries(0, (1, 1), 5, 1).times_one_minus_z(1)
         assert prod.trunc == 5
         assert [prod.coefficient(e) for e in range(6)] == [1, 0, -1, 0, 0, 0]
 
     def test_geometric_times_one_minus_z(self):
-        geometric = LaurentSeries(0, (1,) * 11, 10)
+        geometric = LaurentSeries(0, (1,) * 11, 10, 1)
         prod = geometric.times_one_minus_z(1)
         assert prod.coefficient(0) == 1
         assert all(prod.coefficient(e) == 0 for e in range(1, prod.trunc + 1))
@@ -158,14 +160,14 @@ class TestLaurentSeries:
     def test_truncation_propagation(self):
         # the product keeps the series' truncation: z^-2 (1 - z)^12 is cut at z^6,
         # past the one stored coefficient, so the zeros up to there take part
-        prod = LaurentSeries(-2, (1,), 6).times_one_minus_z(12)
+        prod = LaurentSeries(-2, (1,), 6, 1).times_one_minus_z(12)
         assert prod.trunc == 6
         assert [prod.coefficient(e) for e in range(-2, 7)] == [
             (-1) ** i * comb(12, i) for i in range(9)
         ]
         with pytest.raises(TruncationError):
             prod.coefficient(7)
-        assert LaurentSeries(0, (), 3).times_one_minus_z(4) == LaurentSeries(0, (), 3)
+        assert LaurentSeries(0, (), 3, 1).times_one_minus_z(4) == LaurentSeries(0, (), 3, 1)
 
 
 @pytest.mark.parametrize(
@@ -179,14 +181,14 @@ class TestLaurentSeries:
         ((Polynomial, (0, -1)), "-z"),
         ((Polynomial, (3, 0, 1)), "z^2 + 3"),
         ((Polynomial, (0, Q(-2, 3), Q(7, 5))), "7/5*z^2 - 2/3*z"),
-        ((LaurentSeries, 0, (), 4), "0 + O(z^5)"),
-        ((LaurentSeries, 0, (), -3), "0 + O(z^-2)"),
+        ((LaurentSeries, 0, (), 4, 1), "0 + O(z^5)"),
+        ((LaurentSeries, 0, (), -3, 1), "0 + O(z^-2)"),
         ((series, -1, (Q(-1), 2, 0, Q(3, 7), -1), 6), "-z^-1 + 2 + 3/7*z^2 - z^3 + O(z^7)"),
         (
             (series, -2, (1, Q(-1, 2), 0, -3, 1, Q(5, 2)), 9),
             "z^-2 - 1/2*z^-1 - 3*z + z^2 + 5/2*z^3 + O(z^10)",
         ),
-        ((LaurentSeries, 0, (0, -1), 3), "-z + O(z^4)"),
+        ((LaurentSeries, 0, (0, -1), 3, 1), "-z + O(z^4)"),
         ((series, -3, (Q(2, 3),), -1), "2/3*z^-3 + O(z^0)"),
     ],
 )
@@ -223,18 +225,18 @@ class TestOneMinusZPower:
 
     def test_small_exponents(self):
         for exponent, expected in ((0, [1, 0, 0, 0, 0]), (2, [1, -2, 1, 0, 0])):
-            s = LaurentSeries(0, (1,), 4).times_one_minus_z(exponent)
+            s = LaurentSeries(0, (1,), 4, 1).times_one_minus_z(exponent)
             assert [s.coefficient(e) for e in range(5)] == expected
 
     def test_binomial_table(self):
-        s = LaurentSeries(0, (1,), 10).times_one_minus_z(5)
+        s = LaurentSeries(0, (1,), 10, 1).times_one_minus_z(5)
         assert s.coefficient(3) == -10
         for e in range(11):
             assert s.coefficient(e) == (-1) ** e * comb(5, e)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="power must be non-negative"):
-            LaurentSeries(0, (1,), 5).times_one_minus_z(-1)
+            LaurentSeries(0, (1,), 5, 1).times_one_minus_z(-1)
 
 
 def kernel_of(num, den, roots=()):

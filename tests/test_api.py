@@ -228,7 +228,7 @@ def every_record():
     lemma = hypident.Lemma1Report(1, (0, 1), (Q(1, 2), 1))
     return [
         bessel, verified, verified.instance, verified.derived, verified.beta, kernel,
-        kernel.fraction, kernel.fraction.num, hypident.LaurentSeries(0, (1, 2), 3), lemma,
+        kernel.fraction, kernel.fraction.num, hypident.LaurentSeries(0, (1, 2), 3, 1), lemma,
         hypident.fuzz(0),
     ]
 
@@ -266,3 +266,14 @@ def test_every_record_is_immutable():
         assert getattr(value, field) is held and not hasattr(value, "extra")
         assert repr(value).startswith(f"{type(value).__name__}({field}=")
         assert value == value and value != (held,)
+
+
+def test_every_record_needs_every_field():
+    # no field has a default: rebuilt from its fields with any one left out,
+    # a record raises TypeError naming that field
+    for value in every_record():
+        fields = {name: getattr(value, name) for name in type(value).__annotations__}
+        for name in fields:
+            kept = {other: held for other, held in fields.items() if other != name}
+            with pytest.raises(TypeError, match=f"needs the field {name}$"):
+                type(value)(**kept)

@@ -150,7 +150,7 @@ class TestHyperSeries:
 
     def test_terminating_square(self):
         s = series_of([-2, 1], [1], 5)
-        assert s == LaurentSeries(0, (1, -2, 1), 5)
+        assert s == LaurentSeries(0, (1, -2, 1), 5, 1)
         assert [s.coefficient(k) for k in range(6)] == [1, -2, 1, 0, 0, 0]
 
     def test_no_parameters_gives_exp(self):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hypident import asymptotics, identity
+from hypident import asymptotics, identity, residues
 from hypident.algebra import LaurentSeries, clear_denominators
 from hypident.asymptotics import law_points
 from hypident.cli import main
@@ -658,6 +658,26 @@ class TestFaultInjection:
                 report = verify(P31)
             assert report.vanishing_ok
             assert self.failed(report) == flips, t
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the series and route 2 both build their prefactors "
+        "with rising_quotient, so a fault there moves both and alpha still agrees",
+    )
+    def test_shared_prefactor_fault_flips_alpha(self, monkeypatch):
+        # rising_quotient halved in both its callers, at p = -1: beta is halved
+        # from {-2: 27/2, -1: -9/4}, and only a route apart from it can notice
+        inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(0, 1), n=(2, 0))
+        real = identity.rising_quotient
+
+        def halved(*args):
+            return real(*args) / 2
+
+        monkeypatch.setattr(identity, "rising_quotient", halved)
+        monkeypatch.setattr(residues, "rising_quotient", halved)
+        report = verify(inst)
+        assert report.beta.values == {-2: Q(27, 4), -1: Q(-9, 8)}
+        assert report.cross_checks["alpha"] is False
 
     @pytest.mark.parametrize("index", [0, -1])
     def test_law_fault_flips_lemma1_only(self, monkeypatch, index):
