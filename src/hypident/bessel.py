@@ -96,7 +96,9 @@ class BesselReport:
 
     @property
     def passed(self) -> bool:
-        return self.exact.passed and self.max_residual < self.tolerance
+        """The exact layer's verdict: ``bessel_demo``, where each residual is
+        measured, raises at the first one that reaches the tolerance."""
+        return self.exact.passed
 
     def to_dict(self) -> dict:
         return {

@@ -32,7 +32,7 @@ from .errors import (
     NumericResidualExceeded,
     SupportViolation,
 )
-from .fuzzing import fuzz
+from .fuzzing import R_RANGE, SHIFT_RANGE, fuzz
 from .hyper import IdentityInstance, parse_rational
 from .identity import DEFAULT_BUFFER, beta_coefficients, lemma_report, residue_routes, verify
 from .residues import residue_kernel
@@ -74,49 +74,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True, with_buffer=True):
-        if with_input:
-            p.add_argument("input", help="path to an instance JSON file")
-        if with_buffer:
-            p.add_argument(
-                "--buffer",
-                type=int,
-                default=DEFAULT_BUFFER,
-                help="extra exponents checked past the certified support (default 25)",
-            )
-        p.add_argument("--pretty", action="store_true", help="indent JSON output")
+    # each argument that several commands share is declared once, as a parent
+    instance = _Parser(add_help=False)
+    instance.add_argument("input", help="path to an instance JSON file")
+    buffer = _Parser(add_help=False)
+    buffer.add_argument(
+        "--buffer",
+        type=int,
+        default=DEFAULT_BUFFER,
+        help="extra exponents checked past the certified support (default %(default)s)",
+    )
+    pretty = _Parser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", help="indent JSON output")
 
-    p = sub.add_parser("verify", help="full verification report for one instance")
-    add_common(p)
+    shared = [instance, buffer, pretty]
+    sub.add_parser("verify", parents=shared, help="full verification report for one instance")
+    sub.add_parser("coeffs", parents=shared, help="certified coefficient table only")
+    sub.add_parser("lemma", parents=[instance, pretty], help="polynomial law for residues at infinity")
 
-    p = sub.add_parser("coeffs", help="certified coefficient table only")
-    add_common(p)
-
-    p = sub.add_parser("lemma", help="polynomial law for residues at infinity")
-    add_common(p, with_buffer=False)
-
-    p = sub.add_parser("residue-check", help="three-route residue values at one k")
-    add_common(p, with_buffer=False)
+    p = sub.add_parser(
+        "residue-check", parents=[instance, pretty], help="three-route residue values at one k"
+    )
     p.add_argument("--k", type=int, required=True, help="kernel index")
 
-    p = sub.add_parser("fuzz", help="verify a batch of random instances")
-    add_common(p, with_input=False)
+    p = sub.add_parser("fuzz", parents=[buffer, pretty], help="verify a batch of random instances")
     p.add_argument("--count", type=int, default=100)
     p.add_argument(
         "--r-range",
         type=int,
         nargs=2,
-        default=(2, 4),
+        default=R_RANGE,
         metavar=("MIN", "MAX"),
-        help="range of r (default 2 4)",
+        help="range of r (default %d %d)" % R_RANGE,
     )
-    p.add_argument("--shift-range", type=int, default=3)
+    p.add_argument("--shift-range", type=int, default=SHIFT_RANGE)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("bessel", help="Bessel-product demonstration")
+    p = sub.add_parser("bessel", parents=[pretty], help="Bessel-product demonstration")
     # read "--nu -1/3" as a value: argparse's own pattern admits -3 and -0.5 but no "/"
     p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-    add_common(p, with_input=False, with_buffer=False)
     p.add_argument("--nu", required=True, help='rational order, e.g. "1/3"')
     p.add_argument("--m", type=int, required=True, dest="m_shift", help="integer shift")
     p.add_argument("--tolerance", type=decimal, default=DEFAULT_TOLERANCE)
@@ -179,19 +175,11 @@ def _dispatch(args: argparse.Namespace) -> tuple[dict, int]:
             seed=args.seed,
             buffer=args.buffer,
         )
-        return report.to_dict(), 0 if report.failed == 0 else 1
+        return report.to_dict(), 1 if report.failures else 0
 
     if args.command == "bessel":
         report = bessel_demo(nu, args.m_shift, args.samples, args.tolerance)
         return report.to_dict(), 0 if report.passed else 1
-
-
-def _emit(payload: dict, pretty: bool) -> None:
-    if pretty:
-        text = json.dumps(payload, sort_keys=True, indent=2)
-    else:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    print(text, flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -207,7 +195,10 @@ def main(argv: list[str] | None = None) -> int:
         except (HypidentError, MemoryError, OSError, OverflowError, ValueError, ZeroDivisionError) as exc:
             payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
             status = 1 if isinstance(exc, _CHECK_FAILURES) else 2
-        _emit(payload, pretty)
+        if pretty:
+            print(json.dumps(payload, sort_keys=True, indent=2), flush=True)
+        else:
+            print(json.dumps(payload, sort_keys=True, separators=(",", ":")), flush=True)
         return status
     except BrokenPipeError:
         # the reader closed stdout early: what is still buffered goes to

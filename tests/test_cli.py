@@ -97,13 +97,6 @@ class TestVerifyCommand:
             "message": f"instance JSON must be an object, got {kind}",
         }
 
-    def test_pretty_changes_formatting_only(self, tmp_path, capsys):
-        path = write(tmp_path, "inst.json", ZERO_SHIFT)
-        _, plain = run_cli(capsys, ["verify", path])
-        _, pretty = run_cli(capsys, ["verify", path, "--pretty"])
-        assert plain != pretty
-        assert json.loads(plain) == json.loads(pretty)
-
 
 class TestCoeffsCommand:
     def test_confluent_table(self, tmp_path, capsys):
@@ -511,6 +504,61 @@ class TestStrictInput:
         assert status == 2
         assert out.count("\n") == 1 and err == ""
         assert json.loads(out)["error"]["type"] == "UsageError"
+
+
+def command_line(tmp_path, args):
+    """``args`` with an instance file after the command where it takes one."""
+    if args[0] in ("verify", "coeffs", "lemma", "residue-check"):
+        return [args[0], write(tmp_path, "inst.json", ZERO_SHIFT), *args[1:]]
+    return args
+
+
+class TestSharedArguments:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify"],
+            ["coeffs"],
+            ["lemma"],
+            ["residue-check", "--k", "0"],
+            ["fuzz", "--count", "2"],
+            ["bessel", "--nu", "1/3", "--m", "1"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_pretty_changes_formatting_only(self, tmp_path, capsys, args):
+        args = command_line(tmp_path, args)
+        status, plain = run_cli(capsys, args)
+        pretty_status, pretty = run_cli(capsys, [*args, "--pretty"])
+        assert status == pretty_status == 0
+        assert plain != pretty
+        assert json.loads(plain) == json.loads(pretty)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["lemma"], ["residue-check", "--k", "0"], ["bessel", "--nu", "1/3", "--m", "1"]],
+        ids=lambda args: args[0],
+    )
+    def test_buffer_is_refused_where_nothing_reads_it(self, tmp_path, capsys, args):
+        status, out = run_cli(capsys, [*command_line(tmp_path, args), "--buffer", "5"])
+        assert status == 2
+        assert json.loads(out)["error"] == {
+            "type": "UsageError",
+            "message": "unrecognized arguments: --buffer 5",
+        }
+
+    def test_missing_arguments_are_named_in_order(self, capsys):
+        status, out = run_cli(capsys, ["residue-check"])
+        assert status == 2
+        assert json.loads(out)["error"]["message"] == (
+            "the following arguments are required: input, --k"
+        )
+
+    def test_fuzz_draws_with_the_library_defaults(self, capsys):
+        status, out = run_cli(capsys, ["fuzz", "--count", "5", "--seed", "3"])
+        assert status == 0
+        expected = json.dumps(fuzzing.fuzz(5, seed=3).to_dict(), sort_keys=True, separators=(",", ":"))
+        assert out == expected + "\n"
 
 
 # (instance or None, command line without the input path, exit status, stdout)

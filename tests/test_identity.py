@@ -255,6 +255,18 @@ class TestConfluentSign:
             sign = 1 if (derived.r - derived.s) * k % 2 == 0 else -1
             assert series.coefficient(k) == sign * residue_sum_closed_form(inst, k), k
 
+    @pytest.mark.parametrize("inst", confluent_sign_instances())
+    def test_routes_2_to_4_are_the_signed_series(self, inst):
+        # the three residue routes agree with the signed series at every
+        # window kernel, the values verify would compare for s < r
+        derived = inst.derived
+        kernels = kernel_ladder(inst, DEFAULT_BUFFER // 2 + 1)
+        series = lhs_series(inst, kernels[-1].k)
+        for kernel in kernels:
+            k = kernel.k
+            sign = 1 if (derived.r - derived.s) * k % 2 == 0 else -1
+            assert identity.residue_routes(inst, kernel) == (sign * series.coefficient(k),) * 3, k
+
 
 class TestBetaCoefficients:
     def test_empty_support_zero_identity(self):
