@@ -16,9 +16,7 @@ from fractions import Fraction as Q
 
 from hypident import (
     IdentityInstance,
-    check_residue_polynomial,
     finite_residues,
-    law_points,
     lhs_series,
     residue_at_infinity,
     residue_kernel,
@@ -26,6 +24,7 @@ from hypident import (
     sum_finite_residues,
     validate,
 )
+from hypident.identity import lemma_report
 
 inst = IdentityInstance(a=(0, Q(1, 2)), b=(Q(1, 3), Q(1, 4)), m=(2, 1), n=(0, 0))
 derived = validate(inst)
@@ -58,9 +57,7 @@ print()
 
 # the law is proven against route 4's whole expansion at its first point,
 # k = -m_min, and checked against route 2 at each of its points
-points = law_points(inst)
-expansion = residue_kernel(inst, points.start).expansion
-report = check_residue_polynomial(inst, expansion, [residue_sum_closed_form(inst, k) for k in points])
+report = lemma_report(inst)
 print(f"residue at infinity as a polynomial in k (degree {report.p}):")
 print("  q(k) =", report.polynomial)
 print("  sampled at k =", list(report.points), "->", [str(v) for v in report.residue_values])

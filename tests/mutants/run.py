@@ -5,8 +5,7 @@
 
 Each entry of ``mutants.json`` is one exact edit: a ``file`` relative to the
 repository root, a ``snippet`` that must occur exactly once in it, its
-``replacement``, a ``name`` and a ``reason`` (the fault it stands for).  An
-entry may carry ``survive``, the reason the suite cannot catch it yet.
+``replacement``, a ``name`` and a ``reason`` (the fault it stands for).
 
 The mutants run strictly one after another.  Each gets a fresh temporary
 copy of src/, tests/, demos/ and pyproject.toml, with its one edit applied,
@@ -15,10 +14,9 @@ timeout.  A mutant is killed when the suite fails (or times out), with the
 first failing test as its catcher, and survives when the suite passes.  The
 report lists each mutant, then the kill rate.
 
-The exit status is 1 when an unmarked mutant survives, a marked one is killed
-(its ``survive`` mark is stale) or a snippet does not occur exactly once,
-else 0.  Only the standard library is used; pytest runs as a child process
-and does not collect this file.
+The exit status is 1 when a mutant survives or a snippet does not occur
+exactly once, else 0.  Only the standard library is used; pytest runs as a
+child process and does not collect this file.
 """
 
 from __future__ import annotations
@@ -97,13 +95,10 @@ def main(names: list[str]) -> int:
         start = time.perf_counter()
         was_killed, catcher = run_one(mutant)
         killed += was_killed
-        marked = "survive" in mutant
-        if was_killed and marked:
-            problems.append(f"{mutant['name']}: killed, so its survive mark is stale")
-        elif not was_killed and not marked:
+        if not was_killed:
             problems.append(f"{mutant['name']}: survived")
-        verdict, note = ("killed", catcher) if was_killed else ("survived", mutant.get("survive", ""))
-        print(f"{mutant['name']:<28} {verdict:<8} {note} ({time.perf_counter() - start:.1f} s)", flush=True)
+        verdict = "killed" if was_killed else "survived"
+        print(f"{mutant['name']:<28} {verdict:<8} {catcher} ({time.perf_counter() - start:.1f} s)", flush=True)
     print(f"kill rate: {killed}/{len(mutants)} ({100 * killed / len(mutants):.0f} %)")
     if problems:
         print("\n".join(problems))

@@ -143,6 +143,28 @@ class TestLogSeriesContent:
         report = verify(MIXED)
         assert report.cross_checks == {"residue": True, "lemma1": False, "alpha": None}
 
+    def test_bernoulli_fault_in_the_law_series(self, monkeypatch):
+        # B_2 off by 1 on P31: the law's series leaves the integers at the first
+        # order t where the oracle's D^t q_t, from the same wrong numbers, does
+        real = asymptotics._bernoulli_numbers
+
+        def bumped(n):
+            numbers = real(n)
+            numbers[2] += 1
+            return numbers
+
+        monkeypatch.setattr(asymptotics, "_bernoulli_numbers", bumped)
+        start, p, d = -P31.derived.m_min, P31.derived.p, P31.derived.scale
+        numbers = bernoulli_numbers(p + 1)
+        numbers[2] += 1
+        g = [None] + [law_g(P31.a, P31.b, P31.m, P31.n, j, start, numbers) for j in range(1, p + 1)]
+        q, t = [Q(1)], 0
+        while (d**t * q[t]).denominator == 1:
+            t += 1
+            q.append(sum(u * g[u] * q[t - u] for u in range(1, t + 1)) / t)
+        with pytest.raises(CheckFailed, match=rf"^law's series at k={start}, order t={t}: not an integer$"):
+            asymptotics._law_values(P31, p, start, 1)
+
 
 class TestExpSeriesCoefficient:
     def test_order_zero_is_one(self):

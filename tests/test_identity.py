@@ -11,18 +11,16 @@ from hypident import asymptotics, identity, residues
 from hypident.algebra import LaurentSeries, clear_denominators
 from hypident.asymptotics import law_points
 from hypident.cli import main
-from hypident.errors import CheckFailed, SupportViolation
+from hypident.errors import SupportViolation
 from hypident.fuzzing import random_instance
 from hypident.hyper import IdentityInstance, Theorem, validate
 from hypident.identity import DEFAULT_BUFFER, beta_coefficients, kernel_ladder, lhs_series, verify
 from hypident.residues import ResidueKernel, residue_kernel, residue_sum_closed_form
 
 from oracles import (
-    bernoulli_numbers,
     expansion_at_infinity,
     kernel_pole_residue,
     kernel_roots,
-    law_g,
     lhs_coefficients,
     lhs_value,
     partial_fraction_zero_sum,
@@ -537,6 +535,126 @@ class TestOracleAtPinnedSizes:
         assert out["residue_at_infinity"] == str(at_infinity)
 
 
+def seeded_draws(seed, family):
+    rng = random.Random(seed)
+    return [random_instance(rng, family=family) for _ in range(5)]
+
+
+# The faults of TestFaultInjection's matrix.  Each is called as fault(patch, inst)
+# and patches, on a monkeypatch context, the globals that verify(inst) reaches.
+
+# routes 2-4 as verify calls them through identity's globals, each with the k of
+# its arguments: route 2 takes (inst, k), routes 3 and 4 a kernel
+ROUTES = {
+    2: ("residue_sum_closed_form", lambda inst, k: k),
+    3: ("sum_finite_residues", lambda kernel: kernel.k),
+    4: ("residue_at_infinity", lambda kernel: kernel.k),
+}
+
+
+def route_fault(route, at):
+    """Route 2, 3 or 4 with 1 added to its value at k = at(inst)."""
+    name, k_of = ROUTES[route]
+
+    def fault(patch, inst):
+        real, k = getattr(identity, name), at(inst)
+
+        def bumped(*args):
+            value = real(*args)
+            return value + 1 if k_of(*args) == k else value
+
+        patch.setattr(identity, name, bumped)
+
+    return fault
+
+
+def window_top(inst):
+    # the residue window's top k, above the law's points start .. start + p + 2
+    derived = inst.derived
+    k = -derived.m_min + DEFAULT_BUFFER // 2
+    assert k > -derived.m_min + derived.p + 2
+    return k
+
+
+def first_pole(inst):
+    # k = -n_max, the first kernel with a pole
+    return -inst.derived.n_max
+
+
+def below_the_window(inst):
+    # a low order of alpha, below the window's start -m_min
+    k = first_pole(inst)
+    assert k < -inst.derived.m_min
+    return k
+
+
+def expansion_fault(t):
+    """Route 4's expansion at the law's first point, k = -m_min, off by 1 at order t:
+    below t = p only the law reads it, and at t = p it is the residue as well."""
+
+    def fault(patch, inst):
+        real = ResidueKernel.expansion.func
+
+        def bumped(kernel):
+            values = real(kernel)
+            if kernel.k == -inst.derived.m_min:
+                values[t] += 1
+            return values
+
+        patch.setattr(ResidueKernel, "expansion", property(bumped))
+
+    return fault
+
+
+SERIES, VALUES = 0, 1  # what _law_values returns: the law's series at k = -m_min, its values
+
+
+def law_fault(part, index):
+    """One entry of the law's series or of its values off by 1."""
+
+    def fault(patch, inst):
+        real = asymptotics._law_values
+
+        def bumped(*args):
+            result = real(*args)
+            result[part][index] += 1
+            return result
+
+        patch.setattr(asymptotics, "_law_values", bumped)
+
+    return fault
+
+
+def bernoulli_fault(patch, _inst):
+    # B_2 off by 1
+    real = asymptotics._bernoulli_numbers
+
+    def bumped(n):
+        numbers = real(n)
+        numbers[2] += 1
+        return numbers
+
+    patch.setattr(asymptotics, "_bernoulli_numbers", bumped)
+
+
+def step_fault(patch, _inst):
+    # the step from k to k + 1 taken as the one from k - 1 to k
+    real = asymptotics._step
+    patch.setattr(asymptotics, "_step", lambda series, d, a, b, k: real(series, d, a, b, k - 1))
+
+
+def skip_fault(patch, _inst):
+    # the law skips its last point
+    real = asymptotics._law_values
+    patch.setattr(
+        asymptotics, "_law_values", lambda inst, order, start, count: real(inst, order, start, count - 1)
+    )
+
+
+BALANCED = seeded_draws(1001, "one")
+M8 = IdentityInstance(a=P31.a, b=P31.b, m=(8, 8), n=(0, 0))
+
+
 class TestFaultInjection:
     # route 1 perturbed by +z^k, for every k from the support's bottom to
     # the truncation: some check of verify must fail at each k
@@ -562,10 +680,8 @@ class TestFaultInjection:
         def perturbed(inst, trunc):
             return bumped(real(inst, trunc), bump_at[-1], [1])
 
-        rng = random.Random(seed)
         missed, tried = [], 0
-        for _ in range(5):
-            inst = random_instance(rng, family=family)
+        for inst in seeded_draws(seed, family):
             report = verify(inst)
             monkeypatch.setattr(identity, "lhs_series", perturbed)
             for k in range(report.beta.support_low, report.checked_up_to + 1):
@@ -577,99 +693,48 @@ class TestFaultInjection:
         assert tried > 100
         assert not missed, f"{len(missed)} of {tried} missed, first {missed[0]}"
 
-    # routes 2-4, each wrapped through the module global that verify calls, with 1
-    # added to its value at one k; route 2 takes (inst, k), routes 3 and 4 a kernel
-    ROUTES = {
-        "route 2": ("residue_sum_closed_form", lambda inst, k: k),
-        "route 3": ("sum_finite_residues", lambda kernel: kernel.k),
-        "route 4": ("residue_at_infinity", lambda kernel: kernel.k),
-    }
-
-    @staticmethod
-    def bump(monkeypatch, module, name, at, k_of):
-        real = getattr(module, name)
-
-        def bumped(*args):
-            value = real(*args)
-            return value + 1 if k_of(*args) == at else value
-
-        monkeypatch.setattr(module, name, bumped)
-
-    @staticmethod
-    def failed(report):
-        return {key for key, ok in report.cross_checks.items() if ok is False}
-
+    # one row per fault: its instances, the fault and the exact set of
+    # cross-checks it turns False; a strict xfail is a fault no check catches yet
     @pytest.mark.parametrize(
-        "route, where, flips",
+        "instances, fault, flips",
         [
-            ("route 2", "window", {"residue"}),
-            ("route 2", "low order", {"alpha"}),
-            ("route 3", "window", {"residue"}),
-            ("route 4", "window", {"residue"}),
-        ],
-    )
-    def test_route_fault_flips_its_check(self, monkeypatch, route, where, flips):
-        name, k_of = self.ROUTES[route]
-        rng = random.Random(1001)
-        for _ in range(5):
-            inst = random_instance(rng, family="one")
-            derived = inst.derived
-            start = -derived.m_min
-            if where == "window":
-                # the window's top k, above the law's points start .. start + p + 2
-                k = start + DEFAULT_BUFFER // 2
-                assert k > start + derived.p + 2
-            else:
-                k = -derived.n_max
-                assert k < start
-            with monkeypatch.context() as patch:
-                self.bump(patch, identity, name, k, k_of)
-                report = verify(inst)
-            assert report.vanishing_ok
-            assert self.failed(report) == flips, (inst, k)
-
-    @pytest.mark.parametrize(
-        "inst",
-        [
-            pytest.param(IdentityInstance(a=P31.a, b=P31.b, m=(8, 8), n=(0, 0)), id="m=8"),
+            pytest.param(BALANCED, route_fault(2, window_top), {"residue"}, id="route2-window-top"),
+            pytest.param(BALANCED, route_fault(2, below_the_window), {"alpha"}, id="route2-below-the-window"),
+            pytest.param(BALANCED, route_fault(3, window_top), {"residue"}, id="route3-window-top"),
+            pytest.param(BALANCED, route_fault(4, window_top), {"residue"}, id="route4-window-top"),
+            # at m = (8, 8) the window -8 .. 4 holds k = 0, and at m = (16, 16) it does not
+            pytest.param([M8], route_fault(2, first_pole), {"residue"}, id="route2-first-pole-m8"),
             pytest.param(
-                P31,
-                id="P31",
+                [P31],
+                route_fault(2, first_pole),
+                {"residue"},
+                id="route2-first-pole-P31",
                 marks=pytest.mark.xfail(
                     strict=True,
                     reason="ROADMAP item 1: P31's residue window k = -16 .. -4 lies below "
                     "k = -n_max = 0, the first kernel with a pole, so it compares no residue",
                 ),
             ),
+            pytest.param([P31], expansion_fault(0), {"lemma1"}, id="route4-expansion-t0"),
+            pytest.param([P31], expansion_fault(17), {"lemma1"}, id="route4-expansion-t17"),
+            pytest.param([P31], expansion_fault(31), {"residue", "lemma1"}, id="route4-expansion-t31"),
+            pytest.param([P31], law_fault(VALUES, 0), {"lemma1"}, id="law-value-first"),
+            pytest.param([P31], law_fault(VALUES, -1), {"lemma1"}, id="law-value-last"),
+            pytest.param([P31], law_fault(SERIES, 0), {"lemma1"}, id="law-series-t0"),
+            pytest.param([P31], law_fault(SERIES, 15), {"lemma1"}, id="law-series-t15"),
+            pytest.param([P31], law_fault(SERIES, 30), {"lemma1"}, id="law-series-t30"),
+            pytest.param([P31], bernoulli_fault, {"lemma1"}, id="bernoulli-B2"),
+            pytest.param([P31], step_fault, {"lemma1"}, id="law-step-from-k-1"),
+            pytest.param([P31], skip_fault, {"lemma1"}, id="law-skips-its-last-point"),
         ],
     )
-    def test_route_2_fault_at_the_first_pole_flips_residue(self, monkeypatch, inst):
-        # route 2 off by 1 at k = 0, where the kernel's poles start: at m = (8, 8)
-        # the window -8 .. 4 holds k = 0, and at m = (16, 16) it does not
-        name, k_of = self.ROUTES["route 2"]
-        with monkeypatch.context() as patch:
-            self.bump(patch, identity, name, 0, k_of)
-            report = verify(inst)
-        assert report.vanishing_ok
-        assert self.failed(report) == {"residue"}, report.cross_checks
-
-    def test_route_4_fault_at_a_law_point_flips_lemma1(self, monkeypatch):
-        # route 4's expansion at the law's first point, k = -16, off by 1 at order t:
-        # below t = p only the law reads it, and at t = p it is the residue as well
-        real = ResidueKernel.expansion.func
-        for t, flips in ((0, {"lemma1"}), (17, {"lemma1"}), (31, {"residue", "lemma1"})):
-
-            def bumped(kernel, t=t):
-                values = real(kernel)
-                if kernel.k == -16:
-                    values[t] += 1
-                return values
-
+    def test_fault_flips_exactly(self, monkeypatch, instances, fault, flips):
+        for inst in instances:
             with monkeypatch.context() as patch:
-                patch.setattr(ResidueKernel, "expansion", property(bumped))
-                report = verify(P31)
+                fault(patch, inst)
+                report = verify(inst)
             assert report.vanishing_ok
-            assert self.failed(report) == flips, t
+            assert {check for check, ok in report.cross_checks.items() if ok is False} == flips, inst
 
     @pytest.mark.xfail(
         strict=True,
@@ -690,75 +755,3 @@ class TestFaultInjection:
         report = verify(inst)
         assert report.beta.values == {-2: Q(27, 4), -1: Q(-9, 8)}
         assert report.cross_checks["alpha"] is False
-
-    @pytest.mark.parametrize("index", [0, -1])
-    def test_law_fault_flips_lemma1_only(self, monkeypatch, index):
-        real = asymptotics._law_values
-
-        def bumped(inst, order, start, count):
-            series, values = real(inst, order, start, count)
-            values[index] += 1
-            return series, values
-
-        monkeypatch.setattr(asymptotics, "_law_values", bumped)
-        report = verify(P31)
-        assert report.vanishing_ok
-        assert self.failed(report) == {"lemma1"}
-
-    @pytest.mark.parametrize("t", [0, 15, 30])
-    def test_start_series_fault_flips_lemma1(self, monkeypatch, t):
-        # one order t < p of the law's series at k = -m_min off by 1
-        real = asymptotics._law_values
-
-        def bumped(inst, order, start, count):
-            series, values = real(inst, order, start, count)
-            series[t] += 1
-            return series, values
-
-        monkeypatch.setattr(asymptotics, "_law_values", bumped)
-        report = verify(P31)
-        assert report.vanishing_ok
-        assert self.failed(report) == {"lemma1"}
-
-    def test_bernoulli_fault_flips_lemma1_only(self, monkeypatch):
-        # B_2 off by 1: the law's series leaves the integers at the first order t
-        # where the oracle's D^t q_t, from the same wrong numbers, does
-        real = asymptotics._bernoulli_numbers
-
-        def bumped(n):
-            numbers = real(n)
-            numbers[2] += 1
-            return numbers
-
-        monkeypatch.setattr(asymptotics, "_bernoulli_numbers", bumped)
-        report = verify(P31)
-        assert report.vanishing_ok
-        assert self.failed(report) == {"lemma1"}
-
-        start, p, d = -P31.derived.m_min, P31.derived.p, P31.derived.scale
-        numbers = bernoulli_numbers(p + 1)
-        numbers[2] += 1
-        g = [None] + [law_g(P31.a, P31.b, P31.m, P31.n, j, start, numbers) for j in range(1, p + 1)]
-        q, t = [Q(1)], 0
-        while (d**t * q[t]).denominator == 1:
-            t += 1
-            q.append(sum(u * g[u] * q[t - u] for u in range(1, t + 1)) / t)
-        with pytest.raises(CheckFailed, match=rf"^law's series at k={start}, order t={t}: not an integer$"):
-            asymptotics._law_values(P31, p, start, 1)
-
-    def test_law_step_fault_flips_lemma1(self, monkeypatch):
-        # the step from k to k + 1 taken as the one from k - 1 to k
-        real = asymptotics._step
-        monkeypatch.setattr(asymptotics, "_step", lambda series, d, a, b, k: real(series, d, a, b, k - 1))
-        report = verify(P31)
-        assert report.vanishing_ok
-        assert self.failed(report) == {"lemma1"}
-
-    def test_law_skipping_its_last_point_flips_lemma1(self, monkeypatch):
-        real = asymptotics._law_values
-        monkeypatch.setattr(
-            asymptotics, "_law_values", lambda inst, order, start, count: real(inst, order, start, count - 1)
-        )
-        report = verify(P31)
-        assert report.vanishing_ok
-        assert self.failed(report) == {"lemma1"}
